@@ -45,8 +45,6 @@ from .patches import patch_extract, psnr, read_pgm, write_pgm
 from .protocol import (
     ExperimentReport,
     ProtocolConfig,
-    avg_measurements,
-    run_batch,
     run_two_step,
     sigma2_for_snr_db,
 )
@@ -80,7 +78,6 @@ __all__ = [
     "ShtOutcome",
     "SignalBatch",
     "average_basis",
-    "avg_measurements",
     "bhattacharyya_distance",
     "design_classification_block",
     "design_reconstruction_block",
@@ -100,7 +97,6 @@ __all__ = [
     "read_matrix",
     "read_pgm",
     "rip_ab",
-    "run_batch",
     "run_two_step",
     "sample_signals",
     "save_model",

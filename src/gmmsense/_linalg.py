@@ -151,18 +151,6 @@ def sym_floored_eigh(a: np.ndarray, rel: float = EIG_FLOOR_REL):
     return floor_eigenvalues(vals, rel), vecs
 
 
-def sym_floored_inverse(a: np.ndarray, rel: float = EIG_FLOOR_REL) -> np.ndarray:
-    """Inverse of symmetric PSD matrices via floored eigendecomposition."""
-    vals, vecs = sym_floored_eigh(a, rel)
-    return symmetrize((vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2))
-
-
-def sym_floored_logdet(a: np.ndarray, rel: float = EIG_FLOOR_REL) -> np.ndarray:
-    """log det of symmetric PSD matrices with floored eigenvalues."""
-    vals, _ = sym_floored_eigh(a, rel)
-    return np.sum(np.log(vals), axis=-1)
-
-
 def orthonormalize_rows(a: np.ndarray) -> np.ndarray:
     """Row-space-preserving orthonormalization with a deterministic sign fix.
 

@@ -25,7 +25,7 @@ from ._linalg import (
     sym_floored_eigh,
     symmetrize,
 )
-from .design import SensingMatrix, random_orthonormal
+from .design import as_rows, random_orthonormal, require_orthonormal_rows
 from .model import GmmModel, _readonly
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "PosteriorMatrices",
     "ProjectedCovarianceError",
     "AscentOptions",
-    "class_measurement_stats",
     "measurement_log_likelihoods",
     "posterior_matrices",
     "separability_measure",
@@ -56,19 +55,6 @@ class ProjectedCovarianceError(ValueError):
         self.class_index = class_index
         which = "average" if class_index is None else f"class {class_index}"
         super().__init__(f"projected covariance for {which} is not positive definite")
-
-
-def _as_rows(block) -> np.ndarray:
-    rows = block.rows if isinstance(block, SensingMatrix) else np.asarray(block, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("a measurement block must be a 2-D array of rows")
-    return rows
-
-
-def _require_orthonormal_rows(rows: np.ndarray, what: str) -> None:
-    resid = np.abs(rows @ rows.T - np.eye(rows.shape[0])).max()
-    if resid > 1e-8:
-        raise ValueError(f"{what} rows are not orthonormal (residual {resid:.3e})")
 
 
 @dataclass(frozen=True)
@@ -135,13 +121,13 @@ class AcquisitionState:
         log-likelihoods are recomputed exactly on the stacked history and
         the priors Bayes-updated from the model priors.
         """
-        rows = _as_rows(block)
+        rows = as_rows(block)
         y = np.asarray(measurements, dtype=float).ravel()
         if rows.shape[1] != self.rows.shape[1]:
             raise ValueError("block dimension does not match the state")
         if y.shape[0] != rows.shape[0]:
             raise ValueError("measurement count does not match the block rows")
-        _require_orthonormal_rows(rows, "block")
+        require_orthonormal_rows(rows, "block")
         all_rows = np.vstack([self.rows, rows])
         all_y = np.concatenate([self.measurements, y])
         loglik = measurement_log_likelihoods(all_rows, all_y, model, self.sigma2)
@@ -160,10 +146,10 @@ class AcquisitionState:
         )
 
 
-def class_measurement_stats(
+def measurement_log_likelihoods(
     rows: np.ndarray, y: np.ndarray, model: GmmModel, sigma2: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-class (quadratic form, log-determinant) of the measurement model.
+) -> np.ndarray:
+    """Joint Gaussian log p(y | g) of stacked measurements for every class.
 
     For each class g the measurement covariance is rows @ cov_g @ rows.T +
     sigma2 I and the quadratic form uses the class-mean-centered
@@ -179,15 +165,6 @@ def class_measurement_stats(
     proj = np.einsum("gi,gij->gj", centered, vecs)
     quad = np.sum(proj**2 / vals, axis=-1)
     logdet = np.sum(np.log(vals), axis=-1)
-    return quad, logdet
-
-
-def measurement_log_likelihoods(
-    rows: np.ndarray, y: np.ndarray, model: GmmModel, sigma2: float
-) -> np.ndarray:
-    """Joint Gaussian log p(y | g) of stacked measurements for every class."""
-    quad, logdet = class_measurement_stats(rows, y, model, sigma2)
-    m = rows.shape[0]
     return -0.5 * (quad + logdet + m * _LOG_2PI)
 
 
@@ -202,31 +179,19 @@ class PosteriorMatrices:
     class_scales / average_scale carry the magnitude of the unconditioned
     covariances; projected determinants are floored relative to them, which
     keeps the separability measure finite for classes whose posterior has
-    collapsed (history spans their support at zero noise). When not
-    supplied they fall back to the posterior diagonals.
+    collapsed (history spans their support at zero noise).
     """
 
     per_class: np.ndarray
     average: np.ndarray
-    class_scales: np.ndarray | None = None
-    average_scale: float | None = None
+    class_scales: np.ndarray
+    average_scale: float
 
     def __post_init__(self):
         object.__setattr__(self, "per_class", _readonly(self.per_class))
         object.__setattr__(self, "average", _readonly(self.average))
-        if self.class_scales is None:
-            scales = np.maximum(
-                np.diagonal(self.per_class, axis1=-2, axis2=-1).max(axis=-1), 0.0
-            )
-            object.__setattr__(self, "class_scales", _readonly(scales))
-        else:
-            object.__setattr__(self, "class_scales", _readonly(self.class_scales))
-        if self.average_scale is None:
-            object.__setattr__(
-                self, "average_scale", float(max(np.diag(self.average).max(), 0.0))
-            )
-        else:
-            object.__setattr__(self, "average_scale", float(self.average_scale))
+        object.__setattr__(self, "class_scales", _readonly(self.class_scales))
+        object.__setattr__(self, "average_scale", float(self.average_scale))
 
 
 def _conditioned_covariance(
@@ -396,8 +361,8 @@ def separability_measure(
     empty history this is the non-adaptive form on the raw covariances.
     Zero when all class covariances coincide.
     """
-    rows = _as_rows(block)
-    _require_orthonormal_rows(rows, "candidate")
+    rows = as_rows(block)
+    require_orthonormal_rows(rows, "candidate")
     if posteriors is None:
         posteriors = posterior_matrices(state, model)
     return _measure_given(rows, posteriors, state.class_priors)
@@ -416,8 +381,8 @@ def separability_gradient(
     log-determinant contributes a factor of two that cancels the one-half
     in the measure.
     """
-    rows = _as_rows(block)
-    _require_orthonormal_rows(rows, "candidate")
+    rows = as_rows(block)
+    require_orthonormal_rows(rows, "candidate")
     if posteriors is None:
         posteriors = posterior_matrices(state, model)
     return _gradient_given(rows, posteriors, state.class_priors)
@@ -444,7 +409,6 @@ def design_classification_block(
     b: int,
     seed=0,
     opts: AscentOptions | None = None,
-    budget: int | None = None,
 ) -> np.ndarray:
     """Design b orthonormal rows maximizing class separability.
 
@@ -460,11 +424,6 @@ def design_classification_block(
     n = model.dimension
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= {n}, got b={b}")
-    if budget is not None and state.n_measurements + b > budget:
-        raise ValueError(
-            f"measurement budget exhausted: {state.n_measurements} used, "
-            f"block of {b} requested, budget {budget}"
-        )
     posteriors = posterior_matrices(state, model)
     weights = state.class_priors
     block = random_orthonormal(b, n, seed=seed).rows

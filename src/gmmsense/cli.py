@@ -13,6 +13,7 @@ Any rejection (bad input, invalid configuration) exits nonzero.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -159,15 +160,13 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_run_protocol(args) -> int:
-    config = ProtocolConfig.from_json(args.config)
-    if args.seed is not None:
-        d = config.to_dict()
-        d["seed"] = args.seed
-        config = ProtocolConfig.from_dict(d)
-    if args.allow_nonstandard and not config.allow_nonstandard:
-        d = config.to_dict()
+    with open(args.config) as fh:
+        d = json.load(fh)
+    if args.allow_nonstandard:  # before validation, which rejects such pairs
         d["allow_nonstandard"] = True
-        config = ProtocolConfig.from_dict(d)
+    config = ProtocolConfig.from_dict(d)
+    if args.seed is not None:
+        config = dataclasses.replace(config, seed=args.seed)
     model, _ = load_model(args.model)
     if args.signals:
         signals = read_matrix(args.signals)
@@ -182,10 +181,7 @@ def _cmd_run_protocol(args) -> int:
     else:
         raise ValueError("provide --signals or --images")
     if args.snr_db is not None:
-        sigma2 = sigma2_for_snr_db(batch, args.snr_db)
-        d = config.to_dict()
-        d["sigma2"] = sigma2
-        config = ProtocolConfig.from_dict(d)
+        config = dataclasses.replace(config, sigma2=sigma2_for_snr_db(batch, args.snr_db))
     report = run_two_step(config, batch, model)
     report.write_json(args.out)
     if args.per_signal:
@@ -204,14 +200,10 @@ def _cmd_report(args) -> int:
     for path in args.inputs:
         with open(path) as fh:
             d = json.load(fh)
-        c = d["config"]
-        acc = "" if d.get("accuracy") is None else f"{d['accuracy']:.6g}"
-        ps = "" if d.get("psnr") is None else f"{d['psnr']:.6g}"
-        rows.append(
-            f"{d['protocol']},{c['step1']},{c['step2']},{c['M']},{c['K']},"
-            f"{c['b']},{c['P_e']},{c['sigma2']},{d['seed']},{d['n_signals']},"
-            f"{acc},{d['mse']:.10g},{ps},{d['mean_k']:.6g},{d['wall_time_s']:.3f}"
-        )
+        try:
+            rows.append(ExperimentReport.csv_row(d))
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"{path}: malformed report, bad or missing field {exc}") from exc
     out = "\n".join(rows) + "\n"
     if args.out:
         Path(args.out).write_text(out)

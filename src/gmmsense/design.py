@@ -15,6 +15,8 @@ from .model import GaussianComponent, GmmModel, _readonly
 
 __all__ = [
     "SensingMatrix",
+    "as_rows",
+    "require_orthonormal_rows",
     "random_orthonormal",
     "eigen_sensing",
     "average_basis",
@@ -23,16 +25,18 @@ __all__ = [
 ]
 
 
+def require_orthonormal_rows(rows: np.ndarray, what: str) -> None:
+    """Reject rows whose Gram matrix is further than 1e-8 from identity."""
+    resid = np.abs(rows @ rows.T - np.eye(rows.shape[0])).max()
+    if resid > 1e-8:
+        raise ValueError(f"{what} rows are not orthonormal (residual {resid:.3e})")
+
+
 @dataclass(frozen=True)
 class SensingMatrix:
-    """M x N sensing matrix with orthonormal rows.
-
-    block_size groups the rows into blocks for the adaptive protocols; it
-    does not affect the matrix itself.
-    """
+    """M x N sensing matrix with orthonormal rows."""
 
     rows: np.ndarray
-    block_size: int = 1
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _readonly(self.rows))
@@ -41,22 +45,18 @@ class SensingMatrix:
         m, n = self.rows.shape
         if m > n:
             raise ValueError(f"more rows than columns ({m} > {n})")
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        resid = np.abs(self.rows @ self.rows.T - np.eye(m)).max()
-        if resid > 1e-8:
-            raise ValueError(f"rows are not orthonormal (residual {resid:.3e})")
-
-    @property
-    def n_rows(self) -> int:
-        return self.rows.shape[0]
-
-    @property
-    def dimension(self) -> int:
-        return self.rows.shape[1]
+        require_orthonormal_rows(self.rows, "sensing")
 
 
-def random_orthonormal(m: int, n: int, seed=0, block_size: int = 1) -> SensingMatrix:
+def as_rows(sensing) -> np.ndarray:
+    """The rows of a SensingMatrix, or a 2-D array-like as float rows."""
+    rows = sensing.rows if isinstance(sensing, SensingMatrix) else np.asarray(sensing, dtype=float)
+    if rows.ndim != 2:
+        raise ValueError("sensing rows must be a 2-D array")
+    return rows
+
+
+def random_orthonormal(m: int, n: int, seed=0) -> SensingMatrix:
     """Orthonormalized rows of an M x N standard Gaussian draw.
 
     Row-space preserving and deterministic given the seed.
@@ -65,10 +65,10 @@ def random_orthonormal(m: int, n: int, seed=0, block_size: int = 1) -> SensingMa
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
     rng = np.random.default_rng(seed)
     rows = orthonormalize_rows(rng.standard_normal((m, n)))
-    return SensingMatrix(rows=rows, block_size=block_size)
+    return SensingMatrix(rows=rows)
 
 
-def eigen_sensing(component: GaussianComponent, m: int, block_size: int = 1) -> SensingMatrix:
+def eigen_sensing(component: GaussianComponent, m: int) -> SensingMatrix:
     """Transposed first m eigenvectors of a component covariance.
 
     The minimum-MSE non-adaptive design for a signal known to come from
@@ -77,7 +77,7 @@ def eigen_sensing(component: GaussianComponent, m: int, block_size: int = 1) -> 
     n = component.dimension
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got m={m}")
-    return SensingMatrix(rows=component.basis[:, :m].T, block_size=block_size)
+    return SensingMatrix(rows=component.basis[:, :m].T)
 
 
 def average_basis(model: GmmModel) -> np.ndarray:
@@ -95,7 +95,7 @@ def procrustes_rotation(a: np.ndarray, c: np.ndarray) -> np.ndarray:
     return u @ wt
 
 
-def rip_ab(model: GmmModel, m: int, block_size: int = 1) -> SensingMatrix:
+def rip_ab(model: GmmModel, m: int) -> SensingMatrix:
     """Batch design aligning the prior-weighted average basis with identity.
 
     Computes the SVD E = U S W^T of the average basis (descending singular
@@ -109,4 +109,4 @@ def rip_ab(model: GmmModel, m: int, block_size: int = 1) -> SensingMatrix:
     e = average_basis(model)
     u, _, wt = svd_descending_signed(e)
     b = wt.T @ u.T
-    return SensingMatrix(rows=b[:m], block_size=block_size)
+    return SensingMatrix(rows=b[:m])

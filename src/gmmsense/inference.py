@@ -17,13 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._linalg import EIG_FLOOR_REL, sym_floored_eigh
-from .adaptive import (
-    AcquisitionState,
-    AscentOptions,
-    class_measurement_stats,
-    design_classification_block,
-)
-from .design import SensingMatrix, random_orthonormal
+from .adaptive import AcquisitionState, AscentOptions, design_classification_block
+from .design import as_rows
 from .model import GaussianComponent, GmmModel, _readonly, m_step_update
 
 __all__ = [
@@ -36,13 +31,6 @@ __all__ = [
     "map_em_objective",
     "sht_run",
 ]
-
-
-def _sensing_rows(sensing) -> np.ndarray:
-    rows = sensing.rows if isinstance(sensing, SensingMatrix) else np.asarray(sensing, dtype=float)
-    if rows.ndim != 2:
-        raise ValueError("sensing must be a 2-D array of rows")
-    return rows
 
 
 @dataclass(frozen=True)
@@ -75,21 +63,24 @@ def wiener_coefficients(
     """Closed-form ridge coefficients for one component.
 
     Computes diag(lambda) V^T R^T (R Sigma R^T + sigma2 I)^-1 y, the exact
-    minimizer of the per-class objective. The measurements y must already
-    be centered by the component's projected mean. With sigma2 = 0 the
-    inner inverse relies on eigenvalue flooring.
+    minimizer of the per-class objective. y is one measurement vector of
+    shape (m,) or a batch of shape (S, m) sensed with the same rows; the
+    coefficients come back as (N,) or (S, N), from one factorization of
+    the inner matrix. The measurements must already be centered by the
+    component's projected mean. With sigma2 = 0 the inner inverse relies
+    on eigenvalue flooring.
     """
-    rows = _sensing_rows(sensing)
-    y = np.asarray(y, dtype=float).ravel()
-    if y.shape[0] != rows.shape[0]:
+    rows = as_rows(sensing)
+    y = np.asarray(y, dtype=float)
+    if y.ndim not in (1, 2) or y.shape[-1] != rows.shape[0]:
         raise ValueError("measurement length does not match the sensing rows")
     if rows.shape[1] != component.dimension:
         raise ValueError("sensing width does not match the component dimension")
     m = rows.shape[0]
     inner = rows @ component.covariance @ rows.T + sigma2 * np.eye(m)
     vals, vecs = sym_floored_eigh(inner)
-    t = vecs @ ((vecs.T @ y) / vals)
-    return component.eigenvalues * (component.basis.T @ (rows.T @ t))
+    t = ((y @ vecs) / vals) @ vecs.T  # inner^-1 applied to each measurement
+    return ((t @ rows) @ component.basis) * component.eigenvalues
 
 
 def _class_objectives(
@@ -105,14 +96,9 @@ def _class_objectives(
     n = model.dimension
     objectives = np.empty((g, n_sig))
     coefficients = np.empty((g, n_sig, n))
-    m = rows.shape[0]
-    eye_m = np.eye(m)
     for gi, comp in enumerate(model.components):
         centered = y_rows - rows @ comp.mean  # (S, m)
-        inner = rows @ comp.covariance @ rows.T + sigma2 * eye_m
-        vals, vecs = sym_floored_eigh(inner)
-        t = ((centered @ vecs) / vals) @ vecs.T  # rows of inner^-1 @ centered
-        alpha = ((t @ rows) @ comp.basis) * comp.eigenvalues  # (S, N)
+        alpha = wiener_coefficients(centered, rows, comp, sigma2)  # (S, N)
         resid = centered - (alpha @ comp.basis.T) @ rows.T
         obj = np.einsum("sm,sm->s", resid, resid)
         lam_max = float(comp.eigenvalues.max(initial=0.0))
@@ -136,7 +122,7 @@ def map_reconstruct(
     picks the smallest, and returns the signal estimate mean + V a. At
     sigma2 = 0 the objective is the residual alone.
     """
-    rows = _sensing_rows(sensing)
+    rows = as_rows(sensing)
     y = np.asarray(y, dtype=float).ravel()
     objectives, coefficients = _class_objectives(y[None, :], rows, model, sigma2)
     g_star = int(np.argmin(objectives[:, 0]))
@@ -154,23 +140,25 @@ def map_reconstruct(
 def map_classify(state: AcquisitionState, model: GmmModel) -> int:
     """Measurement-space Gaussian classification of an acquisition history.
 
-    Returns the 1-based argmin over classes of the centered quadratic form
-    plus log-determinant of the class measurement covariance. No prior
-    term enters; ties resolve to the lowest index.
+    Returns the 1-based argmax over classes of the joint measurement
+    log-likelihoods the state stored when its last block was appended, so
+    the class measurement covariances are not factorized again. That is
+    the argmin of the centered quadratic form plus log-determinant of the
+    class measurement covariance. No prior term enters; ties resolve to
+    the lowest index.
     """
     if state.n_measurements < 1:
         raise ValueError("classification requires at least one measurement")
-    quad, logdet = class_measurement_stats(
-        state.rows, state.measurements, model, state.sigma2
-    )
-    return int(np.argmin(quad + logdet)) + 1
+    if state.class_log_likelihoods.shape != (model.n_components,):
+        raise ValueError("state likelihoods do not match the model's classes")
+    return int(np.argmax(state.class_log_likelihoods)) + 1
 
 
 def map_em_objective(
     measurements: np.ndarray, sensing, model: GmmModel, sigma2: float
 ) -> float:
     """Total best-class objective over a measurement batch (diagnostic)."""
-    rows = _sensing_rows(sensing)
+    rows = as_rows(sensing)
     y_rows = np.asarray(measurements, dtype=float)
     objectives, _ = _class_objectives(y_rows, rows, model, sigma2)
     return float(objectives.min(axis=0).sum())
@@ -193,7 +181,7 @@ def map_em(
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
-    rows = _sensing_rows(sensing)
+    rows = as_rows(sensing)
     y_rows = np.asarray(measurements, dtype=float)
     if y_rows.ndim != 2 or y_rows.shape[1] != rows.shape[0]:
         raise ValueError("measurements must be (S, M) matching the sensing rows")
@@ -251,7 +239,6 @@ def sht_run(
     m_budget: int,
     p_e: float,
     sigma2: float = 0.0,
-    designer: str = "aida",
     seed=0,
     first_block: np.ndarray | None = None,
     opts: AscentOptions | None = None,
@@ -264,10 +251,9 @@ def sht_run(
     difference. The first block is the non-adaptive separability design
     (precomputable and passable via first_block); it initializes the
     acquisition and is never tested on its own, so the earliest decision
-    uses two blocks. Later blocks come from the chosen designer: "aida"
-    re-optimizes against the history, "ida" re-runs the non-adaptive
-    design, "random" draws random rows. If the budget is exhausted
-    undecided, the outcome falls back to measurement-space classification.
+    uses two blocks. Each later block re-optimizes the separability against
+    the history so far. If the budget is exhausted undecided, the outcome
+    falls back to measurement-space classification.
 
     signal_oracle maps a block of rows to its (noisy) measurements.
     """
@@ -275,36 +261,22 @@ def sht_run(
         raise ValueError(f"p_e must lie in (0, 0.5), got {p_e}")
     if b < 1 or b > m_budget:
         raise ValueError(f"need 1 <= b <= budget, got b={b}, budget={m_budget}")
-    if designer not in ("aida", "ida", "random"):
-        raise ValueError(f"unknown designer {designer!r}")
     log_eta = float(np.log((1.0 - p_e) / p_e))
     with np.errstate(divide="ignore"):  # zero-prior classes can never win
         log_priors = np.log(model.priors)
     seed_key = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
     state = AcquisitionState.initial(model, sigma2, block_size=b)
-    empty = state
     trace = []
     decided = None
     k = 0
     while state.n_measurements + b <= m_budget and decided is None:
         k += 1
-        if k == 1:
-            if first_block is not None:
-                block = np.asarray(first_block, dtype=float)
-            else:
-                block = design_classification_block(
-                    empty, model, b, seed=seed_key + (1,), opts=opts
-                )
-        elif designer == "aida":
+        if k == 1 and first_block is not None:
+            block = np.asarray(first_block, dtype=float)
+        else:
             block = design_classification_block(
                 state, model, b, seed=seed_key + (k,), opts=opts
             )
-        elif designer == "ida":
-            block = design_classification_block(
-                empty, model, b, seed=seed_key + (k,), opts=opts
-            )
-        else:
-            block = random_orthonormal(b, model.dimension, seed=seed_key + (k,)).rows
         y = np.asarray(signal_oracle(block), dtype=float).ravel()
         state = state.append_block(block, y, model)
         ratios = _pairwise_log_ratios(state.class_log_likelihoods, log_priors)

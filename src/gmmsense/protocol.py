@@ -4,9 +4,9 @@ A protocol senses each signal in two phases: a detection phase that
 identifies the mixture component (non-adaptive rows, or sequential
 adaptive acquisition), and a reconstruction phase that spends the
 remaining budget on rows tailored to the detected component. Setting the
-detection budget equal to the total budget reproduces the single-step
-batch protocols exactly, and `run_batch` is the plain single-step driver
-the two-step runner must match bitwise in that case.
+detection budget equal to the total budget (K = M) leaves the second phase
+empty, which is the single-step batch protocol: `run_two_step` is the one
+driver for both.
 
 All randomness derives from (seed, purpose tag, signal index), so reports
 are reproducible and independent of evaluation order.
@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field, asdict
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from .adaptive import (
     design_classification_block,
     design_reconstruction_block,
 )
-from .design import SensingMatrix, eigen_sensing, random_orthonormal, rip_ab
+from .design import eigen_sensing, random_orthonormal, rip_ab
 from .inference import map_classify, sht_run, wiener_coefficients
 from .model import GmmModel, SignalBatch
 
@@ -34,8 +34,6 @@ __all__ = [
     "ProtocolConfig",
     "ExperimentReport",
     "run_two_step",
-    "run_batch",
-    "avg_measurements",
     "sigma2_for_snr_db",
     "VALID_PROTOCOL_PAIRS",
 ]
@@ -55,6 +53,21 @@ VALID_PROTOCOL_PAIRS = (
 _TAG_DESIGN = 101
 _TAG_NOISE = 202
 _TAG_SHT = 303
+
+
+def _checked_keys(cls, d: dict, what: str) -> dict:
+    """A copy of d, or a ValueError naming the keys cls cannot take."""
+    unknown = sorted(set(d) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
+    missing = [
+        f.name
+        for f in fields(cls)
+        if f.default is MISSING and f.default_factory is MISSING and f.name not in d
+    ]
+    if missing:
+        raise ValueError(f"missing {what} key(s): {', '.join(missing)}")
+    return dict(d)
 
 
 @dataclass(frozen=True)
@@ -110,23 +123,20 @@ class ProtocolConfig:
         return f"{self.step1}+{self.step2}"
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        return d
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ProtocolConfig":
-        d = dict(d)
+        """Build a config from a dict, rejecting unknown and missing keys."""
+        d = _checked_keys(cls, d, "protocol config")
         ascent = d.pop("ascent", None)
         if isinstance(ascent, dict):
-            d["ascent"] = AscentOptions(**ascent)
-        elif ascent is not None:
+            d["ascent"] = AscentOptions(**_checked_keys(AscentOptions, ascent, "ascent"))
+        elif isinstance(ascent, AscentOptions):
             d["ascent"] = ascent
+        elif ascent is not None:
+            raise ValueError(f"ascent must be a mapping of ascent options, got {ascent!r}")
         return cls(**d)
-
-    @classmethod
-    def from_json(cls, path) -> "ProtocolConfig":
-        with open(path) as fh:
-            return cls.from_dict(json.load(fh))
 
 
 @dataclass(frozen=True)
@@ -198,28 +208,21 @@ class ExperimentReport:
         "accuracy,mse,psnr,mean_k,wall_time_s"
     )
 
-    def csv_row(self) -> str:
-        c = self.config
-        acc = "" if self.accuracy is None else f"{self.accuracy:.6g}"
-        ps = "" if self.psnr is None else f"{self.psnr:.6g}"
+    @staticmethod
+    def csv_row(d: dict) -> str:
+        """One CSV_HEADER row from a report's JSON dict (see to_json_dict).
+
+        A missing accuracy or psnr gives an empty field; any other missing
+        field raises KeyError.
+        """
+        c = d["config"]
+        acc = "" if d.get("accuracy") is None else f"{d['accuracy']:.6g}"
+        ps = "" if d.get("psnr") is None else f"{d['psnr']:.6g}"
         return (
-            f"{self.protocol},{c['step1']},{c['step2']},{c['M']},{c['K']},"
-            f"{c['b']},{c['P_e']},{c['sigma2']},{self.seed},{self.n_signals},"
-            f"{acc},{self.mse:.10g},{ps},{self.mean_k:.6g},{self.wall_time_s:.3f}"
+            f"{d['protocol']},{c['step1']},{c['step2']},{c['M']},{c['K']},"
+            f"{c['b']},{c['P_e']},{c['sigma2']},{d['seed']},{d['n_signals']},"
+            f"{acc},{d['mse']:.10g},{ps},{d['mean_k']:.6g},{d['wall_time_s']:.3f}"
         )
-
-
-def avg_measurements(n_signals: int, m: int, k: int, p_gamma: float) -> float:
-    """Expected total measurements when only one class justifies phase two.
-
-    Signals detected as uninteresting stop after k measurements; the
-    interesting fraction p_gamma continues to the full budget m.
-    """
-    if not 0.0 <= p_gamma <= 1.0:
-        raise ValueError("p_gamma must lie in [0, 1]")
-    if k > m:
-        raise ValueError("need k <= m")
-    return float(n_signals * (k * (1.0 - p_gamma) + m * p_gamma))
 
 
 def sigma2_for_snr_db(batch: SignalBatch, snr_db: float) -> float:
@@ -241,18 +244,17 @@ def _measure(
     return y
 
 
-def _step1_design(config: ProtocolConfig, model: GmmModel, n_rows: int) -> np.ndarray:
-    """Shared non-adaptive detection design for a whole batch."""
+def _step1_design(config: ProtocolConfig, model: GmmModel) -> np.ndarray:
+    """Shared K-row non-adaptive detection design for a whole batch."""
+    k = config.K
     if config.step1 == "random":
-        return random_orthonormal(
-            n_rows, model.dimension, seed=[_TAG_DESIGN, config.seed]
-        ).rows
+        return random_orthonormal(k, model.dimension, seed=[_TAG_DESIGN, config.seed]).rows
     if config.step1 == "rip_ab":
-        return rip_ab(model, n_rows).rows
+        return rip_ab(model, k).rows
     if config.step1 == "ida":
-        empty = AcquisitionState.initial(model, config.sigma2, block_size=n_rows)
+        empty = AcquisitionState.initial(model, config.sigma2, block_size=k)
         return design_classification_block(
-            empty, model, n_rows, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
+            empty, model, k, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
         )
     raise ValueError(f"{config.step1!r} is not a non-adaptive design")
 
@@ -299,39 +301,6 @@ def _finalize(
     )
 
 
-def run_batch(
-    config: ProtocolConfig, batch: SignalBatch, model: GmmModel
-) -> ExperimentReport:
-    """Single-step batch protocol: M non-adaptive rows, classify, reconstruct.
-
-    Only the non-adaptive detection designs apply (random, rip_ab, ida);
-    the full budget is sensed at once with the step-1 design.
-    """
-    if config.step1 == "aida_sht":
-        raise ValueError("aida_sht is inherently sequential; use run_two_step")
-    config.validate_against(model)
-    if batch.dimension != model.dimension:
-        raise ValueError("batch dimension does not match the model")
-    t0 = time.perf_counter()
-    rows = _step1_design(config, model, config.M)
-    n = batch.n_signals
-    classes = np.empty(n, dtype=int)
-    squared_errors = np.empty(n)
-    for i in range(n):
-        x = batch.signals[i]
-        rng = _noise_rng(config, i)
-        y = _measure(rows, x, config.sigma2, rng)
-        state = AcquisitionState.initial(model, config.sigma2, config.b).append_block(
-            rows, y, model
-        )
-        gamma = map_classify(state, model)
-        xhat = _reconstruct(rows, y, model, gamma, config.sigma2)
-        classes[i] = gamma
-        squared_errors[i] = float(np.sum((x - xhat) ** 2) / batch.dimension)
-    k_used = np.full(n, config.M, dtype=int)
-    return _finalize(config, batch, classes, k_used, squared_errors, t0)
-
-
 def run_two_step(
     config: ProtocolConfig, batch: SignalBatch, model: GmmModel
 ) -> ExperimentReport:
@@ -341,7 +310,8 @@ def run_two_step(
     adaptive acquisition for aida_sht, budgeted at M); the remaining rows
     come from the step-2 design for the detected component, and the signal
     is reconstructed from all rows stacked. With K = M the second step is
-    empty and the run matches `run_batch` bitwise.
+    empty, which is the single-step batch protocol for the non-adaptive
+    designs: M rows of the step-1 design, classify, reconstruct.
     """
     config.validate_against(model)
     if batch.dimension != model.dimension:
@@ -360,7 +330,7 @@ def run_two_step(
             empty, model, config.b, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
         )
     else:
-        step1_rows = _step1_design(config, model, config.K)
+        step1_rows = _step1_design(config, model)
 
     for i in range(n):
         x = batch.signals[i]
@@ -373,7 +343,6 @@ def run_two_step(
                 config.M,
                 config.P_e,
                 sigma2=config.sigma2,
-                designer="aida",
                 seed=(_TAG_SHT, config.seed, i),
                 first_block=sht_first_block,
                 opts=config.ascent,

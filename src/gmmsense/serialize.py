@@ -19,7 +19,6 @@ __all__ = [
     "write_matrix",
     "read_matrix",
     "write_matrix_csv",
-    "read_matrix_csv",
     "save_model",
     "load_model",
 ]
@@ -36,8 +35,7 @@ def write_matrix(path, matrix: np.ndarray) -> None:
     rows, cols = a.shape
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(np.uint32(rows).newbyteorder("<").tobytes())
-        fh.write(np.uint32(cols).newbyteorder("<").tobytes())
+        fh.write(np.array([rows, cols], dtype="<u4").tobytes())
         fh.write(a.tobytes())
 
 
@@ -62,10 +60,6 @@ def read_matrix(path) -> np.ndarray:
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    return np.atleast_2d(np.loadtxt(path, delimiter=","))
 
 
 def save_model(directory, model: GmmModel, sigma2: float | None = None) -> None:

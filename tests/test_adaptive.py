@@ -1,12 +1,11 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_spd
+from helpers import random_model, random_spd
 from gmmsense._linalg import orthonormalize_rows, principal_angles
 from gmmsense.adaptive import (
     AcquisitionState,
     AscentOptions,
-    PosteriorMatrices,
     ProjectedCovarianceError,
     design_classification_block,
     design_reconstruction_block,
@@ -311,13 +310,6 @@ class TestDesignClassificationBlock:
                 block, state, model, post
             ) >= separability_measure(init, state, model, post)
 
-    def test_budget_rejection(self):
-        model = random_model(4, 2, seed=34)
-        hist = random_orthonormal(2, 4, seed=35).rows
-        state = state_with_rows(model, hist)
-        with pytest.raises(ValueError):
-            design_classification_block(state, model, 2, seed=36, budget=3)
-
     def test_returns_orthonormal_rows(self):
         model = random_model(7, 3, seed=37)
         state = AcquisitionState.initial(model, 0.0, 1)
@@ -368,10 +360,3 @@ class TestDesignReconstructionBlock:
         achieved = np.linalg.det(rows @ p @ rows.T)
         assert abs(achieved - np.prod(vals[:m])) <= 1e-8 * np.prod(vals[:m])
 
-
-class TestPosteriorMatricesType:
-    def test_default_scales_from_diagonals(self):
-        p = np.stack([np.diag([2.0, 1.0]), np.diag([3.0, 0.5])])
-        post = PosteriorMatrices(per_class=p, average=np.diag([2.5, 0.75]))
-        assert np.array_equal(post.class_scales, [2.0, 3.0])
-        assert post.average_scale == 2.5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_model, random_spd
+from helpers import random_model, random_spd
 from gmmsense._linalg import orthonormalize_rows, principal_angles
 from gmmsense.design import (
     SensingMatrix,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lowrank_component, random_model, random_spd
+from helpers import lowrank_component, random_model, random_spd
 from gmmsense.adaptive import AcquisitionState
 from gmmsense.design import random_orthonormal
 from gmmsense.inference import (
@@ -82,6 +82,17 @@ class TestWienerCoefficients:
             delta = rng.standard_normal(n)
             delta *= 1e-3 / np.linalg.norm(delta)
             assert base <= eq_objective(y, rows, comp, alpha + delta, sigma2) + 1e-15
+
+    def test_batch_matches_one_vector_at_a_time(self):
+        n, m = 7, 4
+        comp = GaussianComponent.from_moments(np.zeros(n), random_spd(n, seed=4))
+        rows = random_orthonormal(m, n, seed=5).rows
+        y = np.random.default_rng(6).standard_normal((5, m))
+        batch = wiener_coefficients(y, rows, comp, 0.3)
+        assert batch.shape == (5, n)
+        for s in range(5):
+            single = wiener_coefficients(y[s], rows, comp, 0.3)
+            assert np.abs(batch[s] - single).max() <= 1e-12 * np.abs(single).max()
 
     def test_dimension_mismatch_rejected(self):
         comp = GaussianComponent.from_moments(np.zeros(3), np.eye(3))

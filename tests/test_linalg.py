@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_spd
+from helpers import random_spd
 from gmmsense._linalg import (
     NonSymmetricMatrixError,
     SingularMatrixError,
@@ -11,8 +11,6 @@ from gmmsense._linalg import (
     orthonormalize_rows,
     principal_angles,
     svd_descending_signed,
-    sym_floored_inverse,
-    sym_floored_logdet,
     require_symmetric,
 )
 
@@ -52,29 +50,6 @@ def test_floor_eigenvalues_relative():
 def test_floor_eigenvalues_rejects_nonpositive():
     with pytest.raises(SingularMatrixError):
         floor_eigenvalues(np.zeros(3))
-
-
-def test_sym_floored_inverse_matches_direct():
-    a = random_spd(6, seed=2)
-    inv = sym_floored_inverse(a)
-    assert np.abs(inv @ a - np.eye(6)).max() < 1e-10
-
-
-def test_sym_floored_logdet_matches_slogdet():
-    a = random_spd(5, seed=3)
-    sign, ld = np.linalg.slogdet(a)
-    assert sign > 0
-    assert abs(sym_floored_logdet(a) - ld) < 1e-10
-
-
-def test_batched_inverse_and_logdet():
-    stack = np.stack([random_spd(4, seed=s) for s in range(3)])
-    inv = sym_floored_inverse(stack)
-    for i in range(3):
-        assert np.abs(inv[i] @ stack[i] - np.eye(4)).max() < 1e-10
-    lds = sym_floored_logdet(stack)
-    for i in range(3):
-        assert abs(lds[i] - np.linalg.slogdet(stack[i])[1]) < 1e-10
 
 
 def test_orthonormalize_rows_preserves_row_space():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import lowrank_component, random_spd
+from helpers import lowrank_component, random_spd
 from gmmsense._linalg import NonSymmetricMatrixError, NotPositiveSemidefiniteError
 from gmmsense.model import (
     GaussianComponent,
