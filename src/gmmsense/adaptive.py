@@ -172,26 +172,33 @@ def measurement_log_likelihoods(
 class PosteriorMatrices:
     """Class and mixture covariances conditioned on the measurement history.
 
-    per_class stacks one N x N matrix per class; average is the matching
-    matrix for the prior-weighted mixture covariance. All matrices are
-    symmetric and positive definite once sigma2 > 0.
+    stack holds G + 1 symmetric N x N matrices: the G class posteriors
+    first, then the posterior of the prior-weighted mixture covariance.
+    All are positive definite once sigma2 > 0.
 
-    class_scales / average_scale carry the magnitude of the unconditioned
-    covariances; projected determinants are floored relative to them, which
-    keeps the separability measure finite for classes whose posterior has
-    collapsed (history spans their support at zero noise).
+    scales carries the largest diagonal entry of each unconditioned
+    covariance (plus sigma2), in the same order. Projected eigenvalues are
+    floored at EIG_FLOOR_REL times the matching scale, which keeps the
+    separability measure finite for classes whose posterior has collapsed
+    (history spans their support at zero noise). A matrix with zero scale
+    has no variance at all and an undefined log-determinant, so it is
+    rejected here with ProjectedCovarianceError.
     """
 
-    per_class: np.ndarray
-    average: np.ndarray
-    class_scales: np.ndarray
-    average_scale: float
+    stack: np.ndarray
+    scales: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "per_class", _readonly(self.per_class))
-        object.__setattr__(self, "average", _readonly(self.average))
-        object.__setattr__(self, "class_scales", _readonly(self.class_scales))
-        object.__setattr__(self, "average_scale", float(self.average_scale))
+        object.__setattr__(self, "stack", _readonly(self.stack))
+        object.__setattr__(self, "scales", _readonly(self.scales))
+        _reject_first(self.scales <= 0.0)
+
+
+def _reject_first(bad: np.ndarray) -> None:
+    """Raise for the first flagged matrix of a stack; the last is the average."""
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ProjectedCovarianceError(None if i == bad.shape[0] - 1 else i + 1)
 
 
 def _conditioned_covariance(
@@ -218,34 +225,24 @@ def _conditioned_covariance(
 def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMatrices:
     """Posterior (innovation) covariances given the measurement history.
 
-    The mixture average uses the state's current class priors, so during a
-    sequential acquisition the average tracks the Bayes-updated posterior.
-    Determinant floors are anchored at the unconditioned covariance scales.
+    Stacks the class covariances and their mixture average under the
+    state's current class priors (so during a sequential acquisition the
+    average tracks the Bayes-updated posterior) and conditions all G + 1
+    on the history at once. Determinant floors are anchored at the
+    unconditioned covariance scales.
     """
     if state.rows.shape[1:] and state.rows.shape[1] != model.dimension:
         raise ValueError("state dimension does not match the model")
-    weights = state.class_priors
-    avg_cov = np.einsum("g,gij->ij", weights, model.covariance_stack)
+    avg_cov = np.einsum("g,gij->ij", state.class_priors, model.covariance_stack)
+    covs = np.concatenate([model.covariance_stack, avg_cov[None]])
     try:
-        per_class = _conditioned_covariance(
-            model.covariance_stack, state.rows, state.sigma2
-        )
+        stack = _conditioned_covariance(covs, state.rows, state.sigma2)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
-            f"singular measurement covariance in a class posterior: {exc}"
+            f"singular measurement covariance in a posterior: {exc}"
         ) from exc
-    average = _conditioned_covariance(avg_cov, state.rows, state.sigma2)
-    class_scales = (
-        np.diagonal(model.covariance_stack, axis1=-2, axis2=-1).max(axis=-1)
-        + state.sigma2
-    )
-    average_scale = float(np.diag(avg_cov).max() + state.sigma2)
-    return PosteriorMatrices(
-        per_class=per_class,
-        average=average,
-        class_scales=class_scales,
-        average_scale=average_scale,
-    )
+    scales = np.diagonal(covs, axis1=-2, axis2=-1).max(axis=-1) + state.sigma2
+    return PosteriorMatrices(stack=stack, scales=scales)
 
 
 # Most negative projected value accepted as numerical noise, relative to the
@@ -255,96 +252,47 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
 _PROJ_NEG_TOL = 1e-3
 
 
-def _check_scales(posteriors: PosteriorMatrices) -> None:
-    """A class with no variance at all has an undefined log-determinant."""
-    if posteriors.average_scale <= 0.0:
-        raise ProjectedCovarianceError(None)
-    bad = np.flatnonzero(posteriors.class_scales <= 0.0)
-    if bad.size:
-        raise ProjectedCovarianceError(int(bad[0]) + 1)
-
-
-def _projected_logdets(
+def _project(
     block: np.ndarray, posteriors: PosteriorMatrices
-) -> tuple[np.ndarray, float]:
-    """Floored log-determinants of the block-projected posterior matrices.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Project every posterior onto a block and eigendecompose the result.
 
-    Projected eigenvalues are floored at EIG_FLOOR_REL times the
-    unconditioned covariance scale, so classes whose posterior has
-    collapsed contribute a large finite term instead of an infinity.
-    Values more negative than rounding noise allows, or classes with zero
-    scale, raise ProjectedCovarianceError naming the offending class.
-    Single-row blocks take a scalar fast path.
+    Returns (B P, floored eigenvalues ascending, eigenvectors, above-floor
+    mask), each stacked like posteriors.stack. Eigenvalues are floored at
+    EIG_FLOOR_REL times the matching scale, so a collapsed class posterior
+    contributes a large finite log-determinant instead of an infinity.
+    Values more negative than rounding noise allows raise
+    ProjectedCovarianceError naming the offending class. A single-row block
+    reads its 1 x 1 projections directly instead of calling eigh.
     """
-    _check_scales(posteriors)
-    floor_avg = EIG_FLOOR_REL * posteriors.average_scale
-    floors = EIG_FLOOR_REL * posteriors.class_scales
+    bp = block @ posteriors.stack                 # (G+1, b, N)
+    proj = bp @ block.T                           # (G+1, b, b)
     if block.shape[0] == 1:
-        r = block[0]
-        avg = float(r @ posteriors.average @ r)
-        vals = posteriors.per_class @ r @ r
-        if avg < -_PROJ_NEG_TOL * posteriors.average_scale:
-            raise ProjectedCovarianceError(None)
-        bad = np.flatnonzero(vals < -_PROJ_NEG_TOL * posteriors.class_scales)
-        if bad.size:
-            raise ProjectedCovarianceError(int(bad[0]) + 1)
-        return (
-            np.log(np.maximum(vals, floors)),
-            float(np.log(max(avg, floor_avg))),
-        )
-    proj_avg = symmetrize(block @ posteriors.average @ block.T)
-    vals_avg = np.linalg.eigvalsh(proj_avg)
-    if vals_avg[0] < -_PROJ_NEG_TOL * posteriors.average_scale:
-        raise ProjectedCovarianceError(None)
-    proj = symmetrize(block @ posteriors.per_class @ block.T)
-    vals = np.linalg.eigvalsh(proj)
-    bad = np.flatnonzero(vals[:, 0] < -_PROJ_NEG_TOL * posteriors.class_scales)
-    if bad.size:
-        raise ProjectedCovarianceError(int(bad[0]) + 1)
-    logdets = np.sum(np.log(np.maximum(vals, floors[:, None])), axis=-1)
-    logdet_avg = float(np.sum(np.log(np.maximum(vals_avg, floor_avg))))
-    return logdets, logdet_avg
+        vals, vecs = proj[:, 0, :], np.ones((1, 1, 1))
+    else:
+        vals, vecs = np.linalg.eigh(symmetrize(proj))
+    scales = posteriors.scales
+    _reject_first(vals[:, 0] < -_PROJ_NEG_TOL * scales)
+    floors = EIG_FLOOR_REL * scales[:, None]
+    live = vals > floors
+    return bp, np.maximum(vals, floors), vecs, live
 
 
-def _measure_given(
-    block: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray
-) -> float:
-    logdets, logdet_avg = _projected_logdets(block, posteriors)
-    return 0.5 * float(np.sum(weights * (logdet_avg - logdets)))
+def _score(projection, weights: np.ndarray) -> float:
+    """Separability measure of a block from its _project result."""
+    logdets = np.sum(np.log(projection[1]), axis=-1)
+    return 0.5 * float(np.sum(weights * (logdets[-1] - logdets[:-1])))
 
 
-def _gradient_given(
-    block: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray
-) -> np.ndarray:
-    _check_scales(posteriors)
-    floor_avg = EIG_FLOOR_REL * posteriors.average_scale
-    floors = EIG_FLOOR_REL * posteriors.class_scales
-    if block.shape[0] == 1:
-        r = block[0]
-        b_avg = posteriors.average @ r
-        denom_avg = float(b_avg @ r)
-        b_cls = posteriors.per_class @ r          # (G, N)
-        denoms = b_cls @ r                        # (G,)
-        # Clamped terms are locally constant, so they contribute nothing.
-        grad = np.zeros_like(r)
-        if denom_avg > floor_avg:
-            grad = b_avg / denom_avg
-        live = denoms > floors
-        if np.any(live):
-            grad = grad - (weights[live] / denoms[live]) @ b_cls[live]
-        return grad[None, :]
-    b_avg = block @ posteriors.average
-    vals_a, vecs_a = np.linalg.eigh(symmetrize(b_avg @ block.T))
-    inv_avg = (vecs_a / np.maximum(vals_a, floor_avg)) @ vecs_a.T
-    term_avg = inv_avg @ b_avg
-    b_cls = block @ posteriors.per_class
-    proj = symmetrize(b_cls @ block.T)
-    vals_c, vecs_c = np.linalg.eigh(proj)
-    inv_cls = (
-        vecs_c / np.maximum(vals_c, floors[:, None])[..., None, :]
-    ) @ np.swapaxes(vecs_c, -1, -2)
-    terms = inv_cls @ b_cls
-    return term_avg - np.einsum("g,gbn->bn", weights, terms)
+def _gradient(projection, weights: np.ndarray) -> np.ndarray:
+    """Separability gradient of a block from its _project result.
+
+    A floored eigenvalue is locally constant, so it gets zero weight.
+    """
+    bp, vals, vecs, live = projection
+    inv = (vecs * (live / vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+    terms = inv @ bp
+    return terms[-1] - np.einsum("g,gbn->bn", weights, terms[:-1])
 
 
 def separability_measure(
@@ -365,7 +313,7 @@ def separability_measure(
     require_orthonormal_rows(rows, "candidate")
     if posteriors is None:
         posteriors = posterior_matrices(state, model)
-    return _measure_given(rows, posteriors, state.class_priors)
+    return _score(_project(rows, posteriors), state.class_priors)
 
 
 def separability_gradient(
@@ -379,13 +327,15 @@ def separability_gradient(
     Returns (B Pavg B^T)^-1 B Pavg - sum_g w_g (B P_g B^T)^-1 B P_g. This
     is the exact gradient of the measure: differentiating each
     log-determinant contributes a factor of two that cancels the one-half
-    in the measure.
+    in the measure. Each inverse keeps only the eigenvalues above the
+    floor: a floored eigenvalue is locally constant, so it contributes
+    nothing, at every block size.
     """
     rows = as_rows(block)
     require_orthonormal_rows(rows, "candidate")
     if posteriors is None:
         posteriors = posterior_matrices(state, model)
-    return _gradient_given(rows, posteriors, state.class_priors)
+    return _gradient(_project(rows, posteriors), state.class_priors)
 
 
 @dataclass(frozen=True)
@@ -427,10 +377,11 @@ def design_classification_block(
     posteriors = posterior_matrices(state, model)
     weights = state.class_priors
     block = random_orthonormal(b, n, seed=seed).rows
-    score = _measure_given(block, posteriors, weights)
+    projection = _project(block, posteriors)
+    score = _score(projection, weights)
     step = opts.step0
     for _ in range(opts.max_iters):
-        grad = _gradient_given(block, posteriors, weights)
+        grad = _gradient(projection, weights)
         if float(np.abs(grad).max()) == 0.0:
             break
         accepted = None
@@ -438,17 +389,18 @@ def design_classification_block(
         for _ in range(opts.max_backtracks):
             try:
                 trial = _orthonormalize_block(block + trial_step * grad)
-                trial_score = _measure_given(trial, posteriors, weights)
+                trial_projection = _project(trial, posteriors)
+                trial_score = _score(trial_projection, weights)
             except (ValueError, np.linalg.LinAlgError):
                 trial_score = -np.inf
             if trial_score > score:
-                accepted = (trial, trial_score)
+                accepted = (trial, trial_projection, trial_score)
                 break
             trial_step *= 0.5
         if accepted is None:
             break
-        improvement = accepted[1] - score
-        block, score = accepted
+        improvement = accepted[2] - score
+        block, projection, score = accepted
         # Start the next line search from twice the accepted step so a
         # well-scaled step is found in O(1) trials.
         step = 2.0 * trial_step

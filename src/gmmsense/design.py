@@ -98,15 +98,15 @@ def procrustes_rotation(a: np.ndarray, c: np.ndarray) -> np.ndarray:
 def rip_ab(model: GmmModel, m: int) -> SensingMatrix:
     """Batch design aligning the prior-weighted average basis with identity.
 
-    Computes the SVD E = U S W^T of the average basis (descending singular
-    values, deterministic signs) and returns the first m rows of W U^T.
+    The orthogonal X closest to the average basis E in Frobenius norm is
+    the Procrustes rotation X = U W^T of the SVD E = U S W^T (descending
+    singular values, deterministic signs); the design is the first m rows
+    of X^T = W U^T.
     For a single-component model this reduces to eigen_sensing of that
     component, since W U^T = E^T when E is orthogonal.
     """
     n = model.dimension
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got m={m}")
-    e = average_basis(model)
-    u, _, wt = svd_descending_signed(e)
-    b = wt.T @ u.T
-    return SensingMatrix(rows=b[:m])
+    rotation = procrustes_rotation(np.eye(n), average_basis(model))
+    return SensingMatrix(rows=rotation.T[:m])

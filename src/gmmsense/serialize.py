@@ -89,10 +89,21 @@ def load_model(directory) -> tuple[GmmModel, float | None]:
     d = Path(directory)
     with open(d / _MANIFEST_NAME) as fh:
         manifest = json.load(fh)
-    if manifest.get("format") != "gmmsense-model":
+    if not isinstance(manifest, dict) or manifest.get("format") != "gmmsense-model":
         raise ValueError(f"{d}: not a model directory")
-    g_total = int(manifest["n_components"])
-    priors = manifest["priors"]
+    g_total = manifest.get("n_components")
+    if type(g_total) is not int or g_total < 1:
+        raise ValueError(f"{d}: n_components must be an integer >= 1, got {g_total!r}")
+    priors = manifest.get("priors")
+    if (
+        not isinstance(priors, list)
+        or len(priors) != g_total
+        or not all(type(p) in (int, float) for p in priors)
+    ):
+        raise ValueError(f"{d}: manifest needs {g_total} numeric priors, got {priors!r}")
+    sigma2 = manifest.get("sigma2")
+    if sigma2 is not None and type(sigma2) not in (int, float):
+        raise ValueError(f"{d}: sigma2 must be a number or null, got {sigma2!r}")
     comps = []
     for g in range(1, g_total + 1):
         comps.append(
@@ -104,5 +115,4 @@ def load_model(directory) -> tuple[GmmModel, float | None]:
                 prior=float(priors[g - 1]),
             )
         )
-    sigma2 = manifest.get("sigma2")
     return GmmModel(components=tuple(comps)), (None if sigma2 is None else float(sigma2))

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from helpers import random_model, random_spd
-from gmmsense._linalg import orthonormalize_rows, principal_angles
+from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows, principal_angles
 from gmmsense.adaptive import (
     AcquisitionState,
     AscentOptions,
@@ -70,24 +70,24 @@ class TestPosteriorMatrices:
         model = random_model(5, 3, seed=3)
         state = AcquisitionState.initial(model, 0.0, 1)
         post = posterior_matrices(state, model)
-        assert np.array_equal(post.per_class, model.covariance_stack)
+        assert np.array_equal(post.stack[:-1], model.covariance_stack)
         avg = np.einsum("g,gij->ij", model.priors, model.covariance_stack)
-        assert np.abs(post.average - avg).max() < 1e-14
+        assert np.abs(post.stack[-1] - avg).max() < 1e-14
 
     def test_empty_history_noise_inflates_diagonal(self):
         model = random_model(4, 2, seed=4)
         state = AcquisitionState.initial(model, 0.5, 1)
         post = posterior_matrices(state, model)
         expected = model.covariance_stack + 0.5 * np.eye(4)
-        assert np.abs(post.per_class - expected).max() < 1e-14
+        assert np.abs(post.stack[:-1] - expected).max() < 1e-14
 
     def test_full_history_captures_everything(self):
         model = random_model(4, 2, seed=5)
         rows = random_orthonormal(4, 4, seed=6).rows
         state = state_with_rows(model, rows)
         post = posterior_matrices(state, model)
-        scale = post.class_scales[:, None, None]
-        assert np.abs(post.per_class / scale).max() < 1e-7
+        scale = post.scales[:-1, None, None]
+        assert np.abs(post.stack[:-1] / scale).max() < 1e-7
 
     def test_determinant_factorization_of_stacked_covariance(self):
         # direct determinant of the stacked measurement covariance equals
@@ -106,7 +106,7 @@ class TestPosteriorMatrices:
             prev = hist @ cov @ hist.T + sigma2 * np.eye(hist.shape[0])
             lhs = np.linalg.det(big)
             rhs = np.linalg.det(prev) * np.linalg.det(
-                block @ post.per_class[g] @ block.T
+                block @ post.stack[g] @ block.T
             )
             assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
 
@@ -188,7 +188,7 @@ class TestSeparabilityGradient:
         assert np.array_equal(grad, np.zeros((2, 5)))
 
     def finite_difference(self, block, state, model, step=1e-5):
-        from gmmsense.adaptive import _measure_given
+        from gmmsense.adaptive import _project, _score
 
         post = posterior_matrices(state, model)
         g = np.zeros_like(block)
@@ -198,8 +198,8 @@ class TestSeparabilityGradient:
                 plus[i, j] += step
                 minus = block.copy()
                 minus[i, j] -= step
-                f_plus = _measure_given(plus, post, state.class_priors)
-                f_minus = _measure_given(minus, post, state.class_priors)
+                f_plus = _score(_project(plus, post), state.class_priors)
+                f_minus = _score(_project(minus, post), state.class_priors)
                 g[i, j] = (f_plus - f_minus) / (2.0 * step)
         return g
 
@@ -214,6 +214,40 @@ class TestSeparabilityGradient:
         rel = np.abs(grad[mask] - fd[mask]) / np.abs(grad[mask])
         assert rel.max() <= 1e-4
 
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_floored_eigenvalue_contributes_nothing(self, b):
+        # the block's projected class-1 eigenvalue, 1.24e-10, lies below the
+        # floor of 2.1e-10, so it is locally constant and the gradient must
+        # still match central differences of the measure along tangents
+        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
+        tiny = (q * [4.0, 2.0, 1.5e-10, 0.2e-10, 1e-10]) @ q.T
+        model = GmmModel(
+            components=(
+                GaussianComponent.from_moments(np.zeros(5), 0.5 * (tiny + tiny.T), 0.5),
+                GaussianComponent.from_moments(
+                    np.zeros(5), np.diag([1.0, 3.0, 2.0, 1.5, 0.5]), 0.5
+                ),
+            )
+        )
+        state = AcquisitionState.initial(model, 0.0, b)
+        rows = np.array([q[:, 2] + 0.5 * q[:, 3], q[:, 0] + 0.3 * q[:, 4]])
+        block = orthonormalize_rows(rows[:b])
+        post = posterior_matrices(state, model)
+        proj = block @ post.stack[0] @ block.T
+        assert np.linalg.eigvalsh(proj)[0] < EIG_FLOOR_REL * post.scales[0]
+        grad = separability_gradient(block, state, model)
+        rng = np.random.default_rng(2)
+        h = 1e-6
+        for _ in range(3):
+            d = rng.standard_normal(block.shape)
+            d -= d @ block.T @ block  # tangent: orthogonal to the row space
+            f_plus, f_minus = (
+                separability_measure(orthonormalize_rows(block + s * d), state, model)
+                for s in (h, -h)
+            )
+            fd = (f_plus - f_minus) / (2.0 * h)
+            assert abs(np.sum(grad * d) - fd) <= 1e-6 * max(1.0, abs(fd))
+
     def test_reconstruction_rows_are_stationary_for_their_objective(self):
         # at the top-eigenvector block of a posterior, the log-volume ascent
         # direction lies inside the span of the block itself
@@ -223,7 +257,7 @@ class TestSeparabilityGradient:
         state = state_with_rows(model, hist, sigma2=0.3)
         rows = design_reconstruction_block(state, model, 1, m)
         post = posterior_matrices(state, model)
-        p = post.per_class[0]
+        p = post.stack[0]
         t = np.linalg.solve(rows @ p @ rows.T, rows @ p)
         t_perp = t - (t @ rows.T) @ rows
         assert np.abs(t_perp).max() <= 1e-6
@@ -341,7 +375,7 @@ class TestDesignReconstructionBlock:
         state = state_with_rows(model, hist, sigma2=0.2)
         rows = design_reconstruction_block(state, model, 1, m)
         post = posterior_matrices(state, model)
-        p = post.per_class[0]
+        p = post.stack[0]
         best = np.linalg.det(rows @ p @ rows.T)
         for s in range(1000):
             cand = random_orthonormal(m, n, seed=9000 + s).rows
@@ -355,7 +389,7 @@ class TestDesignReconstructionBlock:
         rows = design_reconstruction_block(state, model, 1, m)
         assert np.abs(rows @ rows.T - np.eye(m)).max() <= 1e-10
         post = posterior_matrices(state, model)
-        p = post.per_class[0]
+        p = post.stack[0]
         vals = np.linalg.eigvalsh(p)[::-1]
         achieved = np.linalg.det(rows @ p @ rows.T)
         assert abs(achieved - np.prod(vals[:m])) <= 1e-8 * np.prod(vals[:m])

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from helpers import random_model
+from gmmsense import cli
 from gmmsense.serialize import load_model, read_matrix, save_model, write_matrix
 
 
@@ -58,3 +61,48 @@ def test_read_rejects_malformed_files(tmp_path, mangle, message):
     path.write_bytes(mangle(_valid_bytes(tmp_path)))
     with pytest.raises(ValueError, match=message):
         read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda m: [m], "not a model directory"),
+        (lambda m: {**m, "format": "other"}, "not a model directory"),
+        (lambda m: {k: v for k, v in m.items() if k != "n_components"}, "n_components"),
+        (lambda m: {**m, "n_components": 0}, "n_components"),
+        (lambda m: {**m, "n_components": "2"}, "n_components"),
+        (lambda m: {**m, "priors": m["priors"][:1]}, "priors"),
+        (lambda m: {**m, "priors": m["priors"] + [0.5]}, "priors"),
+        (lambda m: {**m, "priors": [None, 0.5]}, "priors"),
+        (lambda m: {**m, "sigma2": [0.1]}, "sigma2"),
+    ],
+    ids=["list", "format", "no-count", "zero-count", "string-count", "few-priors",
+         "many-priors", "null-prior", "list-sigma2"],
+)
+def test_load_rejects_malformed_manifest(tmp_path, edit, message):
+    model_dir = tmp_path / "model"
+    save_model(model_dir, random_model(3, 2, seed=3))
+    manifest = model_dir / "manifest.json"
+    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    with pytest.raises(ValueError, match=message) as err:
+        load_model(model_dir)
+    assert str(model_dir) in str(err.value)
+
+
+@pytest.mark.parametrize("verb", ["design", "run-protocol"])
+def test_cli_reports_malformed_manifest(tmp_path, capsys, verb):
+    model_dir = tmp_path / "model"
+    save_model(model_dir, random_model(3, 2, seed=3))
+    manifest = model_dir / "manifest.json"
+    m = json.loads(manifest.read_text())
+    manifest.write_text(json.dumps({**m, "priors": m["priors"][:1]}))
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"step1": "rip_ab", "step2": "eigen_mse", "M": 2, "K": 1}))
+    args = {
+        "design": ["--method", "random", "--measurements", "2"],
+        "run-protocol": ["--config", str(config), "--signals", str(tmp_path / "s.scsm")],
+    }[verb]
+    out = str(tmp_path / "out")
+    assert cli.main([verb, "--model", str(model_dir), *args, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(model_dir) in err
