@@ -92,6 +92,11 @@ class AcquisitionState:
             raise ValueError("sigma2 must be >= 0")
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
+        if self.class_log_likelihoods.shape != self.class_priors.shape:
+            raise ValueError(
+                f"class log-likelihoods of shape {self.class_log_likelihoods.shape} "
+                f"do not match class priors of shape {self.class_priors.shape}"
+            )
         if abs(float(self.class_priors.sum()) - 1.0) > 1e-12:
             raise ValueError("class priors must sum to 1")
 
@@ -131,19 +136,29 @@ class AcquisitionState:
         all_rows = np.vstack([self.rows, rows])
         all_y = np.concatenate([self.measurements, y])
         loglik = measurement_log_likelihoods(all_rows, all_y, model, self.sigma2)
-        with np.errstate(divide="ignore"):  # zero priors stay at zero posterior
-            log_post = loglik + np.log(model.priors)
-        log_post -= log_post.max()
-        post = np.exp(log_post)
-        post /= post.sum()
         return AcquisitionState(
             rows=all_rows,
             measurements=all_y,
             sigma2=self.sigma2,
             block_size=self.block_size,
             class_log_likelihoods=loglik,
-            class_priors=post,
+            class_priors=_bayes_posteriors(loglik, model.priors),
         )
+
+
+def _bayes_posteriors(log_likelihoods: np.ndarray, priors: np.ndarray) -> np.ndarray:
+    """Bayes-updated class probabilities from class log-likelihoods.
+
+    log_likelihoods has shape (..., G), one row per history; priors has
+    shape (G,). Each row is normalized in the log domain, so very negative
+    log-likelihoods do not underflow to an all-zero row. Zero priors stay at
+    zero posterior.
+    """
+    with np.errstate(divide="ignore"):
+        log_post = log_likelihoods + np.log(priors)
+    log_post = log_post - log_post.max(axis=-1, keepdims=True)
+    post = np.exp(log_post)
+    return post / post.sum(axis=-1, keepdims=True)
 
 
 def measurement_log_likelihoods(
@@ -155,14 +170,19 @@ def measurement_log_likelihoods(
     sigma2 I and the quadratic form uses the class-mean-centered
     measurements. Eigenvalues are floored before inverting, which keeps the
     sigma2 = 0 case finite once measurements span a component's support.
+    y is one measurement vector of shape (m,) or a batch of shape (S, m)
+    sensed with the same rows; the log-likelihoods come back as (G,) or
+    (S, G), from one factorization of the G class covariances.
     """
     rows = np.asarray(rows, dtype=float)
     y = np.asarray(y, dtype=float)
     m = rows.shape[0]
+    if y.ndim not in (1, 2) or y.shape[-1] != m:
+        raise ValueError("measurement length does not match the rows")
     cov = rows @ model.covariance_stack @ rows.T + sigma2 * np.eye(m)
     vals, vecs = sym_floored_eigh(cov)
-    centered = y[None, :] - model.mean_stack @ rows.T
-    proj = np.einsum("gi,gij->gj", centered, vecs)
+    centered = y[..., None, :] - model.mean_stack @ rows.T  # (..., G, m)
+    proj = np.einsum("...gi,gij->...gj", centered, vecs)
     quad = np.sum(proj**2 / vals, axis=-1)
     logdet = np.sum(np.log(vals), axis=-1)
     return -0.5 * (quad + logdet + m * _LOG_2PI)
@@ -439,7 +459,8 @@ def design_reconstruction_block(
     posterior = _conditioned_covariance(
         comp.covariance[None, :, :], state.rows, state.sigma2
     )[0]
-    # The posterior is PSD by construction; conditioning can leave rounding
-    # negatives beyond the strict PSD check, so clamp instead of rejecting.
+    # The posterior is PSD by construction, but conditioning can leave
+    # rounding negatives beyond the strict PSD check; only the eigenvectors
+    # are used, so the eigenvalues are neither checked nor clamped.
     _, vecs = eigh_descending(posterior)
     return vecs[:, :m].T

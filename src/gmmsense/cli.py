@@ -85,6 +85,11 @@ def _ingest_images(image_paths, patch: int, overlap: bool) -> SignalBatch:
 
 def _ingest_csv(path, label_col: int) -> SignalBatch:
     data = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    n_cols = data.shape[1]
+    if not -n_cols <= label_col < n_cols:
+        raise ValueError(
+            f"--label-col {label_col} is out of range: {path} has {n_cols} columns"
+        )
     raw_labels = data[:, label_col]
     signals = np.delete(data, label_col, axis=1)
     values = np.unique(raw_labels)

@@ -249,10 +249,10 @@ def sht_run(
     posterior ratios, evaluated in the log domain with the exact joint
     log-likelihood of all measurements so far plus the initial log-prior
     difference. The first block is the non-adaptive separability design
-    (precomputable and passable via first_block); it initializes the
-    acquisition and is never tested on its own, so the earliest decision
-    uses two blocks. Each later block re-optimizes the separability against
-    the history so far. If the budget is exhausted undecided, the outcome
+    (precomputable and passable via first_block, which must then have
+    shape (b, N)); it initializes the acquisition and is never tested on
+    its own, so the earliest decision uses two blocks. Each later block
+    re-optimizes the separability against the history so far. If the budget is exhausted undecided, the outcome
     falls back to measurement-space classification.
 
     signal_oracle maps a block of rows to its (noisy) measurements.
@@ -261,6 +261,13 @@ def sht_run(
         raise ValueError(f"p_e must lie in (0, 0.5), got {p_e}")
     if b < 1 or b > m_budget:
         raise ValueError(f"need 1 <= b <= budget, got b={b}, budget={m_budget}")
+    if first_block is not None:
+        first_block = np.asarray(first_block, dtype=float)
+        if first_block.shape != (b, model.dimension):
+            raise ValueError(
+                f"first_block must have shape ({b}, {model.dimension}), "
+                f"got {first_block.shape}"
+            )
     log_eta = float(np.log((1.0 - p_e) / p_e))
     with np.errstate(divide="ignore"):  # zero-prior classes can never win
         log_priors = np.log(model.priors)
@@ -272,7 +279,7 @@ def sht_run(
     while state.n_measurements + b <= m_budget and decided is None:
         k += 1
         if k == 1 and first_block is not None:
-            block = np.asarray(first_block, dtype=float)
+            block = first_block
         else:
             block = design_classification_block(
                 state, model, b, seed=seed_key + (k,), opts=opts

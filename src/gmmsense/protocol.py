@@ -8,8 +8,16 @@ detection budget equal to the total budget (K = M) leaves the second phase
 empty, which is the single-step batch protocol: `run_two_step` is the one
 driver for both.
 
+The non-adaptive detection designs (random, rip_ab, ida) sense every
+signal with the same K rows, so a batch runs as batched linear algebra:
+one likelihood pass over all signals, then one step-2 design and one
+Wiener solve per decided class. aida_sht designs rows per signal and runs
+signal by signal.
+
 All randomness derives from (seed, purpose tag, signal index), so reports
-are reproducible and independent of evaluation order.
+are reproducible and independent of evaluation order. Each signal's
+measurement noise is one M-vector from its own stream; its j-th
+measurement, in acquisition order over both steps, gets entry j.
 """
 
 from __future__ import annotations
@@ -23,10 +31,12 @@ import numpy as np
 from .adaptive import (
     AcquisitionState,
     AscentOptions,
+    _bayes_posteriors,
     design_classification_block,
     design_reconstruction_block,
+    measurement_log_likelihoods,
 )
-from .design import eigen_sensing, random_orthonormal, rip_ab
+from .design import eigen_sensing, random_orthonormal, require_orthonormal_rows, rip_ab
 from .inference import map_classify, sht_run, wiener_coefficients
 from .model import GmmModel, SignalBatch
 
@@ -231,17 +241,32 @@ def sigma2_for_snr_db(batch: SignalBatch, snr_db: float) -> float:
     return energy * 10.0 ** (-snr_db / 10.0)
 
 
-def _noise_rng(config: ProtocolConfig, index: int) -> np.random.Generator:
-    return np.random.default_rng([_TAG_NOISE, config.seed, index])
+def _noise(config: ProtocolConfig, n_signals: int) -> np.ndarray:
+    """Measurement noise of a batch, one M-vector per signal.
+
+    Row i is sqrt(sigma2) times M standard normal draws from signal i's own
+    stream [_TAG_NOISE, seed, i]. With sigma2 = 0 no stream is drawn.
+    """
+    noise = np.zeros((n_signals, config.M))
+    if config.sigma2 > 0.0:
+        scale = np.sqrt(config.sigma2)
+        for i in range(n_signals):
+            rng = np.random.default_rng([_TAG_NOISE, config.seed, i])
+            noise[i] = scale * rng.standard_normal(config.M)
+    return noise
 
 
-def _measure(
-    rows: np.ndarray, x: np.ndarray, sigma2: float, rng: np.random.Generator
-) -> np.ndarray:
-    y = rows @ x
-    if sigma2 > 0.0:
-        y = y + np.sqrt(sigma2) * rng.standard_normal(rows.shape[0])
-    return y
+def _sensor(x: np.ndarray, noise: np.ndarray):
+    """Oracle sensing x block by block, adding the next entries of noise."""
+    used = 0
+
+    def sense(rows: np.ndarray) -> np.ndarray:
+        nonlocal used
+        y = rows @ x + noise[used : used + rows.shape[0]]
+        used += rows.shape[0]
+        return y
+
+    return sense
 
 
 def _step1_design(config: ProtocolConfig, model: GmmModel) -> np.ndarray:
@@ -259,12 +284,106 @@ def _step1_design(config: ProtocolConfig, model: GmmModel) -> np.ndarray:
     raise ValueError(f"{config.step1!r} is not a non-adaptive design")
 
 
+def _step2_rows(
+    config: ProtocolConfig,
+    state: AcquisitionState,
+    model: GmmModel,
+    gamma: int,
+    m: int,
+) -> np.ndarray:
+    """m reconstruction rows for class gamma after the detection history."""
+    if config.step2 == "eigen_mse":
+        return eigen_sensing(model.component(gamma), m).rows
+    return design_reconstruction_block(state, model, gamma, m)
+
+
 def _reconstruct(
     rows: np.ndarray, y: np.ndarray, model: GmmModel, gamma: int, sigma2: float
 ) -> np.ndarray:
+    """Wiener estimates under class gamma of measurements y, (m,) or (S, m)."""
     comp = model.component(gamma)
     alpha = wiener_coefficients(y - rows @ comp.mean, rows, comp, sigma2)
-    return comp.mean + comp.basis @ alpha
+    return comp.mean + (comp.basis @ alpha.T).T
+
+
+def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noise):
+    """Non-adaptive detection: every signal is sensed with the same K rows.
+
+    The rows are checked once, the class log-likelihoods of the whole batch
+    come from one factorization of the G class measurement covariances,
+    and each decided class gets one step-2 design and one Wiener solve
+    for all of its signals. Each signal still gets its own acquisition
+    state (likelihoods and Bayes-updated priors) and its own map_classify.
+    """
+    rows1 = _step1_design(config, model)
+    require_orthonormal_rows(rows1, "step-1")
+    k, n = config.K, batch.n_signals
+    x = batch.signals
+    y1 = x @ rows1.T + noise[:, :k]
+    loglik = measurement_log_likelihoods(rows1, y1, model, config.sigma2)
+    priors = _bayes_posteriors(loglik, model.priors)
+    states = [
+        AcquisitionState(
+            rows=rows1,
+            measurements=y1[i],
+            sigma2=config.sigma2,
+            block_size=config.b,
+            class_log_likelihoods=loglik[i],
+            class_priors=priors[i],
+        )
+        for i in range(n)
+    ]
+    classes = np.array([map_classify(state, model) for state in states], dtype=int)
+    estimates = np.empty_like(x)
+    m2 = config.M - k
+    for gamma in np.unique(classes).tolist():
+        idx = np.flatnonzero(classes == gamma)
+        rows_all, y_all = rows1, y1[idx]
+        if m2 > 0:
+            # Step-2 rows depend on a state only through its rows and sigma2,
+            # which every signal shares, so one design serves the class.
+            rows2 = _step2_rows(config, states[idx[0]], model, gamma, m2)
+            y2 = x[idx] @ rows2.T + noise[idx, k:]
+            rows_all = np.vstack([rows1, rows2])
+            y_all = np.hstack([y_all, y2])
+        estimates[idx] = _reconstruct(rows_all, y_all, model, gamma, config.sigma2)
+    return classes, np.full(n, k), estimates
+
+
+def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noise):
+    """aida_sht detection: each signal gets its own adaptive rows, one at a time."""
+    empty = AcquisitionState.initial(model, config.sigma2, config.b)
+    first_block = design_classification_block(
+        empty, model, config.b, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
+    )
+    n = batch.n_signals
+    classes = np.empty(n, dtype=int)
+    k_used = np.empty(n, dtype=int)
+    estimates = np.empty_like(batch.signals)
+    for i, x in enumerate(batch.signals):
+        sense = _sensor(x, noise[i])
+        outcome = sht_run(
+            sense,
+            model,
+            config.b,
+            config.M,
+            config.P_e,
+            sigma2=config.sigma2,
+            seed=(_TAG_SHT, config.seed, i),
+            first_block=first_block,
+            opts=config.ascent,
+        )
+        gamma, state = outcome.final_class, outcome.state
+        rows_all, y_all = state.rows, state.measurements
+        m2 = config.M - outcome.measurements_used
+        if m2 > 0:
+            rows2 = _step2_rows(config, state, model, gamma, m2)
+            rows_all = np.vstack([rows_all, rows2])
+            y_all = np.concatenate([y_all, sense(rows2)])
+        estimates[i] = _reconstruct(rows_all, y_all, model, gamma, config.sigma2)
+        classes[i] = gamma
+        k_used[i] = outcome.measurements_used
+    return classes, k_used, estimates
 
 
 def _finalize(
@@ -312,68 +431,19 @@ def run_two_step(
     is reconstructed from all rows stacked. With K = M the second step is
     empty, which is the single-step batch protocol for the non-adaptive
     designs: M rows of the step-1 design, classify, reconstruct.
+
+    The non-adaptive designs (random, rip_ab, ida) run the whole batch at
+    once: one likelihood pass, then one step-2 design and one Wiener solve
+    per decided class; aida_sht runs signal by signal. Signal i's noise is
+    one M-vector from its own stream [_TAG_NOISE, seed, i], used in
+    acquisition order, so its report does not depend on the other signals.
     """
     config.validate_against(model)
     if batch.dimension != model.dimension:
         raise ValueError("batch dimension does not match the model")
     t0 = time.perf_counter()
-    n = batch.n_signals
-    classes = np.empty(n, dtype=int)
-    k_used = np.empty(n, dtype=int)
-    squared_errors = np.empty(n)
-
-    sht_first_block = None
-    step1_rows = None
-    if config.step1 == "aida_sht":
-        empty = AcquisitionState.initial(model, config.sigma2, config.b)
-        sht_first_block = design_classification_block(
-            empty, model, config.b, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
-        )
-    else:
-        step1_rows = _step1_design(config, model)
-
-    for i in range(n):
-        x = batch.signals[i]
-        rng = _noise_rng(config, i)
-        if config.step1 == "aida_sht":
-            outcome = sht_run(
-                lambda rows: _measure(rows, x, config.sigma2, rng),
-                model,
-                config.b,
-                config.M,
-                config.P_e,
-                sigma2=config.sigma2,
-                seed=(_TAG_SHT, config.seed, i),
-                first_block=sht_first_block,
-                opts=config.ascent,
-            )
-            gamma = outcome.final_class
-            state = outcome.state
-            k_i = outcome.measurements_used
-        else:
-            y1 = _measure(step1_rows, x, config.sigma2, rng)
-            state = AcquisitionState.initial(
-                model, config.sigma2, config.b
-            ).append_block(step1_rows, y1, model)
-            gamma = map_classify(state, model)
-            k_i = config.K
-
-        m2 = config.M - k_i
-        if m2 > 0:
-            if config.step2 == "eigen_mse":
-                rows2 = eigen_sensing(model.component(gamma), m2).rows
-            else:
-                rows2 = design_reconstruction_block(state, model, gamma, m2)
-            y2 = _measure(rows2, x, config.sigma2, rng)
-            rows_all = np.vstack([state.rows, rows2])
-            y_all = np.concatenate([state.measurements, y2])
-        else:
-            rows_all = state.rows
-            y_all = state.measurements
-
-        xhat = _reconstruct(rows_all, y_all, model, gamma, config.sigma2)
-        classes[i] = gamma
-        k_used[i] = k_i
-        squared_errors[i] = float(np.sum((x - xhat) ** 2) / batch.dimension)
-
+    noise = _noise(config, batch.n_signals)
+    run = _run_sequential if config.step1 == "aida_sht" else _run_shared
+    classes, k_used, estimates = run(config, batch, model, noise)
+    squared_errors = np.sum((batch.signals - estimates) ** 2, axis=1) / batch.dimension
     return _finalize(config, batch, classes, k_used, squared_errors, t0)

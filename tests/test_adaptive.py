@@ -7,8 +7,10 @@ from gmmsense.adaptive import (
     AcquisitionState,
     AscentOptions,
     ProjectedCovarianceError,
+    _bayes_posteriors,
     design_classification_block,
     design_reconstruction_block,
+    measurement_log_likelihoods,
     posterior_matrices,
     separability_gradient,
     separability_measure,
@@ -63,6 +65,52 @@ class TestAcquisitionState:
         state = state_with_rows(model, rows, measurements=[1.0])
         again = state.append_block(rows, [1.0], model)  # same direction again
         assert again.n_measurements == 2
+
+    def test_rejects_likelihoods_not_matching_priors(self):
+        with pytest.raises(ValueError, match=r"shape \(3,\) do not match class priors of shape \(1,\)"):
+            AcquisitionState(
+                rows=np.empty((0, 2)),
+                measurements=np.empty(0),
+                sigma2=0.0,
+                block_size=1,
+                class_log_likelihoods=np.zeros(3),
+                class_priors=np.ones(1),
+            )
+
+
+class TestMeasurementLogLikelihoods:
+    def test_batch_matches_one_vector_at_a_time(self):
+        model = random_model(6, 3, seed=4)
+        rows = random_orthonormal(3, 6, seed=5).rows
+        y = np.random.default_rng(6).standard_normal((5, 3))
+        batch = measurement_log_likelihoods(rows, y, model, 0.1)
+        assert batch.shape == (5, 3)
+        for yi, row in zip(y, batch):
+            single = measurement_log_likelihoods(rows, yi, model, 0.1)
+            assert np.allclose(row, single, rtol=1e-12, atol=0.0)
+
+    def test_rejects_measurements_of_the_wrong_length(self):
+        model = random_model(6, 2, seed=4)
+        rows = random_orthonormal(3, 6, seed=5).rows
+        with pytest.raises(ValueError, match="measurement length"):
+            measurement_log_likelihoods(rows, np.zeros((5, 4)), model, 0.1)
+
+
+class TestBayesPosteriors:
+    def test_batch_rows_match_one_history_at_a_time(self):
+        loglik = np.array([[-1.0, -2.0, -4.0], [-1e4, -1e4 - 1.0, -3e4]])
+        priors = np.array([0.5, 0.3, 0.2])
+        batch = _bayes_posteriors(loglik, priors)
+        for row, post in zip(loglik, batch):
+            assert np.array_equal(post, _bayes_posteriors(row, priors))
+        # normalized in the log domain: no underflow to 0/0
+        assert np.allclose(batch.sum(axis=1), 1.0, rtol=0.0, atol=1e-15)
+        expected = np.exp(loglik[0]) * priors
+        assert np.allclose(batch[0], expected / expected.sum(), rtol=1e-14, atol=0.0)
+
+    def test_zero_prior_stays_zero(self):
+        post = _bayes_posteriors(np.array([[-5.0, 0.0]]), np.array([1.0, 0.0]))
+        assert post.tolist() == [[1.0, 0.0]]
 
 
 class TestPosteriorMatrices:

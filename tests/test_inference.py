@@ -9,6 +9,7 @@ from gmmsense.inference import (
     map_em,
     map_em_objective,
     map_reconstruct,
+    sht_run,
     wiener_coefficients,
 )
 from gmmsense.model import (
@@ -352,3 +353,24 @@ class TestMapEm:
         assert np.array_equal(
             out.components[1].covariance, model.components[1].covariance
         )
+
+
+class TestShtRun:
+    def test_first_block_of_the_wrong_shape_is_rejected(self):
+        # A 6-row first block at b=1 used to be sensed whole, so 6
+        # measurements were reported against a budget of 4.
+        model = random_model(8, 2, seed=5)
+        x = np.ones(8)
+        block = random_orthonormal(6, 8, seed=1).rows
+        with pytest.raises(ValueError, match=r"first_block must have shape \(1, 8\)"):
+            sht_run(lambda rows: rows @ x, model, 1, 4, 0.01, sigma2=0.1, first_block=block)
+
+    def test_first_block_is_sensed_first_and_budget_is_kept(self):
+        model = random_model(8, 2, seed=5)
+        x = np.ones(8)
+        block = random_orthonormal(2, 8, seed=1).rows
+        outcome = sht_run(
+            lambda rows: rows @ x, model, 2, 4, 0.01, sigma2=0.1, first_block=block
+        )
+        assert outcome.measurements_used <= 4
+        assert np.array_equal(outcome.state.rows[:2], block)

@@ -4,11 +4,19 @@ import numpy as np
 import pytest
 
 from gmmsense import cli
-from gmmsense.adaptive import AscentOptions, measurement_log_likelihoods
-from gmmsense.design import rip_ab
-from gmmsense.inference import wiener_coefficients
+from gmmsense.adaptive import (
+    AcquisitionState,
+    AscentOptions,
+    design_classification_block,
+    design_reconstruction_block,
+    measurement_log_likelihoods,
+)
+from gmmsense.design import eigen_sensing, random_orthonormal, rip_ab
+from gmmsense.inference import map_classify, wiener_coefficients
 from gmmsense.model import sample_signals
 from gmmsense.protocol import (
+    _TAG_DESIGN,
+    _TAG_NOISE,
     VALID_PROTOCOL_PAIRS,
     ExperimentReport,
     ProtocolConfig,
@@ -80,6 +88,68 @@ def test_full_detection_budget_is_the_single_step_protocol(model, batch):
         assert report.squared_errors[i] == pytest.approx(
             np.sum((x - xhat) ** 2) / N, rel=1e-10, abs=1e-15
         )
+
+
+def per_signal_reference(config, batch, model):
+    """A non-adaptive protocol run one signal at a time through the public
+    API, with the documented noise layout: signal i's noise is one M-vector
+    from its own stream, the first K entries for step 1."""
+    n, m, k, sigma2 = model.dimension, config.M, config.K, config.sigma2
+    design_seed = [_TAG_DESIGN, config.seed]
+    if config.step1 == "random":
+        rows1 = random_orthonormal(k, n, seed=design_seed).rows
+    elif config.step1 == "rip_ab":
+        rows1 = rip_ab(model, k).rows
+    else:
+        empty = AcquisitionState.initial(model, sigma2, k)
+        rows1 = design_classification_block(empty, model, k, seed=design_seed, opts=config.ascent)
+    classes, errors = [], []
+    for i, x in enumerate(batch.signals):
+        z = np.zeros(m)
+        if sigma2 > 0.0:
+            rng = np.random.default_rng([_TAG_NOISE, config.seed, i])
+            z = np.sqrt(sigma2) * rng.standard_normal(m)
+        state = AcquisitionState.initial(model, sigma2, config.b)
+        state = state.append_block(rows1, rows1 @ x + z[:k], model)
+        gamma = map_classify(state, model)
+        comp = model.component(gamma)
+        rows, y = state.rows, state.measurements
+        if k < m:
+            if config.step2 == "eigen_mse":
+                rows2 = eigen_sensing(comp, m - k).rows
+            else:
+                rows2 = design_reconstruction_block(state, model, gamma, m - k)
+            rows = np.vstack([rows, rows2])
+            y = np.concatenate([y, rows2 @ x + z[k:]])
+        alpha = wiener_coefficients(y - rows @ comp.mean, rows, comp, sigma2)
+        classes.append(gamma)
+        errors.append(np.sum((x - comp.mean - comp.basis @ alpha) ** 2) / n)
+    return np.array(classes), np.array(errors)
+
+
+NON_ADAPTIVE_PAIRS = (
+    ("random", "eigen_mse"),
+    ("rip_ab", "eigen_mse"),
+    ("ida", "eigen_mse"),
+    ("ida", "mi_adaptive"),
+    ("random", "mi_adaptive"),  # nonstandard
+)
+
+
+@pytest.mark.parametrize("k", [K, M], ids=["K<M", "K=M"])
+@pytest.mark.parametrize("sigma2", [0.0, 0.01])
+@pytest.mark.parametrize("pair", NON_ADAPTIVE_PAIRS, ids="+".join)
+def test_batched_run_matches_per_signal_reference(pair, sigma2, k, model):
+    batch = sample_signals(model, 24, seed=5)
+    config = ProtocolConfig(
+        *pair, M=M, K=k, b=2, sigma2=sigma2, ascent=FAST, seed=3, allow_nonstandard=True
+    )
+    report = run_two_step(config, batch, model)
+    classes, errors = per_signal_reference(config, batch, model)
+    assert len(np.unique(classes)) == model.n_components  # every class group runs
+    assert np.array_equal(report.classes, classes)
+    assert np.array_equal(report.k_used, np.full(batch.n_signals, k))
+    assert np.allclose(report.squared_errors, errors, rtol=1e-10, atol=0.0)
 
 
 class TestConfigFromDict:
@@ -188,6 +258,17 @@ def test_cli_allow_nonstandard_admits_a_nonstandard_pair(data, tmp_path, capsys)
     assert run_protocol(data, config, out, "--allow-nonstandard") == 0
     assert json.loads(out.read_text())["protocol"] == "random+mi_adaptive"
     capsys.readouterr()
+
+
+def test_cli_train_gmm_rejects_a_label_column_out_of_range(tmp_path, capsys):
+    csv = tmp_path / "signals.csv"
+    csv.write_text("1,0.5,0.25\n2,0.75,0.125\n")
+    code = cli.main([
+        "train-gmm", "--csv", str(csv), "--label-col", "7", "--out", str(tmp_path / "m"),
+    ])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "3 columns" in err
 
 
 def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):

@@ -1,9 +1,15 @@
 import numpy as np
 
-from helpers import make_image
+from helpers import make_image, random_model
 from gmmsense.model import SignalBatch
 from gmmsense.patches import patch_extract
-from gmmsense.train import orientation_labels, supervised_gmm, train_gmm_coadapt
+from gmmsense.train import (
+    init_gmm_by_orientation,
+    orientation_labels,
+    regularize_model,
+    supervised_gmm,
+    train_gmm_coadapt,
+)
 
 
 def test_orientation_labels_flat_and_stripes():
@@ -45,3 +51,50 @@ def test_coadapt_random_is_deterministic_for_a_seed():
         assert ca.prior == cb.prior
         assert np.array_equal(ca.mean, cb.mean)
         assert np.array_equal(ca.covariance, cb.covariance)
+
+
+def test_orientation_init_sparse_bins_keep_global_moments():
+    # 4 x 4 patches, 4 orientation bins: three flat patches (label 1), three
+    # x-gradient patches (label 2), one y-gradient patch (label 4), and no
+    # patch in labels 3 and 5.
+    stripes = np.tile([1.0, -1.0, 1.0, -1.0], (4, 1))
+    signals = np.stack(
+        [np.full(16, c) for c in (0.0, 1.0, 3.0)]
+        + [a * stripes.ravel() + c for a, c in ((1.0, 0.0), (2.0, 1.0), (0.5, -1.0))]
+        + [stripes.T.ravel()]
+    )
+    batch = SignalBatch(signals=signals)
+    assert orientation_labels(batch, 4).tolist() == [1, 1, 1, 2, 2, 2, 4]
+    model = init_gmm_by_orientation(batch, orientation_bins=4)
+    assert model.n_components == 5
+    assert np.allclose(model.priors, [3 / 7, 3 / 7, 0.0, 1 / 7, 0.0], rtol=0, atol=1e-15)
+    mean = signals.mean(axis=0)
+    cov = (signals - mean).T @ (signals - mean) / signals.shape[0]
+    for g in (3, 4, 5):  # fewer than two patches: the global batch moments
+        comp = model.component(g)
+        assert np.allclose(comp.mean, mean, rtol=0, atol=1e-12)
+        assert np.allclose(comp.covariance, cov, rtol=0, atol=1e-12)
+    for g, members in ((1, signals[:3]), (2, signals[3:6])):  # fitted bins
+        assert np.allclose(model.component(g).mean, members.mean(axis=0), rtol=0, atol=1e-12)
+
+
+def test_regularize_model_loads_every_diagonal_by_the_mean_energy():
+    model = random_model(5, 3, seed=2)
+    signals = np.random.default_rng(4).standard_normal((30, 5)) * 3.0
+    batch = SignalBatch(signals=signals)
+    rel = 0.01
+    load = rel * np.mean(np.sum(signals**2, axis=1)) / 5
+    loaded = regularize_model(model, batch, rel)
+    assert loaded.n_components == 3
+    for before, after in zip(model.components, loaded.components):
+        assert after.prior == before.prior
+        assert np.array_equal(after.mean, before.mean)
+        assert np.allclose(after.covariance - before.covariance, load * np.eye(5), rtol=0, atol=1e-14)
+        assert np.allclose(after.eigenvalues, before.eigenvalues + load, rtol=1e-12, atol=0)
+
+
+def test_regularize_model_without_load_returns_the_model():
+    model = random_model(5, 2, seed=2)
+    batch = SignalBatch(signals=np.ones((4, 5)))
+    assert regularize_model(model, batch, 0.0) is model
+    assert regularize_model(model, batch, -1.0) is model
