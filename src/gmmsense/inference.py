@@ -76,40 +76,80 @@ def wiener_coefficients(
         raise ValueError("measurement length does not match the sensing rows")
     if rows.shape[1] != component.dimension:
         raise ValueError("sensing width does not match the component dimension")
-    m = rows.shape[0]
-    inner = rows @ component.covariance @ rows.T + sigma2 * np.eye(m)
+    return _wiener_solver(rows, component, sigma2)(y)
+
+
+def _wiener_solver(rows: np.ndarray, component: GaussianComponent, sigma2: float):
+    """Factorize the inner matrix once; return y -> coefficients for it."""
+    inner = rows @ component.covariance @ rows.T + sigma2 * np.eye(rows.shape[0])
     vals, vecs = sym_floored_eigh(inner)
-    t = ((y @ vecs) / vals) @ vecs.T  # inner^-1 applied to each measurement
-    return ((t @ rows) @ component.basis) * component.eigenvalues
+
+    def solve(y: np.ndarray) -> np.ndarray:
+        t = ((y @ vecs) / vals) @ vecs.T  # inner^-1 applied to each measurement
+        return ((t @ rows) @ component.basis) * component.eigenvalues
+
+    return solve
+
+
+# Signals per E-step chunk. A chunk never holds a single signal when the
+# batch has more: a one-row matmul takes numpy's matrix-vector path, which
+# rounds differently from the same row inside a larger product.
+_CHUNK = 2048
+
+
+def _chunks(n_sig: int):
+    """(start, stop) bounds of the E-step chunks; a 1-signal tail joins the last."""
+    edges = list(range(0, n_sig, _CHUNK)) + [n_sig]
+    if len(edges) > 2 and edges[-1] - edges[-2] == 1:
+        del edges[-2]
+    return zip(edges[:-1], edges[1:])
 
 
 def _class_objectives(
     y_rows: np.ndarray, rows: np.ndarray, model: GmmModel, sigma2: float
 ):
-    """Vectorized per-class objectives for a batch of measurement rows.
+    """Streaming E-step: per-class objectives and each signal's best class.
 
     y_rows has one measurement vector per row, all sensed with the same
-    rows. Returns (objectives (G, S), coefficients (G, S, N)).
+    rows. Returns (objectives (G, S), labels (S,), coefficients (S, N)):
+    labels are the 0-based argmin over classes (ties go to the lowest
+    index, as np.argmin) and coefficients are the winning class's ridge
+    coefficients. Signals are processed in chunks of _CHUNK, keeping the
+    running best per signal, so working memory is O(_CHUNK * N + G * S)
+    on top of the (S, M) input and the (S, N) output; no (G, S, N) array
+    is formed. Each class's inner matrix is factorized once.
     """
     n_sig = y_rows.shape[0]
-    g = model.n_components
-    n = model.dimension
-    objectives = np.empty((g, n_sig))
-    coefficients = np.empty((g, n_sig, n))
-    for gi, comp in enumerate(model.components):
-        centered = y_rows - rows @ comp.mean  # (S, m)
-        alpha = wiener_coefficients(centered, rows, comp, sigma2)  # (S, N)
-        resid = centered - (alpha @ comp.basis.T) @ rows.T
-        obj = np.einsum("sm,sm->s", resid, resid)
+    objectives = np.empty((model.n_components, n_sig))
+    labels = np.zeros(n_sig, dtype=np.intp)
+    coefficients = np.empty((n_sig, model.dimension))
+    classes = []
+    for comp in model.components:
         lam_max = float(comp.eigenvalues.max(initial=0.0))
+        lam = None
         if sigma2 > 0.0 and lam_max > 0.0:
             # alpha is zero along zero-eigenvalue directions, so the floored
             # penalty matches the exact limit.
             lam = np.maximum(comp.eigenvalues, EIG_FLOOR_REL * lam_max)
-            obj = obj + sigma2 * np.sum(alpha**2 / lam, axis=1)
-        objectives[gi] = obj
-        coefficients[gi] = alpha
-    return objectives, coefficients
+        classes.append((comp, rows @ comp.mean, _wiener_solver(rows, comp, sigma2), lam))
+    for start, stop in _chunks(n_sig):
+        for gi, (comp, projected_mean, solve, lam) in enumerate(classes):
+            centered = y_rows[start:stop] - projected_mean  # (chunk, m)
+            alpha = solve(centered)  # (chunk, N)
+            resid = centered - (alpha @ comp.basis.T) @ rows.T
+            obj = np.einsum("sm,sm->s", resid, resid)
+            if lam is not None:
+                obj = obj + sigma2 * np.sum(alpha**2 / lam, axis=1)
+            objectives[gi, start:stop] = obj
+            if gi == 0:
+                best = obj
+                coefficients[start:stop] = alpha
+                continue
+            wins = obj < best  # strict: ties stay with the lower index
+            best[wins] = obj[wins]
+            labels[start:stop][wins] = gi
+            coefficients[start:stop][wins] = alpha[wins]
+    return objectives, labels, coefficients
 
 
 def map_reconstruct(
@@ -124,15 +164,13 @@ def map_reconstruct(
     """
     rows = as_rows(sensing)
     y = np.asarray(y, dtype=float).ravel()
-    objectives, coefficients = _class_objectives(y[None, :], rows, model, sigma2)
-    g_star = int(np.argmin(objectives[:, 0]))
-    comp = model.components[g_star]
-    alpha = coefficients[g_star, 0]
-    estimate = comp.mean + comp.basis @ alpha
+    objectives, labels, coefficients = _class_objectives(y[None, :], rows, model, sigma2)
+    comp = model.components[labels[0]]
+    alpha = coefficients[0]
     return ReconstructionResult(
-        selected_class=g_star + 1,
+        selected_class=int(labels[0]) + 1,
         coefficients=alpha,
-        signal_estimate=estimate,
+        signal_estimate=comp.mean + comp.basis @ alpha,
         objective_values=objectives[:, 0],
     )
 
@@ -160,7 +198,7 @@ def map_em_objective(
     """Total best-class objective over a measurement batch (diagnostic)."""
     rows = as_rows(sensing)
     y_rows = np.asarray(measurements, dtype=float)
-    objectives, _ = _class_objectives(y_rows, rows, model, sigma2)
+    objectives, _, _ = _class_objectives(y_rows, rows, model, sigma2)
     return float(objectives.min(axis=0).sum())
 
 
@@ -178,6 +216,11 @@ def map_em(
     reconstructed signals; the PCA factors are refreshed inside the moment
     update. kappa = 0 returns the model unchanged. All signals share the
     same sensing rows.
+
+    The E-step streams over signal chunks (see _class_objectives), so
+    working memory is O(chunk * N + G * S) plus the (S, M) measurements and
+    one (S, N) array of coefficients, turned into the estimates in place;
+    no (G, S, N) array is formed.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -187,13 +230,13 @@ def map_em(
         raise ValueError("measurements must be (S, M) matching the sensing rows")
     current = model
     for _ in range(kappa):
-        objectives, coefficients = _class_objectives(y_rows, rows, current, sigma2)
-        labels = np.argmin(objectives, axis=0)
-        estimates = np.empty((y_rows.shape[0], current.dimension))
+        _, labels, estimates = _class_objectives(y_rows, rows, current, sigma2)
+        # Coefficients become estimates in place, one product per class over
+        # all of its signals.
         for gi, comp in enumerate(current.components):
             idx = np.flatnonzero(labels == gi)
             if idx.size:
-                estimates[idx] = comp.mean + coefficients[gi, idx] @ comp.basis.T
+                estimates[idx] = comp.mean + estimates[idx] @ comp.basis.T
         current = m_step_update(estimates, labels + 1, current)
     return current
 

@@ -50,8 +50,11 @@ def orientation_labels(batch: SignalBatch, orientation_bins: int = 18) -> np.nda
 
     Label 1 is the flat class (negligible gradient energy); labels
     2..orientation_bins+1 split [0, pi) evenly by the structure-tensor
-    orientation of the patch.
+    orientation of the patch. orientation_bins = 0 puts every patch in
+    the flat class.
     """
+    if orientation_bins < 0:
+        raise ValueError(f"orientation_bins must be >= 0, got {orientation_bins}")
     n = batch.dimension
     p = int(round(np.sqrt(n)))
     if p * p != n:
@@ -97,6 +100,11 @@ def init_gmm_by_orientation(
     return m_step_update(batch.signals, labels, placeholder)
 
 
+def _check_iters(iters: int) -> None:
+    if iters < 0:
+        raise ValueError(f"iters must be >= 0, got {iters}")
+
+
 def train_gmm(
     batch: SignalBatch,
     orientation_bins: int = 18,
@@ -112,7 +120,11 @@ def train_gmm(
     (with exact full observations the selection objective needs a positive
     noise level to discriminate). The returned covariances carry a shared
     diagonal load of `regularization` times the mean per-sample energy.
+    iters = 0 keeps the orientation model. Each EM pass streams over the
+    signals (see map_em): its working memory is O(chunk * N + G * S) on
+    top of the (S, N) signals and estimates, with no (G, S, N) array.
     """
+    _check_iters(iters)
     model = init_gmm_by_orientation(batch, orientation_bins)
     if iters >= 1:
         if sigma2 is None:
@@ -144,6 +156,7 @@ def train_gmm_coadapt(
     """
     if method not in ("random", "rip_ab"):
         raise ValueError(f"co-adaptation supports random or rip_ab, got {method!r}")
+    _check_iters(iters)
     model = init_gmm_by_orientation(batch, orientation_bins)
     rng = np.random.default_rng([seed, 404])
     random_rows = random_orthonormal(m, batch.dimension, seed=[seed, 405]).rows

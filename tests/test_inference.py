@@ -1,7 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from helpers import lowrank_component, random_model, random_spd
+from gmmsense import inference
+from gmmsense._linalg import EIG_FLOOR_REL
 from gmmsense.adaptive import AcquisitionState
 from gmmsense.design import random_orthonormal
 from gmmsense.inference import (
@@ -353,6 +357,92 @@ class TestMapEm:
         assert np.array_equal(
             out.components[1].covariance, model.components[1].covariance
         )
+
+
+def dense_map_em(y, rows, model, sigma2, kappa):
+    """map_em through one (G, S, N) coefficient array and np.argmin."""
+    current = model
+    for _ in range(kappa):
+        objectives, coefficients = [], []
+        for comp in current.components:
+            centered = y - rows @ comp.mean
+            alpha = wiener_coefficients(centered, rows, comp, sigma2)
+            resid = centered - (alpha @ comp.basis.T) @ rows.T
+            obj = np.einsum("sm,sm->s", resid, resid)
+            lam_max = float(comp.eigenvalues.max(initial=0.0))
+            if sigma2 > 0.0 and lam_max > 0.0:
+                lam = np.maximum(comp.eigenvalues, EIG_FLOOR_REL * lam_max)
+                obj = obj + sigma2 * np.sum(alpha**2 / lam, axis=1)
+            objectives.append(obj)
+            coefficients.append(alpha)
+        labels = np.argmin(np.stack(objectives), axis=0)
+        coefficients = np.stack(coefficients)
+        estimates = np.empty((y.shape[0], current.dimension))
+        for gi, comp in enumerate(current.components):
+            idx = np.flatnonzero(labels == gi)
+            if idx.size:
+                estimates[idx] = comp.mean + coefficients[gi, idx] @ comp.basis.T
+        current = m_step_update(estimates, labels + 1, current)
+    return current
+
+
+def assert_models_equal(a, b):
+    assert np.array_equal(a.priors, b.priors)
+    assert np.array_equal(a.mean_stack, b.mean_stack)
+    assert np.array_equal(a.covariance_stack, b.covariance_stack)
+
+
+class TestStreamingEStep:
+    def test_identical_components_tie_to_the_first(self):
+        comp = GaussianComponent.from_moments(np.zeros(5), random_spd(5, seed=40), 0.5)
+        model = GmmModel(components=(comp, comp.with_prior(0.5)))
+        rows = random_orthonormal(3, 5, seed=41).rows
+        y = np.random.default_rng(42).standard_normal((40, 3))
+        objectives, labels, coefficients = inference._class_objectives(
+            y, rows, model, 0.1
+        )
+        assert np.array_equal(objectives[0], objectives[1])
+        assert np.array_equal(labels, np.zeros(40))
+        fitted = map_em(y, rows, model, 0.1, kappa=1)
+        assert fitted.priors.tolist() == [1.0, 0.0]
+
+    def test_map_em_is_bitwise_the_dense_argmin_path(self):
+        # More signals than one chunk, compressed rows, positive noise.
+        n, m, g = 10, 6, 8
+        model = random_model(n, g, seed=43)
+        assert inference._CHUNK < 4500
+        signals = sample_signals(model, 4500, seed=44).signals
+        rows = random_orthonormal(m, n, seed=45).rows
+        y = signals @ rows.T
+        streamed = map_em(y, rows, model, 0.05, kappa=2)
+        assert_models_equal(streamed, dense_map_em(y, rows, model, 0.05, kappa=2))
+
+    @pytest.mark.parametrize("n_sig", [23, 21], ids=["short-tail", "one-signal-tail"])
+    def test_chunking_does_not_change_results(self, n_sig, monkeypatch):
+        model = random_model(7, 4, seed=46)
+        rows = random_orthonormal(5, 7, seed=47).rows
+        y = np.random.default_rng(48).standard_normal((n_sig, 5))
+        whole = inference._class_objectives(y, rows, model, 0.02)
+        monkeypatch.setattr(inference, "_CHUNK", 4)
+        chunked = inference._class_objectives(y, rows, model, 0.02)
+        assert len(np.unique(whole[1])) > 1  # the running best changes hands
+        for a, b in zip(whole, chunked):
+            assert np.array_equal(a, b)
+
+    def test_map_em_memory_does_not_scale_with_classes_times_signals(self):
+        # One (G, S, N) array is 10 * 6000 * 32 * 8 B = 15 MB; the dense path
+        # peaks at about 43 MB here, the streaming E-step at about 7 MB.
+        n, g, n_sig = 32, 10, 6000
+        model = random_model(n, g, seed=49)
+        y = np.random.default_rng(50).standard_normal((n_sig, n))
+        rows = np.eye(n)
+        tracemalloc.start()
+        try:
+            map_em(y, rows, model, 0.01, kappa=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10e6
 
 
 class TestShtRun:

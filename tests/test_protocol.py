@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from gmmsense import cli
+from helpers import make_image
+from gmmsense import cli, protocol
 from gmmsense.adaptive import (
     AcquisitionState,
     AscentOptions,
@@ -13,7 +14,8 @@ from gmmsense.adaptive import (
 )
 from gmmsense.design import eigen_sensing, random_orthonormal, rip_ab
 from gmmsense.inference import map_classify, wiener_coefficients
-from gmmsense.model import sample_signals
+from gmmsense.model import GaussianComponent, GmmModel, sample_signals
+from gmmsense.patches import write_pgm
 from gmmsense.protocol import (
     _TAG_DESIGN,
     _TAG_NOISE,
@@ -152,6 +154,33 @@ def test_batched_run_matches_per_signal_reference(pair, sigma2, k, model):
     assert np.allclose(report.squared_errors, errors, rtol=1e-10, atol=0.0)
 
 
+@pytest.mark.parametrize("sigma2", [0.0, 0.01])
+@pytest.mark.parametrize("b", [1, 2])
+@pytest.mark.parametrize("pair", VALID_PROTOCOL_PAIRS, ids="+".join)
+def test_zero_prior_class_contract(pair, b, sigma2, model, monkeypatch):
+    # Class 1 has zero prior but holds the moments that generated half of the
+    # batch, so it has the highest likelihood for those signals.
+    c1, c2 = model.components
+    broad = GaussianComponent.from_moments(c1.mean, 25.0 * c1.covariance, 0.5)
+    dead = GmmModel(components=(c1.with_prior(0.0), c2.with_prior(0.5), broad))
+    batch = sample_signals(model, 24, seed=7)
+    real_sht_run, outcomes = protocol.sht_run, []
+
+    def recording_sht_run(*args, **kwargs):
+        outcomes.append(real_sht_run(*args, **kwargs))
+        return outcomes[-1]
+
+    monkeypatch.setattr(protocol, "sht_run", recording_sht_run)
+    config = ProtocolConfig(*pair, M=M, K=K, b=b, sigma2=sigma2, ascent=FAST, seed=3)
+    report = run_two_step(config, batch, dead)
+    assert np.all((report.classes >= 1) & (report.classes <= dead.n_components))
+    assert np.all(np.isfinite(report.squared_errors))
+    if pair[0] == "aida_sht":
+        decided = [o.decided_class for o in outcomes if o.decided_class is not None]
+        assert decided  # the sequential test does decide on this model
+        assert 1 not in decided
+
+
 class TestConfigFromDict:
     def test_round_trip(self):
         config = config_for("ida", "mi_adaptive")
@@ -269,6 +298,27 @@ def test_cli_train_gmm_rejects_a_label_column_out_of_range(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3 columns" in err
+
+
+@pytest.mark.parametrize(
+    "flags, code, message",
+    [
+        (["--iters", "-1"], 1, "iters must be >= 0, got -1"),
+        (["--classes", "0"], 1, "orientation_bins must be >= 0, got -1"),
+        (["--classes", "1", "--iters", "1"], 0, "G=1"),
+    ],
+    ids=["negative-iters", "zero-classes", "one-class"],
+)
+def test_cli_train_gmm_checks_iters_and_classes(flags, code, message, tmp_path, capsys):
+    image = tmp_path / "img.pgm"
+    write_pgm(image, make_image(2, size=32))
+    argv = ["train-gmm", "--images", str(image), "--patch", "4", "--out", str(tmp_path / "m")]
+    assert cli.main(argv + flags) == code
+    out = capsys.readouterr()
+    if code:
+        assert out.err.startswith("error: ") and message in out.err
+    else:
+        assert message in out.out
 
 
 def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 
 from helpers import make_image, random_model
 from gmmsense.model import SignalBatch
@@ -8,6 +9,7 @@ from gmmsense.train import (
     orientation_labels,
     regularize_model,
     supervised_gmm,
+    train_gmm,
     train_gmm_coadapt,
 )
 
@@ -98,3 +100,19 @@ def test_regularize_model_without_load_returns_the_model():
     batch = SignalBatch(signals=np.ones((4, 5)))
     assert regularize_model(model, batch, 0.0) is model
     assert regularize_model(model, batch, -1.0) is model
+
+
+def test_negative_iters_are_rejected():
+    batch = patch_extract(make_image(2, size=32), 4, overlap=True)
+    with pytest.raises(ValueError, match="iters must be >= 0, got -1"):
+        train_gmm(batch, orientation_bins=2, iters=-1)
+    with pytest.raises(ValueError, match="iters must be >= 0, got -3"):
+        train_gmm_coadapt(batch, "random", m=8, orientation_bins=2, iters=-3)
+
+
+def test_negative_orientation_bins_are_rejected_and_zero_is_one_flat_class():
+    batch = patch_extract(make_image(2, size=32), 4, overlap=True)
+    with pytest.raises(ValueError, match="orientation_bins must be >= 0, got -1"):
+        init_gmm_by_orientation(batch, orientation_bins=-1)
+    model = train_gmm(batch, orientation_bins=0, iters=1)
+    assert model.priors.tolist() == [1.0]
