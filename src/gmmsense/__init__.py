@@ -12,7 +12,6 @@ from .adaptive import (
     design_classification_block,
     design_reconstruction_block,
     posterior_matrices,
-    separability_gradient,
     separability_measure,
 )
 from .design import (
@@ -28,7 +27,6 @@ from .inference import (
     ShtOutcome,
     map_classify,
     map_em,
-    map_em_objective,
     map_reconstruct,
     sht_run,
     wiener_coefficients,
@@ -41,7 +39,7 @@ from .model import (
     sample_signals,
     spd_eigendecompose,
 )
-from .patches import patch_extract, psnr, read_pgm, write_pgm
+from .patches import patch_extract, read_pgm, write_pgm
 from .protocol import (
     ExperimentReport,
     ProtocolConfig,
@@ -87,12 +85,10 @@ __all__ = [
     "m_step_update",
     "map_classify",
     "map_em",
-    "map_em_objective",
     "map_reconstruct",
     "patch_extract",
     "posterior_matrices",
     "procrustes_rotation",
-    "psnr",
     "random_orthonormal",
     "read_matrix",
     "read_pgm",
@@ -100,7 +96,6 @@ __all__ = [
     "run_two_step",
     "sample_signals",
     "save_model",
-    "separability_gradient",
     "separability_measure",
     "sht_run",
     "sigma2_for_snr_db",

@@ -59,15 +59,29 @@ def symmetry_residual(a: np.ndarray) -> float:
     )
 
 
-def require_symmetric(a: np.ndarray, tol: float = 1e-10) -> None:
+def require_symmetric(a: np.ndarray) -> None:
+    """Reject a matrix whose relative asymmetry exceeds 1e-10."""
     res = symmetry_residual(a)
-    if res > tol:
+    if res > 1e-10:
         raise NonSymmetricMatrixError(res)
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
     """Average away rounding asymmetry (works on stacked matrices)."""
     return 0.5 * (a + np.swapaxes(a, -1, -2))
+
+
+def _leading_entries(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each column's first above-noise row and the sign that makes it positive.
+
+    The row is v.shape[0] for a column with no entry above _SIGN_EPS; such
+    a column keeps sign +1.
+    """
+    n = v.shape[0]
+    mask = np.abs(v) > _SIGN_EPS
+    first = np.where(mask.any(axis=0), mask.argmax(axis=0), n)
+    lead = v[np.minimum(first, n - 1), np.arange(v.shape[1])]
+    return first, np.where((first < n) & (lead < 0), -1.0, 1.0)
 
 
 def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
@@ -77,41 +91,23 @@ def fix_column_signs(vectors: np.ndarray) -> np.ndarray:
     unit norm so a genuine nonzero entry is well above it.
     """
     v = np.asarray(vectors)
-    signs = np.ones(v.shape[1])
-    for j in range(v.shape[1]):
-        nz = np.flatnonzero(np.abs(v[:, j]) > _SIGN_EPS)
-        if nz.size and v[nz[0], j] < 0:
-            signs[j] = -1.0
-    return v * signs
-
-
-def _first_nonzero_index(v: np.ndarray) -> int:
-    nz = np.flatnonzero(np.abs(v) > _SIGN_EPS)
-    return int(nz[0]) if nz.size else v.shape[0]
+    return v * _leading_entries(v)[1]
 
 
 def eigh_descending(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Symmetric eigendecomposition, eigenvalues descending, signs fixed.
 
     Within runs of exactly equal eigenvalues the eigenvectors are ordered
-    by the position of their first above-noise entry, so signed
-    permutation inputs come out as the identity.
+    by the position of their first above-noise entry (a stable sort), so
+    signed permutation inputs come out as the identity.
     """
     vals, vecs = np.linalg.eigh(a)
     vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    start = 0
-    n = vals.shape[0]
-    while start < n:
-        end = start
-        while end + 1 < n and vals[end + 1] == vals[start]:
-            end += 1
-        if end > start:
-            block = vecs[:, start : end + 1]
-            keys = [_first_nonzero_index(block[:, j]) for j in range(block.shape[1])]
-            vecs[:, start : end + 1] = block[:, np.argsort(keys, kind="stable")]
-        start = end + 1
-    return vals, fix_column_signs(vecs)
+    vecs = vecs[:, ::-1]
+    first, signs = _leading_entries(vecs)
+    order = np.lexsort((first, -vals))
+    # C order: BLAS products downstream can round differently on another layout.
+    return vals, np.ascontiguousarray(vecs[:, order]) * signs[order]
 
 
 def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
@@ -130,25 +126,25 @@ def clamp_psd_eigenvalues(vals: np.ndarray) -> np.ndarray:
     return np.where(vals > vals.shape[0] * RANK_TOL_EPS * vmax, vals, 0.0)
 
 
-def floor_eigenvalues(vals: np.ndarray, rel: float = EIG_FLOOR_REL) -> np.ndarray:
-    """Floor eigenvalues at rel * lambda_max; reject if nothing positive.
+def floor_eigenvalues(vals: np.ndarray) -> np.ndarray:
+    """Floor eigenvalues at EIG_FLOOR_REL * lambda_max; reject if nothing positive.
 
     Accepts stacked inputs (..., M); the floor is per matrix.
     """
     vmax = np.max(vals, axis=-1, keepdims=True)
     if np.any(vmax <= 0.0):
         raise SingularMatrixError("matrix has no positive eigenvalue")
-    return np.maximum(vals, rel * vmax)
+    return np.maximum(vals, EIG_FLOOR_REL * vmax)
 
 
-def sym_floored_eigh(a: np.ndarray, rel: float = EIG_FLOOR_REL):
+def sym_floored_eigh(a: np.ndarray):
     """Batched eigh of symmetric PSD matrices with floored eigenvalues.
 
     Returns (floored eigenvalues ascending, eigenvectors); accepts stacks
     with shape (..., M, M).
     """
     vals, vecs = np.linalg.eigh(symmetrize(a))
-    return floor_eigenvalues(vals, rel), vecs
+    return floor_eigenvalues(vals), vecs
 
 
 def orthonormalize_rows(a: np.ndarray) -> np.ndarray:
@@ -173,13 +169,10 @@ def svd_descending_signed(a: np.ndarray):
     row of Vh is flipped so U @ diag(s) @ Vh still reconstructs A.
     """
     u, s, vh = np.linalg.svd(a)
-    flipped = fix_column_signs(u)
-    # Entries that changed sign identify flipped columns.
+    signs = _leading_entries(u)[1]
     k = min(u.shape[1], vh.shape[0])
-    for j in range(k):
-        if not np.array_equal(flipped[:, j], u[:, j]):
-            vh[j, :] = -vh[j, :]
-    return flipped, s, vh
+    vh[:k] *= signs[:k, None]
+    return u * signs, s, vh
 
 
 def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:

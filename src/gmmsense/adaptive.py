@@ -13,6 +13,7 @@ class's posterior covariance given the history.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,7 +37,6 @@ __all__ = [
     "measurement_log_likelihoods",
     "posterior_matrices",
     "separability_measure",
-    "separability_gradient",
     "design_classification_block",
     "design_reconstruction_block",
 ]
@@ -307,7 +307,11 @@ def _score(projection, weights: np.ndarray) -> float:
 def _gradient(projection, weights: np.ndarray) -> np.ndarray:
     """Separability gradient of a block from its _project result.
 
-    A floored eigenvalue is locally constant, so it gets zero weight.
+    Returns (B Pavg B^T)^-1 B Pavg - sum_g w_g (B P_g B^T)^-1 B P_g, the
+    exact gradient of _score: differentiating each log-determinant gives a
+    factor of two that cancels the one-half in the measure. Each inverse
+    keeps only the eigenvalues above the floor: a floored eigenvalue is
+    locally constant, so it gets zero weight at every block size.
     """
     bp, vals, vecs, live = projection
     inv = (vecs * (live / vals)[..., None, :]) @ np.swapaxes(vecs, -1, -2)
@@ -336,41 +340,32 @@ def separability_measure(
     return _score(_project(rows, posteriors), state.class_priors)
 
 
-def separability_gradient(
-    block,
-    state: AcquisitionState,
-    model: GmmModel,
-    posteriors: PosteriorMatrices | None = None,
-) -> np.ndarray:
-    """Gradient of the separability score at a candidate block.
-
-    Returns (B Pavg B^T)^-1 B Pavg - sum_g w_g (B P_g B^T)^-1 B P_g. This
-    is the exact gradient of the measure: differentiating each
-    log-determinant contributes a factor of two that cancels the one-half
-    in the measure. Each inverse keeps only the eigenvalues above the
-    floor: a floored eigenvalue is locally constant, so it contributes
-    nothing, at every block size.
-    """
-    rows = as_rows(block)
-    require_orthonormal_rows(rows, "candidate")
-    if posteriors is None:
-        posteriors = posterior_matrices(state, model)
-    return _gradient(_project(rows, posteriors), state.class_priors)
+# Steepest-ascent constants of the block design: the first trial step,
+# halved up to _MAX_BACKTRACKS times while a trial does not improve the
+# score, and the relative improvement below which the ascent stops.
+_STEP0 = 0.1
+_MAX_BACKTRACKS = 40
+_TOL = 1e-6
 
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Steepest-ascent hyperparameters for the block design.
+    """Steepest-ascent options for the block design.
 
-    step0 is the initial step size, halved while a trial step decreases the
-    objective; tol is the relative-improvement stopping threshold;
-    max_iters caps the accepted iterations.
+    max_iters caps the accepted iterations; 0 returns the seeded random
+    starting block.
     """
 
-    step0: float = 0.1
-    tol: float = 1e-6
     max_iters: int = 200
-    max_backtracks: int = 40
+
+    def __post_init__(self):
+        if not _is_int(self.max_iters) or self.max_iters < 0:
+            raise ValueError(f"max_iters must be an integer >= 0, got {self.max_iters!r}")
+
+
+def _is_int(value) -> bool:
+    """True for Python and numpy integers; False for bools."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def design_classification_block(
@@ -399,14 +394,14 @@ def design_classification_block(
     block = random_orthonormal(b, n, seed=seed).rows
     projection = _project(block, posteriors)
     score = _score(projection, weights)
-    step = opts.step0
+    step = _STEP0
     for _ in range(opts.max_iters):
         grad = _gradient(projection, weights)
         if float(np.abs(grad).max()) == 0.0:
             break
         accepted = None
         trial_step = step
-        for _ in range(opts.max_backtracks):
+        for _ in range(_MAX_BACKTRACKS):
             try:
                 trial = _orthonormalize_block(block + trial_step * grad)
                 trial_projection = _project(trial, posteriors)
@@ -424,7 +419,7 @@ def design_classification_block(
         # Start the next line search from twice the accepted step so a
         # well-scaled step is found in O(1) trials.
         step = 2.0 * trial_step
-        if improvement < opts.tol * max(abs(score), 1e-12):
+        if improvement < _TOL * max(abs(score), 1e-12):
             break
     return block
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .adaptive import AcquisitionState, design_classification_block
 from .design import eigen_sensing, random_orthonormal, rip_ab
-from .model import GmmModel, SignalBatch, sample_signals
+from .model import SignalBatch, sample_signals
 from .patches import patch_extract, read_pgm
 from .protocol import ExperimentReport, ProtocolConfig, run_two_step, sigma2_for_snr_db
 from .serialize import (
@@ -36,13 +36,19 @@ from .synthetic import synth_model_pair
 from .train import supervised_gmm, train_gmm, train_gmm_coadapt
 
 
+def _check_sigma2(sigma2: float) -> None:
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"--sigma2 must be finite and >= 0, got {sigma2}")
+
+
 def _cmd_gen_synthetic(args) -> int:
+    _check_sigma2(args.sigma2)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     model, bd = synth_model_pair(
         args.dimension, args.bd_low, args.bd_high, seed=args.seed
     )
-    batch = sample_signals(model, args.signals, sigma=np.sqrt(args.sigma2), seed=args.seed)
+    batch = sample_signals(model, args.signals, seed=args.seed)
     save_model(out / "model", model, sigma2=args.sigma2)
     write_matrix(out / "signals.scsm", batch.signals)
     with open(out / "labels.csv", "w") as fh:
@@ -107,6 +113,7 @@ def _ingest_csv(path, label_col: int) -> SignalBatch:
 
 
 def _cmd_train_gmm(args) -> int:
+    _check_sigma2(args.sigma2)
     if bool(args.images) == bool(args.csv):
         raise ValueError("provide either --images or --csv (exactly one)")
     if args.images:
@@ -142,6 +149,7 @@ def _cmd_train_gmm(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    _check_sigma2(args.sigma2)
     model, _ = load_model(args.model)
     if args.method == "random":
         sensing = random_orthonormal(args.measurements, model.dimension, seed=args.seed)
@@ -167,7 +175,9 @@ def _cmd_design(args) -> int:
 def _cmd_run_protocol(args) -> int:
     with open(args.config) as fh:
         d = json.load(fh)
-    if args.allow_nonstandard:  # before validation, which rejects such pairs
+    # Set before validation, which rejects a nonstandard pair; from_dict
+    # rejects a config that is not a mapping.
+    if args.allow_nonstandard and isinstance(d, dict):
         d["allow_nonstandard"] = True
     config = ProtocolConfig.from_dict(d)
     if args.seed is not None:

@@ -28,7 +28,6 @@ __all__ = [
     "map_reconstruct",
     "map_classify",
     "map_em",
-    "map_em_objective",
     "sht_run",
 ]
 
@@ -192,16 +191,6 @@ def map_classify(state: AcquisitionState, model: GmmModel) -> int:
     return int(np.argmax(state.class_log_likelihoods)) + 1
 
 
-def map_em_objective(
-    measurements: np.ndarray, sensing, model: GmmModel, sigma2: float
-) -> float:
-    """Total best-class objective over a measurement batch (diagnostic)."""
-    rows = as_rows(sensing)
-    y_rows = np.asarray(measurements, dtype=float)
-    objectives, _, _ = _class_objectives(y_rows, rows, model, sigma2)
-    return float(objectives.min(axis=0).sum())
-
-
 def map_em(
     measurements: np.ndarray,
     sensing,
@@ -249,12 +238,12 @@ class ShtOutcome:
     inside the budget; fallback_class then holds the measurement-space
     classification of everything acquired. final_class merges the two.
     trace logs (block index, priors, pairwise log posterior ratios) per
-    acquired block.
+    acquired block. state is the final acquisition history: its
+    n_measurements is the number of measurements used and its class_priors
+    the final Bayes-updated priors.
     """
 
     decided_class: int | None
-    measurements_used: int
-    final_priors: np.ndarray
     trace: tuple
     state: AcquisitionState
     fallback_class: int | None = None
@@ -295,8 +284,9 @@ def sht_run(
     (precomputable and passable via first_block, which must then have
     shape (b, N)); it initializes the acquisition and is never tested on
     its own, so the earliest decision uses two blocks. Each later block
-    re-optimizes the separability against the history so far. If the budget is exhausted undecided, the outcome
-    falls back to measurement-space classification.
+    re-optimizes the separability against the history so far. If the
+    budget is exhausted undecided, the outcome falls back to
+    measurement-space classification.
 
     signal_oracle maps a block of rows to its (noisy) measurements.
     """
@@ -347,8 +337,6 @@ def sht_run(
         fallback = map_classify(state, model)
     return ShtOutcome(
         decided_class=decided,
-        measurements_used=state.n_measurements,
-        final_priors=state.class_priors,
         trace=tuple(trace),
         state=state,
         fallback_class=fallback,

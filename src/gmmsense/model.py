@@ -60,7 +60,7 @@ def spd_eigendecompose(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a = np.asarray(covariance, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    require_symmetric(a, tol=1e-10)
+    require_symmetric(a)
     vals, vecs = eigh_descending(symmetrize(a))
     vals = clamp_psd_eigenvalues(vals)
     return vecs, vals
@@ -233,22 +233,16 @@ class SignalBatch:
         return self.signals.shape[1]
 
 
-def sample_signals(
-    model: GmmModel, n_signals: int, sigma: float = 0.0, seed: int = 0
-) -> SignalBatch:
+def sample_signals(model: GmmModel, n_signals: int, seed: int = 0) -> SignalBatch:
     """Draw labeled clean signals from the mixture.
 
     Each signal picks its component with the prior probabilities, then draws
     x ~ N(mean_g, cov_g). Per-signal generators are derived from (seed,
     index), so the batch is reproducible and independent of evaluation
-    order. `sigma` is recorded in the provenance as the measurement-noise
-    level intended for this batch; the signals themselves are noise-free
-    (noise is added at sensing time).
+    order. The signals are noise-free; noise is added at sensing time.
     """
     if n_signals < 1:
         raise ValueError("n_signals must be >= 1")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
     n = model.dimension
     priors = model.priors
     sqrt_vals = [np.sqrt(c.eigenvalues) for c in model.components]
@@ -264,7 +258,7 @@ def sample_signals(
     return SignalBatch(
         signals=signals,
         labels=labels,
-        provenance={"kind": "synthetic", "seed": seed, "sigma": float(sigma)},
+        provenance={"kind": "synthetic", "seed": seed},
     )
 
 

@@ -1,4 +1,4 @@
-"""Grayscale image ingestion: binary PGM files, patch extraction, PSNR."""
+"""Grayscale image ingestion: binary PGM files and patch extraction."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import numpy as np
 
 from .model import SignalBatch
 
-__all__ = ["read_pgm", "write_pgm", "patch_extract", "psnr"]
+__all__ = ["read_pgm", "write_pgm", "patch_extract"]
 
 I_MAX_8BIT = 255.0
 
@@ -96,15 +96,3 @@ def patch_extract(image: np.ndarray, patch: int, overlap: bool = False) -> Signa
         },
         dc_offsets=dc,
     )
-
-
-def psnr(original: np.ndarray, reconstructed: np.ndarray, i_max: float) -> float:
-    """10 log10(i_max^2 / MSE); +inf when the inputs are identical."""
-    a = np.asarray(original, dtype=float)
-    b = np.asarray(reconstructed, dtype=float)
-    if a.shape != b.shape:
-        raise ValueError("shapes must match")
-    mse = float(np.mean((a - b) ** 2))
-    if mse == 0.0:
-        return float("inf")
-    return float(10.0 * np.log10(i_max**2 / mse))

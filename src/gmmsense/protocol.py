@@ -23,7 +23,10 @@ measurement, in acquisition order over both steps, gets entry j.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import time
+from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
@@ -32,6 +35,7 @@ from .adaptive import (
     AcquisitionState,
     AscentOptions,
     _bayes_posteriors,
+    _is_int,
     design_classification_block,
     design_reconstruction_block,
     measurement_log_likelihoods,
@@ -65,8 +69,10 @@ _TAG_NOISE = 202
 _TAG_SHT = 303
 
 
-def _checked_keys(cls, d: dict, what: str) -> dict:
-    """A copy of d, or a ValueError naming the keys cls cannot take."""
+def _checked_keys(cls, d, what: str) -> dict:
+    """A copy of mapping d, or a ValueError naming the keys cls cannot take."""
+    if not isinstance(d, Mapping):
+        raise ValueError(f"{what} must be a mapping, got {d!r}")
     unknown = sorted(set(d) - {f.name for f in fields(cls)})
     if unknown:
         raise ValueError(f"unknown {what} key(s): {', '.join(unknown)}")
@@ -88,6 +94,9 @@ class ProtocolConfig:
     (ignored by aida_sht, which stops on its own), b the adaptive block
     size, P_e the sequential-test error target. Pairs outside the standard
     configuration table are rejected unless allow_nonstandard is set.
+    M, K, b and seed must be integers, P_e and sigma2 finite numbers and
+    allow_nonstandard a bool; numpy scalars are accepted and stored as
+    Python numbers. Anything else is a ValueError naming the field.
     """
 
     step1: str
@@ -102,6 +111,25 @@ class ProtocolConfig:
     allow_nonstandard: bool = False
 
     def __post_init__(self):
+        # Numpy scalars pass and are stored as Python numbers, so to_dict
+        # stays JSON-serializable.
+        for name in ("M", "K", "b", "seed"):
+            value = getattr(self, name)
+            if not _is_int(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
+        for name in ("P_e", "sigma2"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not (
+                isinstance(value, numbers.Real) and math.isfinite(value)
+            ):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, float(value))
+        if not isinstance(self.allow_nonstandard, (bool, np.bool_)):
+            raise ValueError(
+                f"allow_nonstandard must be true or false, got {self.allow_nonstandard!r}"
+            )
+        object.__setattr__(self, "allow_nonstandard", bool(self.allow_nonstandard))
         if self.step1 not in STEP1_METHODS:
             raise ValueError(f"unknown step1 {self.step1!r}, choose from {STEP1_METHODS}")
         if self.step2 not in STEP2_METHODS:
@@ -121,6 +149,8 @@ class ProtocolConfig:
             raise ValueError("P_e must lie in (0, 0.5)")
         if self.sigma2 < 0.0:
             raise ValueError("sigma2 must be >= 0")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def validate_against(self, model: GmmModel) -> None:
         if self.M > model.dimension:
@@ -136,16 +166,18 @@ class ProtocolConfig:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, d: dict) -> "ProtocolConfig":
-        """Build a config from a dict, rejecting unknown and missing keys."""
+    def from_dict(cls, d) -> "ProtocolConfig":
+        """Build a config from a mapping, rejecting unknown and missing keys.
+
+        "ascent" is a mapping of AscentOptions fields (only max_iters), an
+        AscentOptions, or null for the defaults.
+        """
         d = _checked_keys(cls, d, "protocol config")
         ascent = d.pop("ascent", None)
-        if isinstance(ascent, dict):
-            d["ascent"] = AscentOptions(**_checked_keys(AscentOptions, ascent, "ascent"))
-        elif isinstance(ascent, AscentOptions):
+        if isinstance(ascent, AscentOptions):
             d["ascent"] = ascent
         elif ascent is not None:
-            raise ValueError(f"ascent must be a mapping of ascent options, got {ascent!r}")
+            d["ascent"] = AscentOptions(**_checked_keys(AscentOptions, ascent, "ascent"))
         return cls(**d)
 
 
@@ -375,14 +407,14 @@ def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel,
         )
         gamma, state = outcome.final_class, outcome.state
         rows_all, y_all = state.rows, state.measurements
-        m2 = config.M - outcome.measurements_used
+        m2 = config.M - state.n_measurements
         if m2 > 0:
             rows2 = _step2_rows(config, state, model, gamma, m2)
             rows_all = np.vstack([rows_all, rows2])
             y_all = np.concatenate([y_all, sense(rows2)])
         estimates[i] = _reconstruct(rows_all, y_all, model, gamma, config.sigma2)
         classes[i] = gamma
-        k_used[i] = outcome.measurements_used
+        k_used[i] = state.n_measurements
     return classes, k_used, estimates
 
 

@@ -10,13 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import (
-    SingularMatrixError,
-    fix_column_signs,
-    floor_eigenvalues,
-    sym_floored_eigh,
-)
-from .model import GaussianComponent, GmmModel, _readonly
+from ._linalg import SingularMatrixError, fix_column_signs, sym_floored_eigh
+from .model import GaussianComponent, GmmModel
 
 __all__ = [
     "bhattacharyya_distance",
@@ -141,16 +136,9 @@ def synth_covariance_pair(
 
 
 def synth_model_pair(
-    n: int,
-    bd_low: float,
-    bd_high: float,
-    seed: int = 0,
-    priors: tuple[float, float] = (0.5, 0.5),
-    max_attempts: int = 10000,
+    n: int, bd_low: float, bd_high: float, seed: int = 0
 ) -> tuple[GmmModel, float]:
-    """Two-class synthetic model with a target Bhattacharyya-distance bucket."""
-    c0, c1, bd = synth_covariance_pair(n, bd_low, bd_high, seed, max_attempts)
-    model = GmmModel(
-        components=(c0.with_prior(priors[0]), c1.with_prior(priors[1]))
-    )
+    """Two equally likely classes with a target Bhattacharyya-distance bucket."""
+    c0, c1, bd = synth_covariance_pair(n, bd_low, bd_high, seed)
+    model = GmmModel(components=(c0.with_prior(0.5), c1.with_prior(0.5)))
     return model, bd

@@ -25,18 +25,22 @@ __all__ = [
 ]
 
 
-def regularize_model(model: GmmModel, batch: SignalBatch, rel: float) -> GmmModel:
+# Diagonal load of a trained patch model, relative to the mean per-sample
+# energy of its training batch.
+LOAD_REL = 1e-3
+
+
+def regularize_model(model: GmmModel, batch: SignalBatch) -> GmmModel:
     """Add a diagonal load to every component covariance.
 
-    The load is rel times the mean per-sample energy of the batch, shared
-    across components so sparse classes get a meaningful floor. Empirical
-    patch models are near-singular, which destabilizes log-determinant
-    criteria; a small shared load keeps every class full rank.
+    The load is LOAD_REL times the mean per-sample energy of the batch,
+    shared across components so sparse classes get a meaningful floor.
+    Empirical patch models are near-singular, which destabilizes
+    log-determinant criteria; a small shared load keeps every class full
+    rank.
     """
-    if rel <= 0.0:
-        return model
     energy = float(np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension)
-    load = rel * max(energy, 1e-300)
+    load = LOAD_REL * max(energy, 1e-300)
     eye = np.eye(model.dimension)
     comps = tuple(
         GaussianComponent.from_moments(c.mean, c.covariance + load * eye, c.prior)
@@ -110,7 +114,6 @@ def train_gmm(
     orientation_bins: int = 18,
     iters: int = 2,
     sigma2: float | None = None,
-    regularization: float = 1e-3,
 ) -> GmmModel:
     """Fit a patch model on raw signals: orientation init + EM refinement.
 
@@ -119,7 +122,7 @@ def train_gmm(
     it is scaled to a small fraction of the mean per-sample signal energy
     (with exact full observations the selection objective needs a positive
     noise level to discriminate). The returned covariances carry a shared
-    diagonal load of `regularization` times the mean per-sample energy.
+    diagonal load of LOAD_REL times the mean per-sample energy.
     iters = 0 keeps the orientation model. Each EM pass streams over the
     signals (see map_em): its working memory is O(chunk * N + G * S) on
     top of the (S, N) signals and estimates, with no (G, S, N) array.
@@ -134,7 +137,7 @@ def train_gmm(
             sigma2 = max(1e-4 * energy, 1e-12)
         identity = SensingMatrix(rows=np.eye(batch.dimension))
         model = map_em(batch.signals, identity, model, sigma2, kappa=iters)
-    return regularize_model(model, batch, regularization)
+    return regularize_model(model, batch)
 
 
 def train_gmm_coadapt(

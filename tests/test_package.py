@@ -1,0 +1,34 @@
+import importlib
+
+import pytest
+
+import gmmsense
+
+MODULES = [
+    "gmmsense",
+    "gmmsense.adaptive",
+    "gmmsense.cli",
+    "gmmsense.design",
+    "gmmsense.inference",
+    "gmmsense.model",
+    "gmmsense.patches",
+    "gmmsense.protocol",
+    "gmmsense.serialize",
+    "gmmsense.synthetic",
+    "gmmsense.train",
+]
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(name)
+    exported = getattr(module, "__all__", [])
+    assert len(set(exported)) == len(exported), "duplicate names in __all__"
+    missing = [n for n in exported if not hasattr(module, n)]
+    assert missing == []
+
+
+def test_every_package_name_is_exported_by_its_module():
+    modules = [importlib.import_module(name) for name in MODULES[1:]]
+    module_exports = {n for m in modules for n in getattr(m, "__all__", [])}
+    assert sorted(set(gmmsense.__all__) - module_exports) == []

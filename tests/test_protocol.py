@@ -37,7 +37,7 @@ def model():
 
 @pytest.fixture(scope="module")
 def batch(model):
-    return sample_signals(model, 6, sigma=0.1, seed=2)
+    return sample_signals(model, 6, seed=2)
 
 
 def config_for(step1, step2, k=K, **kw):
@@ -208,6 +208,71 @@ class TestConfigFromDict:
             ProtocolConfig.from_dict({"step1": "ida", "M": 4, "K": 2})
 
 
+BASE = {"step1": "ida", "step2": "eigen_mse", "M": 4, "K": 2}
+
+
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("M", "8", "M must be an integer, got '8'"),
+        ("M", 8.0, "M must be an integer, got 8.0"),
+        ("M", True, "M must be an integer, got True"),
+        ("K", None, "K must be an integer, got None"),
+        ("b", 1.5, "b must be an integer, got 1.5"),
+        ("b", False, "b must be an integer, got False"),
+        ("seed", "3", "seed must be an integer, got '3'"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("P_e", "0.1", "P_e must be a finite number, got '0.1'"),
+        ("P_e", float("nan"), "P_e must be a finite number, got nan"),
+        ("P_e", True, "P_e must be a finite number, got True"),
+        ("sigma2", None, "sigma2 must be a finite number, got None"),
+        ("sigma2", float("inf"), "sigma2 must be a finite number, got inf"),
+        ("allow_nonstandard", 1, "allow_nonstandard must be true or false, got 1"),
+        ("allow_nonstandard", "yes", "allow_nonstandard must be true or false, got 'yes'"),
+    ],
+    ids=[
+        "M-str", "M-float", "M-bool", "K-null", "b-float", "b-bool", "seed-str",
+        "seed-negative", "P_e-str", "P_e-nan", "P_e-bool", "sigma2-null", "sigma2-inf",
+        "allow_nonstandard-int", "allow_nonstandard-str",
+    ],
+)
+def test_from_dict_rejects_a_value_of_the_wrong_type(key, value, message):
+    with pytest.raises(ValueError) as err:
+        ProtocolConfig.from_dict({**BASE, key: value})
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("config", [5, "ida", [BASE], None], ids=["int", "str", "list", "null"])
+def test_from_dict_rejects_a_config_that_is_not_a_mapping(config):
+    with pytest.raises(ValueError, match="protocol config must be a mapping"):
+        ProtocolConfig.from_dict(config)
+
+
+def test_from_dict_accepts_numpy_scalars_and_stores_python_numbers():
+    config = ProtocolConfig.from_dict({
+        **BASE, "M": np.int64(4), "K": np.int32(2), "b": np.int64(2), "seed": np.uint8(3),
+        "P_e": np.float32(0.25), "sigma2": np.float64(0.01), "allow_nonstandard": np.bool_(False),
+    })
+    assert config.to_dict() == {**BASE, "b": 2, "seed": 3, "P_e": 0.25, "sigma2": 0.01,
+                                "allow_nonstandard": False, "ascent": {"max_iters": 200}}
+    assert [type(v) for v in config.to_dict().values()] == [
+        str, str, int, int, int, float, float, dict, int, bool
+    ]
+    json.dumps(config.to_dict())  # a numpy int64 used to make this raise
+
+
+@pytest.mark.parametrize("old_key", ["step0", "tol", "max_backtracks"])
+def test_from_dict_rejects_the_removed_ascent_keys(old_key):
+    with pytest.raises(ValueError, match=f"unknown ascent key\\(s\\): {old_key}"):
+        ProtocolConfig.from_dict({**BASE, "ascent": {old_key: 0.1}})
+
+
+@pytest.mark.parametrize("value", ["5", 2.0, -1, True])
+def test_ascent_max_iters_must_be_a_nonnegative_integer(value):
+    with pytest.raises(ValueError, match="max_iters must be an integer >= 0"):
+        ProtocolConfig.from_dict({**BASE, "ascent": {"max_iters": value}})
+
+
 def write_json(path, obj):
     path.write_text(json.dumps(obj))
     return str(path)
@@ -326,3 +391,44 @@ def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):
     assert cli.main(["report", "--inputs", bad]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "bad.json" in err
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**BASE, "step1": "rip_ab", "M": "8"}, "M must be an integer, got '8'"),
+        ({**BASE, "ascent": {"step0": 0.1}}, "unknown ascent key(s): step0"),
+        (5, "protocol config must be a mapping, got 5"),
+    ],
+    ids=["string-M", "removed-ascent-key", "not-a-mapping"],
+)
+def test_cli_rejects_a_malformed_config(config, message, data, tmp_path, capsys):
+    path = write_json(tmp_path / "c.json", config)
+    for extra in ([], ["--allow-nonstandard"]):
+        assert run_protocol(data, path, tmp_path / "r.json", *extra) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):
+    out = tmp_path / "synthetic"
+    assert cli.main([
+        "gen-synthetic", "--dimension", "8", "--sigma2", "-1", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == "error: --sigma2 must be finite and >= 0, got -1.0\n"
+    assert not out.exists()
+    image = tmp_path / "img.pgm"
+    write_pgm(image, make_image(2, size=32))
+    assert cli.main([
+        "train-gmm", "--images", str(image), "--patch", "4", "--sigma2", "-1",
+        "--out", str(tmp_path / "m"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: --sigma2 must be finite and >= 0, got -1.0\n"
+    assert not (tmp_path / "m").exists()
+    assert cli.main([
+        "design", "--model", str(data / "model"), "--method", "random", "--measurements", "3",
+        "--sigma2", "-1", "--out", str(tmp_path / "d.scsm"),
+    ]) == 1
+    assert capsys.readouterr().err == "error: --sigma2 must be finite and >= 0, got -1.0\n"
+    assert not (tmp_path / "d.scsm").exists()

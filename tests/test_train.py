@@ -5,6 +5,7 @@ from helpers import make_image, random_model
 from gmmsense.model import SignalBatch
 from gmmsense.patches import patch_extract
 from gmmsense.train import (
+    LOAD_REL,
     init_gmm_by_orientation,
     orientation_labels,
     regularize_model,
@@ -84,22 +85,14 @@ def test_regularize_model_loads_every_diagonal_by_the_mean_energy():
     model = random_model(5, 3, seed=2)
     signals = np.random.default_rng(4).standard_normal((30, 5)) * 3.0
     batch = SignalBatch(signals=signals)
-    rel = 0.01
-    load = rel * np.mean(np.sum(signals**2, axis=1)) / 5
-    loaded = regularize_model(model, batch, rel)
+    load = LOAD_REL * np.mean(np.sum(signals**2, axis=1)) / 5
+    loaded = regularize_model(model, batch)
     assert loaded.n_components == 3
     for before, after in zip(model.components, loaded.components):
         assert after.prior == before.prior
         assert np.array_equal(after.mean, before.mean)
         assert np.allclose(after.covariance - before.covariance, load * np.eye(5), rtol=0, atol=1e-14)
         assert np.allclose(after.eigenvalues, before.eigenvalues + load, rtol=1e-12, atol=0)
-
-
-def test_regularize_model_without_load_returns_the_model():
-    model = random_model(5, 2, seed=2)
-    batch = SignalBatch(signals=np.ones((4, 5)))
-    assert regularize_model(model, batch, 0.0) is model
-    assert regularize_model(model, batch, -1.0) is model
 
 
 def test_negative_iters_are_rejected():
