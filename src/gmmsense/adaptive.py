@@ -6,13 +6,16 @@ projected mixture covariance and the prior-weighted log-volumes of the
 projected class covariances. The measure upper-bounds the mutual
 information between the new measurements and the class label given the
 measurement history, and has a closed-form gradient, so blocks are designed
-by steepest ascent with re-orthonormalization. For reconstruction with a
+by steepest ascent with re-orthonormalization. A single row also has a
+cheap closed-form Hessian, so after a short ascent it is polished by
+Riemannian Newton on the unit sphere. For reconstruction with a
 known class, the optimal block is closed form: the top eigenvectors of that
 class's posterior covariance given the history.
 """
 
 from __future__ import annotations
 
+import logging
 import numbers
 from dataclasses import dataclass
 
@@ -347,13 +350,26 @@ _STEP0 = 0.1
 _MAX_BACKTRACKS = 40
 _TOL = 1e-6
 
+# Single-row blocks: the ascent takes at most _GLOBAL_STEPS accepted steps,
+# whose large early steps find a good basin (Newton from a random start
+# lands in the nearest local maximum), then Riemannian Newton polishes
+# until the norm of the gradient on the sphere is at most _GRAD_TOL.
+_GLOBAL_STEPS = 20
+_GRAD_TOL = 1e-9
+# Predicted gain, relative to max(1, |score|), below which the score's
+# rounding (a few ulps of the summed log-determinants) hides a step's gain.
+_PLATEAU = 1e-12
+
+_LOG = logging.getLogger("gmmsense")
+
 
 @dataclass(frozen=True)
 class AscentOptions:
-    """Steepest-ascent options for the block design.
+    """Options of the block design.
 
-    max_iters caps the accepted iterations; 0 returns the seeded random
-    starting block.
+    max_iters caps the accepted steps of each phase of the design: of the
+    steepest ascent and, for a single-row block, of the Newton polish that
+    follows it. 0 returns the seeded random starting block.
     """
 
     max_iters: int = 200
@@ -380,9 +396,19 @@ def design_classification_block(
     Steepest ascent from a seeded random orthonormal block; every accepted
     iterate re-orthonormalizes the rows (row-space preserving) and never
     decreases the objective, so the returned block scores at least as high
-    as the initialization. With empty history this is the non-adaptive
-    design; a full K-row non-adaptive layout is produced by a single call
-    with b = K.
+    as the initialization. A single-row block (b = 1) takes at most
+    _GLOBAL_STEPS ascent steps and is then polished by Riemannian Newton on
+    the unit sphere until the norm of its gradient there is at most
+    _GRAD_TOL; a Newton step whose gain is below the score's rounding is
+    ranked by the gradient norm instead. With empty history this is the non-adaptive design; a full
+    K-row non-adaptive layout is produced by a single call with b = K.
+
+    With the "gmmsense" logger enabled at DEBUG, each call logs one record
+    with b, the ascent and Newton steps taken, the final score, the final
+    gradient norm (tangent to the row space) and the stop reason: "grad"
+    (gradient norm reached), "tol" (relative improvement below _TOL, b > 1),
+    "no_ascent" (no trial step improved the score), "max_iters" or "flat"
+    (gradient exactly zero).
     """
     if opts is None:
         opts = AscentOptions()
@@ -394,11 +420,36 @@ def design_classification_block(
     block = random_orthonormal(b, n, seed=seed).rows
     projection = _project(block, posteriors)
     score = _score(projection, weights)
+    ascent_cap = min(opts.max_iters, _GLOBAL_STEPS) if b == 1 else opts.max_iters
+    block, projection, score, ascent_steps, reason = _ascend(
+        block, projection, score, posteriors, weights, ascent_cap
+    )
+    newton_steps = 0
+    if b == 1 and reason != "flat":
+        block, projection, score, newton_steps, reason = _newton_on_sphere(
+            block, projection, score, posteriors, weights, opts.max_iters
+        )
+    if _LOG.isEnabledFor(logging.DEBUG):
+        grad = _gradient(projection, weights)
+        grad_norm = float(np.linalg.norm(grad - grad @ block.T @ block))
+        _LOG.debug(
+            "design_classification_block b=%d ascent_steps=%d newton_steps=%d "
+            "score=%.12g grad_norm=%.3g stop=%s",
+            b, ascent_steps, newton_steps, score, grad_norm, reason,
+        )
+    return block
+
+
+def _ascend(block, projection, score, posteriors, weights, max_steps):
+    """Backtracking steepest ascent with re-orthonormalization.
+
+    Returns (block, projection, score, accepted steps, stop reason).
+    """
     step = _STEP0
-    for _ in range(opts.max_iters):
+    for steps in range(max_steps):
         grad = _gradient(projection, weights)
         if float(np.abs(grad).max()) == 0.0:
-            break
+            return block, projection, score, steps, "flat"
         accepted = None
         trial_step = step
         for _ in range(_MAX_BACKTRACKS):
@@ -413,15 +464,15 @@ def design_classification_block(
                 break
             trial_step *= 0.5
         if accepted is None:
-            break
+            return block, projection, score, steps, "no_ascent"
         improvement = accepted[2] - score
         block, projection, score = accepted
         # Start the next line search from twice the accepted step so a
         # well-scaled step is found in O(1) trials.
         step = 2.0 * trial_step
         if improvement < _TOL * max(abs(score), 1e-12):
-            break
-    return block
+            return block, projection, score, steps + 1, "tol"
+    return block, projection, score, max_steps, "max_iters"
 
 
 def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:
@@ -431,6 +482,113 @@ def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:
             raise SingularMatrixError("zero trial row")
         return candidate / norm
     return orthonormalize_rows(candidate)
+
+
+def _hessian(projection, stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Euclidean Hessian of the separability measure at a single row v.
+
+    With a = v^T Pavg v and c_g = v^T P_g v it is Pavg/a - 2 Pavg v v^T
+    Pavg/a^2 - sum_g w_g (P_g/c_g - 2 P_g v v^T P_g/c_g^2). Floored
+    projections are locally constant and get zero weight, as in _gradient.
+    """
+    bp, vals, _, live = projection
+    signs = np.append(-weights, 1.0) * live[:, 0]
+    c = vals[:, 0]
+    u = bp[:, 0, :] / c[:, None]                  # P_k v / (v^T P_k v)
+    return np.einsum("k,kij->ij", signs / c, stack) - 2.0 * (u.T * signs) @ u
+
+
+def _sphere_gradient(v: np.ndarray, projection, weights: np.ndarray):
+    """Gradient of the measure on the unit sphere at a single row v (1 x N).
+
+    Returns the tangent gradient and the slope v^T egrad of the Euclidean
+    gradient egrad, which is zero unless a projection is floored.
+    """
+    egrad = _gradient(projection, weights)[0]
+    slope = float(v[0] @ egrad)
+    return egrad - slope * v[0], slope
+
+
+def _newton_matrix(v: np.ndarray, projection, stack, weights, slope: float) -> np.ndarray:
+    """v v^T minus the Riemannian Hessian of the measure at a unit row v.
+
+    The Riemannian Hessian on the sphere is P (H - slope I) P with P = I -
+    v v^T, H the Euclidean Hessian and slope = v^T egrad; it is assembled
+    from H by rank-one updates. The result maps v to v and tangent vectors
+    to tangent vectors.
+    """
+    x = v[0]
+    hess = _hessian(projection, stack, weights)
+    hx = hess @ x
+    a = slope * np.eye(x.shape[0]) - hess
+    a += np.outer(x, hx) + np.outer(hx, x)
+    a += (1.0 - float(x @ hx) - slope) * np.outer(x, x)
+    return a
+
+
+def _newton_on_sphere(v, projection, score, posteriors, weights, max_steps):
+    """Riemannian Newton ascent of the measure over unit rows v (1 x N).
+
+    With A from _newton_matrix and a Levenberg shift mu that makes A + mu I
+    positive definite (checked by Cholesky), the step solving
+    (A + mu I) xi = grad stays tangent and ascends. mu starts at 0, is
+    divided by 10 after each accepted step and raised to max(10 mu,
+    1e-3 max|A|) while the Cholesky fails. The step is retracted onto the
+    sphere and halved until the score strictly increases. Once the gain the
+    step predicts, grad^T xi, is below the rounding of the score, the score
+    cannot rank the full step, and it is taken if it shrinks the gradient
+    norm instead. Returns (v, projection, score, accepted steps, stop
+    reason).
+    """
+    eye = np.eye(v.shape[1])
+    mu = 0.0
+    steps = 0
+    while True:
+        grad, slope = _sphere_gradient(v, projection, weights)
+        norm = float(np.linalg.norm(grad))
+        if norm == 0.0:
+            return v, projection, score, steps, "flat"
+        if norm <= _GRAD_TOL:
+            return v, projection, score, steps, "grad"
+        if steps == max_steps:
+            return v, projection, score, steps, "max_iters"
+        a = _newton_matrix(v, projection, posteriors.stack, weights, slope)
+        scale = float(np.abs(a).max())
+        for _ in range(_MAX_BACKTRACKS):
+            shifted = a + mu * eye
+            try:
+                np.linalg.cholesky(shifted)
+                break
+            except np.linalg.LinAlgError:
+                mu = max(10.0 * mu, 1e-3 * scale)
+        else:
+            return v, projection, score, steps, "no_ascent"
+        xi = np.linalg.solve(shifted, grad)
+        plateau = float(grad @ xi) <= _PLATEAU * max(1.0, abs(score))
+        accepted = None
+        t = 1.0
+        for _ in range(_MAX_BACKTRACKS):
+            try:
+                trial = _orthonormalize_block(v + t * xi)
+                trial_projection = _project(trial, posteriors)
+                trial_score = _score(trial_projection, weights)
+            except (ValueError, np.linalg.LinAlgError):
+                trial_score = -np.inf
+            if trial_score > score:
+                accepted = (trial, trial_projection, trial_score)
+                break
+            if plateau:
+                if trial_score > -np.inf:
+                    trial_grad, _ = _sphere_gradient(trial, trial_projection, weights)
+                    if np.linalg.norm(trial_grad) < norm:
+                        accepted = (trial, trial_projection, trial_score)
+                break
+            t *= 0.5
+        if accepted is None:
+            return v, projection, score, steps, "no_ascent"
+        v, projection, score = accepted
+        mu /= 10.0
+        steps += 1
 
 
 def design_reconstruction_block(

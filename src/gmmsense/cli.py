@@ -44,11 +44,11 @@ def _check_sigma2(sigma2: float) -> None:
 def _cmd_gen_synthetic(args) -> int:
     _check_sigma2(args.sigma2)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     model, bd = synth_model_pair(
         args.dimension, args.bd_low, args.bd_high, seed=args.seed
     )
     batch = sample_signals(model, args.signals, seed=args.seed)
+    out.mkdir(parents=True, exist_ok=True)
     save_model(out / "model", model, sigma2=args.sigma2)
     write_matrix(out / "signals.scsm", batch.signals)
     with open(out / "labels.csv", "w") as fh:
@@ -118,6 +118,7 @@ def _cmd_train_gmm(args) -> int:
         raise ValueError("provide either --images or --csv (exactly one)")
     if args.images:
         batch = _ingest_images(args.images, args.patch, args.overlap)
+        iters = 2 if args.iters is None else args.iters
         if args.coadapt:
             if args.measurements is None:
                 raise ValueError("--coadapt requires --measurements")
@@ -126,7 +127,7 @@ def _cmd_train_gmm(args) -> int:
                 args.coadapt,
                 args.measurements,
                 orientation_bins=args.classes - 1,
-                iters=args.iters,
+                iters=iters,
                 sigma2=args.sigma2,
                 seed=args.seed,
             )
@@ -134,10 +135,21 @@ def _cmd_train_gmm(args) -> int:
             model = train_gmm(
                 batch,
                 orientation_bins=args.classes - 1,
-                iters=args.iters,
+                iters=iters,
                 sigma2=args.sigma2 if args.sigma2 > 0 else None,
             )
     else:
+        image_only = [
+            flag
+            for flag, value in (
+                ("--coadapt", args.coadapt),
+                ("--measurements", args.measurements),
+                ("--iters", args.iters),
+            )
+            if value is not None
+        ]
+        if image_only:
+            raise ValueError(f"--csv does not take {', '.join(image_only)}")
         batch = _ingest_csv(args.csv, args.label_col)
         model = supervised_gmm(batch)
     save_model(args.out, model, sigma2=args.sigma2)
@@ -252,7 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=int, default=8)
     p.add_argument("--overlap", action="store_true")
     p.add_argument("--classes", type=int, default=19)
-    p.add_argument("--iters", type=int, default=2)
+    p.add_argument("--iters", type=int, default=None, help="--images only; default 2")
     p.add_argument("--coadapt", choices=["random", "rip_ab"], default=None)
     p.add_argument("--measurements", type=int, default=None)
     p.add_argument("--sigma2", type=float, default=0.0)

@@ -1,15 +1,23 @@
+import logging
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from helpers import random_model, random_spd
 from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows, principal_angles
 from gmmsense.adaptive import (
+    _GRAD_TOL,
     AcquisitionState,
+    AscentOptions,
     ProjectedCovarianceError,
     _bayes_posteriors,
     _gradient,
+    _hessian,
+    _newton_matrix,
     _project,
     _score,
+    _sphere_gradient,
     design_classification_block,
     design_reconstruction_block,
     measurement_log_likelihoods,
@@ -30,6 +38,23 @@ def state_with_rows(model, rows, sigma2=0.0, measurements=None):
     if measurements is None:
         measurements = np.zeros(rows.shape[0])
     return state.append_block(rows, measurements, model)
+
+
+def floored_class_model():
+    """Two classes in N=5; class 1 has three eigenvalues below the floor.
+
+    Returns the model and the eigenvectors q of class 1, whose eigenvalues
+    are 4, 2, 1.5e-10, 0.2e-10 and 1e-10; the floor is 2.1e-10.
+    """
+    q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
+    tiny = (q * [4.0, 2.0, 1.5e-10, 0.2e-10, 1e-10]) @ q.T
+    model = GmmModel(
+        components=(
+            GaussianComponent.from_moments(np.zeros(5), 0.5 * (tiny + tiny.T), 0.5),
+            GaussianComponent.from_moments(np.zeros(5), np.diag([1.0, 3.0, 2.0, 1.5, 0.5]), 0.5),
+        )
+    )
+    return model, q
 
 
 def diag_model(*diags, priors=None):
@@ -271,16 +296,7 @@ class TestSeparabilityGradient:
         # the block's projected class-1 eigenvalue, 1.24e-10, lies below the
         # floor of 2.1e-10, so it is locally constant and the gradient must
         # still match central differences of the measure along tangents
-        q, _ = np.linalg.qr(np.random.default_rng(1).standard_normal((5, 5)))
-        tiny = (q * [4.0, 2.0, 1.5e-10, 0.2e-10, 1e-10]) @ q.T
-        model = GmmModel(
-            components=(
-                GaussianComponent.from_moments(np.zeros(5), 0.5 * (tiny + tiny.T), 0.5),
-                GaussianComponent.from_moments(
-                    np.zeros(5), np.diag([1.0, 3.0, 2.0, 1.5, 0.5]), 0.5
-                ),
-            )
-        )
+        model, q = floored_class_model()
         state = AcquisitionState.initial(model, 0.0, b)
         rows = np.array([q[:, 2] + 0.5 * q[:, 3], q[:, 0] + 0.3 * q[:, 4]])
         block = orthonormalize_rows(rows[:b])
@@ -362,10 +378,11 @@ class TestDesignClassificationBlock:
         a = GaussianComponent.from_moments(np.zeros(5), cov, 0.5)
         model = GmmModel(components=(a, a.with_prior(0.5)))
         state = AcquisitionState.initial(model, 0.0, 1)
-        block = design_classification_block(state, model, 2, seed=30)
-        init = random_orthonormal(2, 5, seed=30).rows
-        assert np.array_equal(block, init)
-        assert separability_measure(block, state, model) == 0.0
+        for b in (1, 2):
+            block = design_classification_block(state, model, b, seed=30)
+            init = random_orthonormal(b, 5, seed=30).rows
+            assert np.array_equal(block, init)
+            assert separability_measure(block, state, model) == 0.0
 
     def test_concentrates_on_discriminative_coordinates(self):
         model = diag_model(
@@ -401,6 +418,184 @@ class TestDesignClassificationBlock:
         state = AcquisitionState.initial(model, 0.0, 1)
         block = design_classification_block(state, model, 3, seed=38)
         assert np.abs(block @ block.T - np.eye(3)).max() < 1e-8
+
+
+def steepest_ascent_score(state, model, seed):
+    """Score of the single-row steepest ascent used before the Newton polish:
+    200 accepted steps at most, each from twice the last accepted step and
+    halved up to 40 times, stopping on a relative improvement below 1e-6."""
+    post = posterior_matrices(state, model)
+    w = state.class_priors
+    row = random_orthonormal(1, model.dimension, seed=seed).rows
+    proj = _project(row, post)
+    score = _score(proj, w)
+    step = 0.1
+    for _ in range(200):
+        grad = _gradient(proj, w)
+        trial_step = step
+        for _ in range(40):
+            trial = (row + trial_step * grad) / np.linalg.norm(row + trial_step * grad)
+            trial_proj = _project(trial, post)
+            trial_score = _score(trial_proj, w)
+            if trial_score > score:
+                break
+            trial_step *= 0.5
+        else:
+            break
+        improvement = trial_score - score
+        row, proj, score = trial, trial_proj, trial_score
+        step = 2.0 * trial_step
+        if improvement < 1e-6 * abs(score):
+            break
+    return score
+
+
+class TestSingleRowNewton:
+    def test_hessian_matches_central_differences_of_the_gradient(self):
+        model = random_model(8, 4, seed=50)
+        hist = random_orthonormal(2, 8, seed=51).rows
+        state = state_with_rows(model, hist, sigma2=0.2, measurements=[0.3, -1.1])
+        post = posterior_matrices(state, model)
+        w = state.class_priors
+        row = random_orthonormal(1, 8, seed=52).rows
+        hess = _hessian(_project(row, post), post.stack, w)
+        rng = np.random.default_rng(53)
+        h = 1e-5
+        for _ in range(3):
+            d = rng.standard_normal(8)
+            d -= (d @ row[0]) * row[0]  # tangent to the sphere at row
+            fd = (
+                _gradient(_project(row + h * d, post), w)[0]
+                - _gradient(_project(row - h * d, post), w)[0]
+            ) / (2.0 * h)
+            assert np.abs(hess @ d - fd).max() <= 1e-7 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("floored", [True, False])
+    def test_riemannian_hessian_matches_central_differences_on_the_sphere(self, floored):
+        # with class 1 floored the Euclidean gradient has a radial part
+        # (slope 1/2), which the Riemannian Hessian must subtract
+        model, q = floored_class_model()
+        state = AcquisitionState.initial(model, 0.0, 1)
+        post = posterior_matrices(state, model)
+        w = state.class_priors
+        pick = (3, 4) if floored else (0, 4)
+        row = orthonormalize_rows((q[:, pick[0]] + 0.5 * q[:, pick[1]])[None, :])
+        projection = _project(row, post)
+        assert projection[3][0, 0] == (not floored)
+        _, slope = _sphere_gradient(row, projection, w)
+        assert abs(slope - (0.5 if floored else 0.0)) <= 1e-12
+        a = _newton_matrix(row, projection, post.stack, w, slope)
+        assert np.abs(a @ row[0] - row[0]).max() <= 1e-12 * np.abs(a).max()
+
+        def sphere_gradient(v):
+            v = v / np.linalg.norm(v)
+            return _sphere_gradient(v, _project(v, post), w)[0]
+
+        rng = np.random.default_rng(67)
+        h = 1e-6
+        for _ in range(3):
+            d = rng.standard_normal(5)
+            d -= (d @ row[0]) * row[0]
+            fd = (sphere_gradient(row + h * d) - sphere_gradient(row - h * d)) / (2.0 * h)
+            fd -= (fd @ row[0]) * row[0]
+            assert np.abs(-a @ d - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    def test_ten_classes_reach_a_stationary_row_at_least_as_good_as_the_ascent(self):
+        model = random_model(8, 10, seed=54)
+        hist = random_orthonormal(2, 8, seed=55).rows
+        state = state_with_rows(model, hist, sigma2=0.05, measurements=[0.4, -0.2])
+        for s in range(5):
+            row = design_classification_block(state, model, 1, seed=[56, s])
+            assert abs(np.linalg.norm(row) - 1.0) <= 1e-15
+            grad = gradient_at(row, state, model)
+            assert np.linalg.norm(grad - (grad @ row.T) @ row) <= _GRAD_TOL
+            score = separability_measure(row, state, model)
+            assert score >= steepest_ascent_score(state, model, [56, s])
+
+    def test_two_classes_reach_the_closed_form(self):
+        # P_1 = P_2 + Q with Q positive definite puts every generalized
+        # eigenvalue above 1, where the measure increases with the Rayleigh
+        # quotient, so the top eigenvector is the only local maximum
+        n, w1, w2 = 6, 0.3, 0.7
+        p2 = random_spd(n, seed=57)
+        p1 = p2 + 0.5 * random_spd(n, seed=58)
+        model = GmmModel(
+            components=(
+                GaussianComponent.from_moments(np.zeros(n), p1, w1),
+                GaussianComponent.from_moments(np.zeros(n), p2, w2),
+            )
+        )
+        lam, vecs = scipy.linalg.eigh(p1, p2)
+        f = 0.5 * (np.log(w1 * lam + w2) - w1 * np.log(lam))
+        best = vecs[:, np.argmax(f)] / np.linalg.norm(vecs[:, np.argmax(f)])
+        state = AcquisitionState.initial(model, 0.0, 1)
+        for s in range(5):
+            row = design_classification_block(state, model, 1, seed=[59, s])[0]
+            assert 1.0 - abs(row @ best) <= 1e-9
+            assert abs(separability_measure(row[None, :], state, model) - f.max()) <= 1e-9
+
+
+class TestDesignLogging:
+    def logged(self, caplog):
+        """Fields of the one record the design logged, as strings."""
+        (record,) = [r for r in caplog.records if r.name == "gmmsense"]
+        return dict(item.split("=") for item in record.getMessage().split()[1:])
+
+    @pytest.mark.parametrize("b", [1, 3])
+    def test_one_record_per_block_and_bitwise_equal_rows(self, b, caplog):
+        model = random_model(7, 4, seed=62)
+        hist = random_orthonormal(2, 7, seed=63).rows
+        state = state_with_rows(model, hist, sigma2=0.1, measurements=[0.2, 0.5])
+        with caplog.at_level(logging.INFO, logger="gmmsense"):
+            quiet = design_classification_block(state, model, b, seed=64)
+        assert caplog.records == []
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            logged = design_classification_block(state, model, b, seed=64)
+        assert np.array_equal(quiet, logged)
+        fields = self.logged(caplog)
+        assert int(fields["b"]) == b
+        assert float(fields["score"]) == pytest.approx(
+            separability_measure(logged, state, model), rel=1e-11
+        )
+        if b == 1:
+            assert int(fields["ascent_steps"]) == 20 and int(fields["newton_steps"]) > 0
+            assert fields["stop"] == "grad" and float(fields["grad_norm"]) <= _GRAD_TOL
+        else:
+            assert int(fields["newton_steps"]) == 0 and fields["stop"] == "tol"
+
+    @pytest.mark.parametrize(
+        "identical, max_iters, stop",
+        [(True, 200, "flat"), (False, 0, "max_iters")],
+        ids=["flat", "max_iters"],
+    )
+    def test_stop_reason_of_a_returned_start(self, identical, max_iters, stop, caplog):
+        if identical:
+            a = GaussianComponent.from_moments(np.zeros(5), random_spd(5, seed=65), 0.5)
+            model = GmmModel(components=(a, a.with_prior(0.5)))
+        else:
+            model = random_model(5, 2, seed=65)
+        state = AcquisitionState.initial(model, 0.0, 1)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            row = design_classification_block(
+                state, model, 1, seed=66, opts=AscentOptions(max_iters)
+            )
+        assert np.array_equal(row, random_orthonormal(1, 5, seed=66).rows)
+        fields = self.logged(caplog)
+        assert (fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == ("0", "0", stop)
+
+
+    def test_kink_at_a_floored_class_stops_with_no_ascent(self, caplog):
+        # the best rows push class 1's projection onto its floor, where the
+        # measure has a kink: no step improves it although the gradient is
+        # far from zero
+        model, _ = floored_class_model()
+        state = AcquisitionState.initial(model, 0.0, 1)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            row = design_classification_block(state, model, 1, seed=0)
+        fields = self.logged(caplog)
+        assert fields["stop"] == "no_ascent" and float(fields["grad_norm"]) > 0.1
+        start = random_orthonormal(1, 5, seed=0).rows
+        assert separability_measure(row, state, model) > separability_measure(start, state, model)
 
 
 class TestDesignReconstructionBlock:

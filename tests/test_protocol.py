@@ -386,6 +386,37 @@ def test_cli_train_gmm_checks_iters_and_classes(flags, code, message, tmp_path, 
         assert message in out.out
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--coadapt", "random", "--measurements", "1"], ["--measurements", "1"], ["--iters", "5"]],
+    ids=["coadapt", "measurements", "iters"],
+)
+def test_cli_train_gmm_csv_rejects_image_only_flags(flags, tmp_path, capsys):
+    csv = tmp_path / "signals.csv"
+    csv.write_text("1,0.5,0.25\n2,0.75,0.125\n")
+    out = tmp_path / "m"
+    assert cli.main(["train-gmm", "--csv", str(csv), "--out", str(out), *flags]) == 1
+    err = capsys.readouterr().err
+    named = [f for f in flags if f.startswith("--")]
+    assert err == f"error: --csv does not take {', '.join(named)}\n"
+    assert not any(tmp_path.glob("m*"))
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--dimension", "1"], "dimension must be >= 2"),
+        (["--dimension", "8", "--bd-low", "46", "--bd-high", "30"], "need bd_low < bd_high"),
+    ],
+    ids=["dimension", "bucket"],
+)
+def test_cli_gen_synthetic_writes_nothing_when_no_model_is_drawn(flags, message, tmp_path, capsys):
+    out = tmp_path / "d"
+    assert cli.main(["gen-synthetic", *flags, "--signals", "5", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):
     bad = write_json(tmp_path / "bad.json", {"protocol": "rip_ab+eigen_mse", "seed": 0})
     assert cli.main(["report", "--inputs", bad]) == 1
