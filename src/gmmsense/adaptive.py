@@ -5,12 +5,16 @@ maximize a separability measure: half the gap between the log-volume of the
 projected mixture covariance and the prior-weighted log-volumes of the
 projected class covariances. The measure upper-bounds the mutual
 information between the new measurements and the class label given the
-measurement history, and has a closed-form gradient, so blocks are designed
-by steepest ascent with re-orthonormalization. A single row also has a
-cheap closed-form Hessian, so after a short ascent it is polished by
-Riemannian Newton on the unit sphere. For reconstruction with a
-known class, the optimal block is closed form: the top eigenvectors of that
-class's posterior covariance given the history.
+measurement history. For two classes and an empty history its optimum is
+closed form: the top generalized eigenvectors of the two class covariances
+(plus noise), ranked by their share of the measure. Otherwise it has a
+closed-form gradient, so blocks are designed by steepest ascent with
+re-orthonormalization, whose line searches start from Barzilai-Borwein
+step lengths for blocks of several rows. A single row also has a cheap
+closed-form Hessian, so after a short ascent it is polished by Riemannian
+Newton on the unit sphere. For reconstruction with a known class, the
+optimal block is closed form: the top eigenvectors of that class's
+posterior covariance given the history.
 """
 
 from __future__ import annotations
@@ -368,8 +372,11 @@ class AscentOptions:
     """Options of the block design.
 
     max_iters caps the accepted steps of each phase of the design: of the
-    steepest ascent and, for a single-row block, of the Newton polish that
-    follows it. 0 returns the seeded random starting block.
+    steepest ascent (Barzilai-Borwein steps for b > 1) and, for a
+    single-row block, of the Newton polish that follows it. 0 returns the
+    seeded random starting block, also where the two-class closed form
+    would apply. The closed form takes no steps and does not depend on the
+    seed.
     """
 
     max_iters: int = 200
@@ -393,22 +400,38 @@ def design_classification_block(
 ) -> np.ndarray:
     """Design b orthonormal rows maximizing class separability.
 
-    Steepest ascent from a seeded random orthonormal block; every accepted
-    iterate re-orthonormalizes the rows (row-space preserving) and never
-    decreases the objective, so the returned block scores at least as high
-    as the initialization. A single-row block (b = 1) takes at most
-    _GLOBAL_STEPS ascent steps and is then polished by Riemannian Newton on
-    the unit sphere until the norm of its gradient there is at most
-    _GRAD_TOL; a Newton step whose gain is below the score's rounding is
-    ranked by the gradient norm instead. With empty history this is the non-adaptive design; a full
-    K-row non-adaptive layout is produced by a single call with b = K.
+    With an empty history, exactly two classes and both priors positive,
+    the optimum is closed form (Fukunaga 1990, ch. 10): with P_g = Sigma_g
+    + sigma2 I, the measure splits over the generalized eigenvectors of
+    (P_1, P_2) into sum f(lambda_i), f(lambda) = 1/2 [log(w_1 lambda +
+    w_2) - w_1 log lambda], and the b eigenvectors with the largest f,
+    orthonormalized, are returned. That result does not depend on the
+    seed. The closed form is skipped, and the ascent below runs, when
+    max_iters is 0, when P_1 and P_2 are bitwise equal, when P_2 has no
+    Cholesky factor or some lambda <= 0, or when a projected eigenvalue of
+    the result sits at its floor.
+
+    Otherwise: steepest ascent from a seeded random orthonormal block;
+    every accepted iterate re-orthonormalizes the rows (row-space
+    preserving) and never decreases the objective, so the returned block
+    scores at least as high as the initialization. For b > 1 the first
+    trial of each line search after the first is a Barzilai-Borwein step
+    (Barzilai & Borwein 1988; Wen & Yin 2013), alternating the long and the
+    short length. A single-row block (b = 1) takes at most _GLOBAL_STEPS
+    ascent steps and is then polished by Riemannian Newton on the unit
+    sphere until the norm of its gradient there is at most _GRAD_TOL; a
+    Newton step whose gain is below the score's rounding is ranked by the
+    gradient norm instead. With empty history this is the non-adaptive
+    design; a full K-row non-adaptive layout is produced by a single call
+    with b = K.
 
     With the "gmmsense" logger enabled at DEBUG, each call logs one record
     with b, the ascent and Newton steps taken, the final score, the final
-    gradient norm (tangent to the row space) and the stop reason: "grad"
-    (gradient norm reached), "tol" (relative improvement below _TOL, b > 1),
-    "no_ascent" (no trial step improved the score), "max_iters" or "flat"
-    (gradient exactly zero).
+    gradient norm (tangent to the row space) and the stop reason:
+    "closed_form" (two-class optimum, no steps), "grad" (gradient norm
+    reached), "tol" (relative improvement below _TOL, b > 1), "no_ascent"
+    (no trial step improved the score), "max_iters" or "flat" (gradient
+    exactly zero).
     """
     if opts is None:
         opts = AscentOptions()
@@ -417,18 +440,26 @@ def design_classification_block(
         raise ValueError(f"need 1 <= b <= {n}, got b={b}")
     posteriors = posterior_matrices(state, model)
     weights = state.class_priors
-    block = random_orthonormal(b, n, seed=seed).rows
-    projection = _project(block, posteriors)
-    score = _score(projection, weights)
-    ascent_cap = min(opts.max_iters, _GLOBAL_STEPS) if b == 1 else opts.max_iters
-    block, projection, score, ascent_steps, reason = _ascend(
-        block, projection, score, posteriors, weights, ascent_cap
-    )
-    newton_steps = 0
-    if b == 1 and reason != "flat":
-        block, projection, score, newton_steps, reason = _newton_on_sphere(
-            block, projection, score, posteriors, weights, opts.max_iters
+    closed = None
+    if opts.max_iters > 0 and state.n_measurements == 0 and weights.shape == (2,):
+        closed = _two_class_design(posteriors, weights, b)
+    ascent_steps = newton_steps = 0
+    if closed is not None:
+        block, projection = closed
+        score = _score(projection, weights)
+        reason = "closed_form"
+    else:
+        block = random_orthonormal(b, n, seed=seed).rows
+        projection = _project(block, posteriors)
+        score = _score(projection, weights)
+        ascent_cap = min(opts.max_iters, _GLOBAL_STEPS) if b == 1 else opts.max_iters
+        block, projection, score, ascent_steps, reason = _ascend(
+            block, projection, score, posteriors, weights, ascent_cap
         )
+        if b == 1 and reason != "flat":
+            block, projection, score, newton_steps, reason = _newton_on_sphere(
+                block, projection, score, posteriors, weights, opts.max_iters
+            )
     if _LOG.isEnabledFor(logging.DEBUG):
         grad = _gradient(projection, weights)
         grad_norm = float(np.linalg.norm(grad - grad @ block.T @ block))
@@ -440,14 +471,51 @@ def design_classification_block(
     return block
 
 
+def _two_class_design(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
+    """Closed-form optimal b rows for two classes with an empty history.
+
+    Cholesky of P_2 = L L^T, then eigh of L^-1 P_1 L^-T gives the
+    generalized eigenpairs of (P_1, P_2); the b eigenvectors with the
+    largest f(lambda) (stable sort), orthonormalized, are the optimum.
+    Returns (block, its _project result), or None where the closed form
+    does not apply: a zero prior, bitwise equal P_1 and P_2, no Cholesky
+    factor, some lambda <= 0, or a projected eigenvalue at its floor.
+    """
+    w1, w2 = weights
+    p1, p2 = posteriors.stack[0], posteriors.stack[1]
+    if w1 <= 0.0 or w2 <= 0.0 or np.array_equal(p1, p2):
+        return None
+    try:
+        chol = np.linalg.cholesky(p2)
+    except np.linalg.LinAlgError:
+        return None
+    half = np.linalg.solve(chol, p1)
+    lam, vecs = np.linalg.eigh(symmetrize(np.linalg.solve(chol, half.T)))
+    if lam[0] <= 0.0:
+        return None
+    f = 0.5 * (np.log(w1 * lam + w2) - w1 * np.log(lam))
+    top = np.argsort(f, kind="stable")[::-1][:b]
+    block = orthonormalize_rows(np.linalg.solve(chol.T, vecs[:, top]).T)
+    projection = _project(block, posteriors)
+    if not projection[3].all():
+        return None
+    return block, projection
+
+
 def _ascend(block, projection, score, posteriors, weights, max_steps):
     """Backtracking steepest ascent with re-orthonormalization.
 
-    Returns (block, projection, score, accepted steps, stop reason).
+    The first line search starts at _STEP0. A block of b > 1 rows starts
+    each later one from a Barzilai-Borwein length (_bb_step), or from twice
+    the last accepted step where that is undefined. A single row always
+    starts from twice the last accepted step: its short ascent only has to
+    find the basin that Newton then polishes, and BB steps there ended in
+    lower basins. Returns (block, projection, score, accepted steps, stop
+    reason).
     """
     step = _STEP0
+    grad = _gradient(projection, weights)
     for steps in range(max_steps):
-        grad = _gradient(projection, weights)
         if float(np.abs(grad).max()) == 0.0:
             return block, projection, score, steps, "flat"
         accepted = None
@@ -466,13 +534,33 @@ def _ascend(block, projection, score, posteriors, weights, max_steps):
         if accepted is None:
             return block, projection, score, steps, "no_ascent"
         improvement = accepted[2] - score
+        previous, previous_grad = block, grad
         block, projection, score = accepted
-        # Start the next line search from twice the accepted step so a
-        # well-scaled step is found in O(1) trials.
-        step = 2.0 * trial_step
         if improvement < _TOL * max(abs(score), 1e-12):
             return block, projection, score, steps + 1, "tol"
+        grad = _gradient(projection, weights)
+        # Twice the accepted step finds a well-scaled step in O(1) trials.
+        step = 2.0 * trial_step
+        if block.shape[0] > 1:
+            step = _bb_step(block, block - previous, grad - previous_grad, steps + 1) or step
     return block, projection, score, max_steps, "max_iters"
+
+
+def _bb_step(block: np.ndarray, s: np.ndarray, y: np.ndarray, step_index: int) -> float:
+    """Barzilai-Borwein length of the ascent step numbered step_index.
+
+    s is the last accepted move, projected onto the tangent space at block
+    (orthogonal to its row space); y is the gradient change over it.
+    Even steps take the long length <s,s>/|<s,y>|, odd steps the short
+    |<s,y>|/<y,y>. Returns 0 where the length is undefined (<s,y> or
+    <y,y> is 0).
+    """
+    s = s - s @ block.T @ block
+    sy = abs(float(np.sum(s * y)))
+    yy = float(np.sum(y * y))
+    if sy == 0.0 or yy == 0.0:
+        return 0.0
+    return float(np.sum(s * s)) / sy if step_index % 2 == 0 else sy / yy
 
 
 def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:

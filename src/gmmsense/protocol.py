@@ -469,10 +469,16 @@ def run_two_step(
     per decided class; aida_sht runs signal by signal. Signal i's noise is
     one M-vector from its own stream [_TAG_NOISE, seed, i], used in
     acquisition order, so its report does not depend on the other signals.
+    Labels above the model's class count are rejected with ValueError.
     """
     config.validate_against(model)
     if batch.dimension != model.dimension:
         raise ValueError("batch dimension does not match the model")
+    if batch.labels is not None and batch.labels.max() > model.n_components:
+        raise ValueError(
+            f"labels go up to {batch.labels.max()}, but the model has "
+            f"{model.n_components} classes"
+        )
     t0 = time.perf_counter()
     noise = _noise(config, batch.n_signals)
     run = _run_sequential if config.step1 == "aida_sht" else _run_shared

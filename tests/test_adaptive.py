@@ -4,17 +4,20 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from helpers import random_model, random_spd
+from helpers import lowrank_component, random_model, random_spd
 from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows, principal_angles
 from gmmsense.adaptive import (
+    _GLOBAL_STEPS,
     _GRAD_TOL,
     AcquisitionState,
     AscentOptions,
     ProjectedCovarianceError,
+    _ascend,
     _bayes_posteriors,
     _gradient,
     _hessian,
     _newton_matrix,
+    _newton_on_sphere,
     _project,
     _score,
     _sphere_gradient,
@@ -515,7 +518,9 @@ class TestSingleRowNewton:
     def test_two_classes_reach_the_closed_form(self):
         # P_1 = P_2 + Q with Q positive definite puts every generalized
         # eigenvalue above 1, where the measure increases with the Rayleigh
-        # quotient, so the top eigenvector is the only local maximum
+        # quotient, so the top eigenvector is the only local maximum. The
+        # design returns it in closed form; the single-row ascent and Newton
+        # polish, run here directly, must reach it too.
         n, w1, w2 = 6, 0.3, 0.7
         p2 = random_spd(n, seed=57)
         p1 = p2 + 0.5 * random_spd(n, seed=58)
@@ -529,10 +534,140 @@ class TestSingleRowNewton:
         f = 0.5 * (np.log(w1 * lam + w2) - w1 * np.log(lam))
         best = vecs[:, np.argmax(f)] / np.linalg.norm(vecs[:, np.argmax(f)])
         state = AcquisitionState.initial(model, 0.0, 1)
+        post = posterior_matrices(state, model)
+        w = state.class_priors
+        closed = design_classification_block(state, model, 1)[0]
+        assert 1.0 - abs(closed @ best) <= 1e-9
         for s in range(5):
-            row = design_classification_block(state, model, 1, seed=[59, s])[0]
-            assert 1.0 - abs(row @ best) <= 1e-9
-            assert abs(separability_measure(row[None, :], state, model) - f.max()) <= 1e-9
+            start = random_orthonormal(1, n, seed=[59, s]).rows
+            proj = _project(start, post)
+            row, proj, score, _, _ = _ascend(start, proj, _score(proj, w), post, w, _GLOBAL_STEPS)
+            row, _, score, _, reason = _newton_on_sphere(row, proj, score, post, w, 200)
+            assert reason == "grad"
+            assert 1.0 - abs(row[0] @ best) <= 1e-9
+            assert abs(separability_measure(row, state, model) - f.max()) <= 1e-9
+
+
+def doubling_ascent(state, model, b, seed):
+    """The b-row ascent with the doubling rule: every line search after the
+    first starts from twice the last accepted step. 200 accepted steps at
+    most, halved up to 40 times, stopping on a zero gradient or a relative
+    improvement below 1e-6. Returns the accepted steps and the final
+    gradient norm tangent to the row space."""
+    post = posterior_matrices(state, model)
+    w = state.class_priors
+    block = random_orthonormal(b, model.dimension, seed=seed).rows
+    proj = _project(block, post)
+    score = _score(proj, w)
+    step, steps = 0.1, 0
+    for _ in range(200):
+        grad = _gradient(proj, w)
+        if np.abs(grad).max() == 0.0:
+            break
+        trial_step = step
+        for _ in range(40):
+            trial = orthonormalize_rows(block + trial_step * grad)
+            trial_proj = _project(trial, post)
+            trial_score = _score(trial_proj, w)
+            if trial_score > score:
+                break
+            trial_step *= 0.5
+        else:
+            break
+        improvement = trial_score - score
+        block, proj, score = trial, trial_proj, trial_score
+        step = 2.0 * trial_step
+        steps += 1
+        if improvement < 1e-6 * abs(score):
+            break
+    grad = _gradient(proj, w)
+    return steps, np.linalg.norm(grad - grad @ block.T @ block)
+
+
+class TestMultiRowDesign:
+    @pytest.mark.parametrize("sigma2", [0.01, 0.1])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_two_classes_with_empty_history_match_scipy(self, b, sigma2):
+        n = 10
+        for seed in (70, 72, 73):
+            model = random_model(n, 2, seed=seed)
+            w1, w2 = model.priors
+            assert w1 != w2
+            p1, p2 = (c.covariance + sigma2 * np.eye(n) for c in model.components)
+            lam, vecs = scipy.linalg.eigh(p1, p2)
+            f = 0.5 * (np.log(w1 * lam + w2) - w1 * np.log(lam))
+            top = np.argsort(f)[::-1][:b]
+            state = AcquisitionState.initial(model, sigma2, b)
+            block = design_classification_block(state, model, b, seed=71)
+            assert np.array_equal(block, design_classification_block(state, model, b, seed=72))
+            assert np.abs(block @ block.T - np.eye(b)).max() <= 1e-12
+            assert principal_angles(block, vecs[:, top].T).max() <= 1e-8
+            score = separability_measure(block, state, model)
+            assert abs(score - f[top].sum()) <= 1e-10
+            for s in range(200):
+                cand = random_orthonormal(b, n, seed=[seed, s]).rows
+                assert score >= separability_measure(cand, state, model)
+
+    @pytest.mark.parametrize(
+        "case",
+        ["low_rank_class_1", "low_rank_class_2", "floored", "identical", "zero_prior", "max_iters_0"],
+    )
+    def test_two_classes_fall_back_to_the_seeded_ascent(self, case, caplog):
+        n, b, sigma2, opts = 6, 2, 0.0, AscentOptions()
+        spd = GaussianComponent.from_moments(np.zeros(n), random_spd(n, seed=75), 0.5)
+        if case.startswith("low_rank"):
+            # sigma2 = 0: the rank-3 class has no Cholesky factor (class 2)
+            # or some lambda at rounding level (class 1)
+            pair = (lowrank_component(76, n, 3), spd)
+            comps = pair if case.endswith("1") else pair[::-1]
+        elif case == "floored":
+            # every lambda is positive, but the top rows project class 1
+            # onto its eigenvalue floor
+            comps = floored_class_model()[0].components
+            n = 5
+        elif case == "identical":
+            comps = (spd, spd)
+        elif case == "zero_prior":
+            other = random_model(n, 1, seed=77).components[0]
+            comps = (spd.with_prior(1.0), other.with_prior(0.0))
+        else:
+            comps, opts = random_model(n, 2, seed=77).components, AscentOptions(0)
+        model = GmmModel(components=comps)
+        state = AcquisitionState.initial(model, sigma2, b)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            block = design_classification_block(state, model, b, seed=78, opts=opts)
+        (record,) = caplog.records
+        stop = record.getMessage().split("stop=")[1]
+        post = posterior_matrices(state, model)
+        start = random_orthonormal(b, n, seed=78).rows
+        proj = _project(start, post)
+        ascent = _ascend(start, proj, _score(proj, state.class_priors), post,
+                         state.class_priors, opts.max_iters)
+        assert np.array_equal(block, ascent[0]) and stop == ascent[4]
+        if case == "identical":
+            assert stop == "flat" and np.array_equal(block, start)
+        if case == "max_iters_0":
+            assert stop == "max_iters" and np.array_equal(block, start)
+
+    @pytest.mark.parametrize("b", [2, 4])
+    def test_barzilai_borwein_steps_beat_the_doubling_rule(self, b, caplog):
+        model = random_model(9, 3, seed=74)
+        hist = random_orthonormal(2, 9, seed=75).rows
+        state = state_with_rows(model, hist, sigma2=0.05, measurements=[0.3, -0.4])
+        steps, norms, old_steps, old_norms = [], [], [], []
+        for s in range(10):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+                block = design_classification_block(state, model, b, seed=[74, s])
+            fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
+            steps.append(int(fields["ascent_steps"]))
+            grad = gradient_at(block, state, model)
+            norms.append(np.linalg.norm(grad - grad @ block.T @ block))
+            old = doubling_ascent(state, model, b, [74, s])
+            old_steps.append(old[0])
+            old_norms.append(old[1])
+        assert sum(steps) < sum(old_steps)
+        assert np.median(norms) < np.median(old_norms)
 
 
 class TestDesignLogging:
@@ -583,6 +718,19 @@ class TestDesignLogging:
         fields = self.logged(caplog)
         assert (fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == ("0", "0", stop)
 
+    def test_closed_form_logs_no_steps(self, caplog):
+        model = random_model(6, 2, seed=79)
+        state = AcquisitionState.initial(model, 0.1, 3)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            block = design_classification_block(state, model, 3, seed=80)
+        fields = self.logged(caplog)
+        assert (fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
+            "0", "0", "closed_form"
+        )
+        assert float(fields["score"]) == pytest.approx(
+            separability_measure(block, state, model), rel=1e-11
+        )
+        assert float(fields["grad_norm"]) <= 1e-10
 
     def test_kink_at_a_floored_class_stops_with_no_ascent(self, caplog):
         # the best rows push class 1's projection onto its floor, where the

@@ -14,7 +14,7 @@ from gmmsense.adaptive import (
 )
 from gmmsense.design import eigen_sensing, random_orthonormal, rip_ab
 from gmmsense.inference import map_classify, wiener_coefficients
-from gmmsense.model import GaussianComponent, GmmModel, sample_signals
+from gmmsense.model import GaussianComponent, GmmModel, SignalBatch, sample_signals
 from gmmsense.patches import write_pgm
 from gmmsense.protocol import (
     _TAG_DESIGN,
@@ -90,6 +90,15 @@ def test_full_detection_budget_is_the_single_step_protocol(model, batch):
         assert report.squared_errors[i] == pytest.approx(
             np.sum((x - xhat) ** 2) / N, rel=1e-10, abs=1e-15
         )
+
+
+@pytest.mark.parametrize("pair", [("rip_ab", "eigen_mse"), ("aida_sht", "mi_adaptive")])
+def test_labels_above_the_class_count_are_rejected(pair, model, batch):
+    labelled = SignalBatch(signals=batch.signals, labels=np.full(batch.n_signals, 7))
+    with pytest.raises(ValueError, match="labels go up to 7, but the model has 2 classes"):
+        run_two_step(config_for(*pair), labelled, model)
+    labelled = SignalBatch(signals=batch.signals, labels=np.full(batch.n_signals, 2))
+    assert run_two_step(config_for(*pair), labelled, model).accuracy is not None
 
 
 def per_signal_reference(config, batch, model):
@@ -439,6 +448,17 @@ def test_cli_rejects_a_malformed_config(config, message, data, tmp_path, capsys)
         assert run_protocol(data, path, tmp_path / "r.json", *extra) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_rejects_labels_above_the_class_count(data, tmp_path, capsys):
+    labels = tmp_path / "labels.csv"
+    labels.write_text("7\n" * 12)
+    config = write_json(
+        tmp_path / "c.json", {"step1": "rip_ab", "step2": "eigen_mse", "M": M, "K": K}
+    )
+    assert run_protocol(data, config, tmp_path / "r.json", "--labels", str(labels)) == 1
+    assert capsys.readouterr().err == "error: labels go up to 7, but the model has 2 classes\n"
     assert not (tmp_path / "r.json").exists()
 
 
