@@ -37,6 +37,14 @@ def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
     return out
 
 
+def _require_finite(a: np.ndarray, what: str) -> None:
+    """ValueError naming the first signal whose entry of a is NaN or infinite."""
+    bad = ~np.isfinite(a)
+    if bad.any():
+        row = int(np.flatnonzero(bad.reshape(a.shape[0], -1).any(axis=1))[0])
+        raise ValueError(f"{what} must be finite, but signal {row} is not")
+
+
 def spd_eigendecompose(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric PSD matrix into (basis, eigenvalues).
 
@@ -211,6 +219,7 @@ class SignalBatch:
         object.__setattr__(self, "signals", _readonly(self.signals))
         if self.signals.ndim != 2 or self.signals.shape[0] < 1:
             raise ValueError("signals must be a nonempty (S, N) array")
+        _require_finite(self.signals, "signals")
         if self.labels is not None:
             labels = _readonly(self.labels, dtype=int)
             if labels.shape != (self.signals.shape[0],):
@@ -222,6 +231,7 @@ class SignalBatch:
             dc = _readonly(self.dc_offsets)
             if dc.shape != (self.signals.shape[0],):
                 raise ValueError("dc_offsets length must match the signal count")
+            _require_finite(dc, "dc_offsets")
             object.__setattr__(self, "dc_offsets", dc)
 
     @property

@@ -14,10 +14,14 @@ one likelihood pass over all signals, then one step-2 design and one
 Wiener solve per decided class. aida_sht designs rows per signal and runs
 signal by signal.
 
-All randomness derives from (seed, purpose tag, signal index), so reports
-are reproducible and independent of evaluation order. Each signal's
-measurement noise is one M-vector from its own stream; its j-th
-measurement, in acquisition order over both steps, gets entry j.
+All randomness derives from the seed and a purpose tag, so reports are
+reproducible and independent of evaluation order. The measurement noise
+of a batch is one (S, N) standard-normal draw from the stream
+[_TAG_NOISE, seed], N the signal dimension: signal i takes row i, and its
+j-th measurement, in acquisition order over both steps, gets entry j.
+Row i depends only on (seed, i, N), not on the batch size, the budgets or
+the other signals, so runs with different M see the same noise for the
+same measurement.
 """
 
 from __future__ import annotations
@@ -67,6 +71,10 @@ VALID_PROTOCOL_PAIRS = (
 _TAG_DESIGN = 101
 _TAG_NOISE = 202
 _TAG_SHT = 303
+
+# Rows of noise drawn at a time: bounds the draw's memory to one chunk of
+# full-dimension rows on top of the (S, M) noise that is kept.
+_NOISE_CHUNK = 1024
 
 
 def _checked_keys(cls, d, what: str) -> dict:
@@ -273,18 +281,23 @@ def sigma2_for_snr_db(batch: SignalBatch, snr_db: float) -> float:
     return energy * 10.0 ** (-snr_db / 10.0)
 
 
-def _noise(config: ProtocolConfig, n_signals: int) -> np.ndarray:
+def _noise(config: ProtocolConfig, n_signals: int, dimension: int) -> np.ndarray:
     """Measurement noise of a batch, one M-vector per signal.
 
-    Row i is sqrt(sigma2) times M standard normal draws from signal i's own
-    stream [_TAG_NOISE, seed, i]. With sigma2 = 0 no stream is drawn.
+    Row i is sqrt(sigma2) times the first M entries of row i of an
+    (n_signals, dimension) standard-normal draw from the one stream
+    [_TAG_NOISE, seed]. The draw runs _NOISE_CHUNK rows at a time, which
+    fills the same numbers as a single draw, and keeps only M columns of
+    each chunk. With sigma2 = 0 nothing is drawn.
     """
     noise = np.zeros((n_signals, config.M))
     if config.sigma2 > 0.0:
         scale = np.sqrt(config.sigma2)
-        for i in range(n_signals):
-            rng = np.random.default_rng([_TAG_NOISE, config.seed, i])
-            noise[i] = scale * rng.standard_normal(config.M)
+        rng = np.random.default_rng([_TAG_NOISE, config.seed])
+        for start in range(0, n_signals, _NOISE_CHUNK):
+            stop = min(start + _NOISE_CHUNK, n_signals)
+            draw = rng.standard_normal((stop - start, dimension))
+            noise[start:stop] = scale * draw[:, : config.M]
     return noise
 
 
@@ -467,8 +480,9 @@ def run_two_step(
     The non-adaptive designs (random, rip_ab, ida) run the whole batch at
     once: one likelihood pass, then one step-2 design and one Wiener solve
     per decided class; aida_sht runs signal by signal. Signal i's noise is
-    one M-vector from its own stream [_TAG_NOISE, seed, i], used in
-    acquisition order, so its report does not depend on the other signals.
+    row i of one standard-normal draw of N columns from the stream
+    [_TAG_NOISE, seed], used in acquisition order, so its report does not
+    depend on the batch size or on the other signals.
     Labels above the model's class count are rejected with ValueError.
     """
     config.validate_against(model)
@@ -480,7 +494,7 @@ def run_two_step(
             f"{model.n_components} classes"
         )
     t0 = time.perf_counter()
-    noise = _noise(config, batch.n_signals)
+    noise = _noise(config, batch.n_signals, batch.dimension)
     run = _run_sequential if config.step1 == "aida_sht" else _run_shared
     classes, k_used, estimates = run(config, batch, model, noise)
     squared_errors = np.sum((batch.signals - estimates) ** 2, axis=1) / batch.dimension

@@ -9,6 +9,7 @@ the priors, dimensions, and the noise level used in training.
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -40,7 +41,12 @@ def write_matrix(path, matrix: np.ndarray) -> None:
 
 
 def read_matrix(path) -> np.ndarray:
-    """Read a matrix written by write_matrix."""
+    """Read a matrix written by write_matrix.
+
+    The payload the header declares must be exactly the bytes left in the
+    file; this is checked before anything is read, so a corrupt header
+    cannot ask for an absurd allocation.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -48,14 +54,17 @@ def read_matrix(path) -> np.ndarray:
         header = fh.read(8)
         if len(header) != 8:
             raise ValueError(f"{path}: truncated header")
-        rows, cols = np.frombuffer(header, dtype="<u4")
-        payload = fh.read(int(rows) * int(cols) * 8)
-        if len(payload) != int(rows) * int(cols) * 8:
-            raise ValueError(f"{path}: truncated payload")
-        extra = fh.read(1)
-        if extra:
-            raise ValueError(f"{path}: trailing bytes after payload")
-    return np.frombuffer(payload, dtype="<f8").reshape(int(rows), int(cols)).copy()
+        rows, cols = (int(v) for v in np.frombuffer(header, dtype="<u4"))
+        declared = rows * cols * 8
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared != left:
+            problem = "truncated payload" if declared > left else "trailing bytes after payload"
+            raise ValueError(
+                f"{path}: {problem}: the header declares {rows}x{cols} "
+                f"({declared} bytes), the file holds {left}"
+            )
+        payload = fh.read(declared)
+    return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

@@ -243,3 +243,14 @@ class TestSignalBatch:
     def test_dc_offsets_length_checked(self):
         with pytest.raises(ValueError):
             SignalBatch(signals=np.zeros((2, 3)), dc_offsets=np.zeros(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_signals_rejected(self, bad):
+        signals = np.zeros((3, 4))
+        signals[1, 2] = bad
+        with pytest.raises(ValueError, match="signals must be finite, but signal 1 is not"):
+            SignalBatch(signals=signals)
+
+    def test_non_finite_dc_offsets_rejected(self):
+        with pytest.raises(ValueError, match="dc_offsets must be finite, but signal 2 is not"):
+            SignalBatch(signals=np.zeros((3, 4)), dc_offsets=np.array([0.0, 1.0, np.nan]))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -23,7 +24,9 @@ from gmmsense.protocol import (
     ExperimentReport,
     ProtocolConfig,
     run_two_step,
+    sigma2_for_snr_db,
 )
+from gmmsense.serialize import read_matrix, write_matrix
 from gmmsense.synthetic import synth_model_pair
 
 N, M, K = 16, 6, 3
@@ -40,9 +43,9 @@ def batch(model):
     return sample_signals(model, 6, seed=2)
 
 
-def config_for(step1, step2, k=K, **kw):
+def config_for(step1, step2, k=K, sigma2=0.01, **kw):
     return ProtocolConfig(
-        step1, step2, M=M, K=k, b=2, sigma2=0.01, ascent=FAST, seed=3, **kw
+        step1, step2, M=M, K=k, b=2, sigma2=sigma2, ascent=FAST, seed=3, **kw
     )
 
 
@@ -103,8 +106,8 @@ def test_labels_above_the_class_count_are_rejected(pair, model, batch):
 
 def per_signal_reference(config, batch, model):
     """A non-adaptive protocol run one signal at a time through the public
-    API, with the documented noise layout: signal i's noise is one M-vector
-    from its own stream, the first K entries for step 1."""
+    API, with the documented noise layout: signal i's noise is the first M
+    entries of row i of one (S, N) draw, the first K entries for step 1."""
     n, m, k, sigma2 = model.dimension, config.M, config.K, config.sigma2
     design_seed = [_TAG_DESIGN, config.seed]
     if config.step1 == "random":
@@ -118,8 +121,8 @@ def per_signal_reference(config, batch, model):
     for i, x in enumerate(batch.signals):
         z = np.zeros(m)
         if sigma2 > 0.0:
-            rng = np.random.default_rng([_TAG_NOISE, config.seed, i])
-            z = np.sqrt(sigma2) * rng.standard_normal(m)
+            rng = np.random.default_rng([_TAG_NOISE, config.seed])
+            z = np.sqrt(sigma2) * rng.standard_normal((i + 1, n))[i, :m]
         state = AcquisitionState.initial(model, sigma2, config.b)
         state = state.append_block(rows1, rows1 @ x + z[:k], model)
         gamma = map_classify(state, model)
@@ -188,6 +191,71 @@ def test_zero_prior_class_contract(pair, b, sigma2, model, monkeypatch):
         decided = [o.decided_class for o in outcomes if o.decided_class is not None]
         assert decided  # the sequential test does decide on this model
         assert 1 not in decided
+
+
+@pytest.mark.parametrize("chunk", [1, 4, 10, protocol._NOISE_CHUNK])
+def test_chunked_noise_equals_one_draw(chunk, monkeypatch):
+    monkeypatch.setattr(protocol, "_NOISE_CHUNK", chunk)
+    config = ProtocolConfig("rip_ab", "eigen_mse", M=M, K=K, sigma2=0.25, seed=9)
+    draw = np.random.default_rng([_TAG_NOISE, 9]).standard_normal((10, N))
+    assert np.array_equal(protocol._noise(config, 10, N), 0.5 * draw[:, :M])
+
+
+def record_noise_streams(monkeypatch):
+    """The seeds of every generator built with the noise tag, in a list."""
+    real_default_rng, seeds = np.random.default_rng, []
+
+    def recording_default_rng(seed=None):
+        if isinstance(seed, (list, tuple)) and seed[0] == _TAG_NOISE:
+            seeds.append(list(seed))
+        return real_default_rng(seed)
+
+    monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+    return seeds
+
+
+@pytest.mark.parametrize("pair", VALID_PROTOCOL_PAIRS, ids="+".join)
+def test_zero_noise_draws_nothing_and_senses_exactly(pair, model, batch, monkeypatch):
+    config = ProtocolConfig(*pair, M=M, K=K, b=2, ascent=FAST, seed=3)
+    seeds = record_noise_streams(monkeypatch)
+    report = run_two_step(config, batch, model)
+    assert seeds == []
+    monkeypatch.setattr(protocol, "_noise", lambda config, s, n: np.zeros((s, config.M)))
+    assert report.same_results(run_two_step(config, batch, model))
+    monkeypatch.undo()
+    seeds = record_noise_streams(monkeypatch)
+    run_two_step(dataclasses.replace(config, sigma2=0.01), batch, model)
+    assert seeds == [[_TAG_NOISE, 3]]  # one stream for the whole batch
+
+
+def test_a_signals_noise_depends_only_on_seed_index_and_dimension():
+    config = ProtocolConfig("rip_ab", "eigen_mse", M=M, K=K, sigma2=0.25, seed=9)
+    fewer = dataclasses.replace(config, M=K)
+    assert np.array_equal(protocol._noise(config, 12, N)[:5, :K], protocol._noise(fewer, 5, N))
+
+
+# At 0 dB SNR another noise draw changes the classes of several signals, so
+# the two tests below fail if a signal's noise depends on the batch or on M.
+@pytest.mark.parametrize("pair", [("rip_ab", "eigen_mse"), ("aida_sht", "mi_adaptive")])
+def test_a_signals_result_does_not_depend_on_the_batch_size(pair, model):
+    batch = sample_signals(model, 12, seed=8)
+    head = SignalBatch(signals=batch.signals[:5], labels=batch.labels[:5])
+    config = config_for(*pair, sigma2=sigma2_for_snr_db(batch, 0.0))
+    full = run_two_step(config, batch, model)
+    cut = run_two_step(config, head, model)
+    assert np.array_equal(full.classes[:5], cut.classes)
+    assert np.array_equal(full.k_used[:5], cut.k_used)
+
+
+def test_detection_does_not_depend_on_the_total_budget(model):
+    # Common random numbers: step-1 measurement j gets the same noise entry
+    # whatever M is, so the detected classes agree between K = M and K < M.
+    batch = sample_signals(model, 24, seed=5)
+    sigma2 = sigma2_for_snr_db(batch, 0.0)
+    single = ProtocolConfig("rip_ab", "eigen_mse", M=K, K=K, sigma2=sigma2, seed=3)
+    two_step = dataclasses.replace(single, M=M)
+    report = run_two_step(single, batch, model)
+    assert np.array_equal(report.classes, run_two_step(two_step, batch, model).classes)
 
 
 class TestConfigFromDict:
@@ -460,6 +528,23 @@ def test_cli_rejects_labels_above_the_class_count(data, tmp_path, capsys):
     assert run_protocol(data, config, tmp_path / "r.json", "--labels", str(labels)) == 1
     assert capsys.readouterr().err == "error: labels go up to 7, but the model has 2 classes\n"
     assert not (tmp_path / "r.json").exists()
+
+
+def test_cli_rejects_signals_holding_a_nan(data, tmp_path, capsys):
+    signals = read_matrix(data / "signals.scsm")
+    signals[3, 5] = np.nan
+    path = tmp_path / "nan.scsm"
+    write_matrix(path, signals)
+    config = write_json(
+        tmp_path / "c.json", {"step1": "rip_ab", "step2": "eigen_mse", "M": M, "K": K}
+    )
+    out = tmp_path / "r.json"
+    assert cli.main([
+        "run-protocol", "--config", config, "--model", str(data / "model"),
+        "--signals", str(path), "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == "error: signals must be finite, but signal 3 is not\n"
+    assert not out.exists()
 
 
 def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -61,6 +62,30 @@ def test_read_rejects_malformed_files(tmp_path, mangle, message):
     path.write_bytes(mangle(_valid_bytes(tmp_path)))
     with pytest.raises(ValueError, match=message):
         read_matrix(path)
+
+
+@pytest.mark.parametrize(
+    "rows, cols, payload",
+    [(2**31, 2**31, b""), (65536, 65536, bytes(16))],
+    ids=["overflowing", "huge"],
+)
+def test_read_checks_the_declared_size_before_reading(tmp_path, rows, cols, payload):
+    # 2^31 x 2^31 used to raise OverflowError in read; 65536 x 65536 used to
+    # ask read for 32 GiB. Both are rejected from the file size alone.
+    path = tmp_path / "huge.scsm"
+    path.write_bytes(b"SCSM" + np.array([rows, cols], dtype="<u4").tobytes() + payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(err.value) == (
+        f"{path}: truncated payload: the header declares {rows}x{cols} "
+        f"({rows * cols * 8} bytes), the file holds {len(payload)}"
+    )
 
 
 @pytest.mark.parametrize(
