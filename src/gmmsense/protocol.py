@@ -72,10 +72,6 @@ _TAG_DESIGN = 101
 _TAG_NOISE = 202
 _TAG_SHT = 303
 
-# Rows of noise drawn at a time: bounds the draw's memory to one chunk of
-# full-dimension rows on top of the (S, M) noise that is kept.
-_NOISE_CHUNK = 1024
-
 
 def _checked_keys(cls, d, what: str) -> dict:
     """A copy of mapping d, or a ValueError naming the keys cls cannot take."""
@@ -284,21 +280,14 @@ def sigma2_for_snr_db(batch: SignalBatch, snr_db: float) -> float:
 def _noise(config: ProtocolConfig, n_signals: int, dimension: int) -> np.ndarray:
     """Measurement noise of a batch, one M-vector per signal.
 
-    Row i is sqrt(sigma2) times the first M entries of row i of an
-    (n_signals, dimension) standard-normal draw from the one stream
-    [_TAG_NOISE, seed]. The draw runs _NOISE_CHUNK rows at a time, which
-    fills the same numbers as a single draw, and keeps only M columns of
-    each chunk. With sigma2 = 0 nothing is drawn.
+    Row i is sqrt(sigma2) times the first M entries of row i of one
+    (n_signals, dimension) standard-normal draw from the stream
+    [_TAG_NOISE, seed]. With sigma2 = 0 nothing is drawn.
     """
-    noise = np.zeros((n_signals, config.M))
-    if config.sigma2 > 0.0:
-        scale = np.sqrt(config.sigma2)
-        rng = np.random.default_rng([_TAG_NOISE, config.seed])
-        for start in range(0, n_signals, _NOISE_CHUNK):
-            stop = min(start + _NOISE_CHUNK, n_signals)
-            draw = rng.standard_normal((stop - start, dimension))
-            noise[start:stop] = scale * draw[:, : config.M]
-    return noise
+    if config.sigma2 == 0.0:
+        return np.zeros((n_signals, config.M))
+    rng = np.random.default_rng([_TAG_NOISE, config.seed])
+    return np.sqrt(config.sigma2) * rng.standard_normal((n_signals, dimension))[:, : config.M]
 
 
 def _sensor(x: np.ndarray, noise: np.ndarray):

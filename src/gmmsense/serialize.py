@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import stat
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,8 @@ __all__ = [
 
 _MAGIC = b"SCSM"
 _MANIFEST_NAME = "manifest.json"
+# Bytes read at a time from a pipe or other non-seekable input.
+_READ_PIECE = 1 << 16
 
 
 def write_matrix(path, matrix: np.ndarray) -> None:
@@ -43,9 +46,11 @@ def write_matrix(path, matrix: np.ndarray) -> None:
 def read_matrix(path) -> np.ndarray:
     """Read a matrix written by write_matrix.
 
-    The payload the header declares must be exactly the bytes left in the
-    file; this is checked before anything is read, so a corrupt header
-    cannot ask for an absurd allocation.
+    The payload the header declares must be exactly the rest of the input.
+    For a regular file this is checked against the file size before
+    anything is read. A pipe or FIFO is read in bounded pieces until the
+    declared size is passed or the input ends. Either way a corrupt
+    header cannot ask for an absurd allocation.
     """
     with open(path, "rb") as fh:
         magic = fh.read(4)
@@ -56,15 +61,35 @@ def read_matrix(path) -> np.ndarray:
             raise ValueError(f"{path}: truncated header")
         rows, cols = (int(v) for v in np.frombuffer(header, dtype="<u4"))
         declared = rows * cols * 8
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if declared != left:
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode):
+            left = st.st_size - fh.tell()
+            holds = str(left)
+            payload = fh.read(declared) if left == declared else b""
+        else:
+            payload = _read_at_most(fh, declared + 1)
+            left = len(payload)
+            holds = str(left) if left < declared else "more"
+        if left != declared:
             problem = "truncated payload" if declared > left else "trailing bytes after payload"
             raise ValueError(
                 f"{path}: {problem}: the header declares {rows}x{cols} "
-                f"({declared} bytes), the file holds {left}"
+                f"({declared} bytes), the file holds {holds}"
             )
-        payload = fh.read(declared)
     return np.frombuffer(payload, dtype="<f8").reshape(rows, cols).copy()
+
+
+def _read_at_most(fh, n: int) -> bytes:
+    """Up to n bytes of fh, read _READ_PIECE at a time so that memory
+    grows with what the input holds, not with n."""
+    pieces, got = [], 0
+    while got < n:
+        piece = fh.read(min(n - got, _READ_PIECE))
+        if not piece:
+            break
+        pieces.append(piece)
+        got += len(piece)
+    return b"".join(pieces)
 
 
 def write_matrix_csv(path, matrix: np.ndarray) -> None:

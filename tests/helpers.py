@@ -1,5 +1,8 @@
 """Model, matrix and image builders shared by the test modules."""
 
+import os
+import threading
+
 import numpy as np
 
 from gmmsense.model import GaussianComponent, GmmModel
@@ -65,3 +68,22 @@ def make_image(seed: int, size: int = 96) -> np.ndarray:
     img += 20.0 * ((xx - 0.5) * rng.standard_normal() + (yy - 0.5) * rng.standard_normal())
     img += 1.5 * rng.standard_normal((size, size))
     return np.clip(img, 0, 255)
+
+
+def fifo_of(path, raw: bytes):
+    """Make a FIFO at path that hands raw to the first reader to open it.
+
+    A daemon thread writes raw and closes the FIFO; a reader that stops
+    early breaks the pipe, which the writer ignores.
+    """
+    os.mkfifo(path)
+
+    def feed():
+        try:
+            with open(path, "wb", buffering=0) as fh:
+                fh.write(raw)
+        except BrokenPipeError:
+            pass
+
+    threading.Thread(target=feed, daemon=True).start()
+    return path

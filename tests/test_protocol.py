@@ -1,10 +1,11 @@
 import dataclasses
 import json
+import os
 
 import numpy as np
 import pytest
 
-from helpers import make_image
+from helpers import fifo_of, make_image
 from gmmsense import cli, protocol
 from gmmsense.adaptive import (
     AcquisitionState,
@@ -191,14 +192,6 @@ def test_zero_prior_class_contract(pair, b, sigma2, model, monkeypatch):
         decided = [o.decided_class for o in outcomes if o.decided_class is not None]
         assert decided  # the sequential test does decide on this model
         assert 1 not in decided
-
-
-@pytest.mark.parametrize("chunk", [1, 4, 10, protocol._NOISE_CHUNK])
-def test_chunked_noise_equals_one_draw(chunk, monkeypatch):
-    monkeypatch.setattr(protocol, "_NOISE_CHUNK", chunk)
-    config = ProtocolConfig("rip_ab", "eigen_mse", M=M, K=K, sigma2=0.25, seed=9)
-    draw = np.random.default_rng([_TAG_NOISE, 9]).standard_normal((10, N))
-    assert np.array_equal(protocol._noise(config, 10, N), 0.5 * draw[:, :M])
 
 
 def record_noise_streams(monkeypatch):
@@ -545,6 +538,25 @@ def test_cli_rejects_signals_holding_a_nan(data, tmp_path, capsys):
     ]) == 1
     assert capsys.readouterr().err == "error: signals must be finite, but signal 3 is not\n"
     assert not out.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+def test_cli_reads_signals_through_a_fifo(data, tmp_path):
+    # As with --signals <(cat signals.scsm): the report equals the file's.
+    config = write_json(
+        tmp_path / "c.json", {"step1": "rip_ab", "step2": "eigen_mse", "M": M, "K": K}
+    )
+    fifo = fifo_of(tmp_path / "pipe.scsm", (data / "signals.scsm").read_bytes())
+    reports = []
+    for signals, name in ((data / "signals.scsm", "file.json"), (fifo, "fifo.json")):
+        assert cli.main([
+            "run-protocol", "--config", config, "--model", str(data / "model"),
+            "--signals", str(signals), "--out", str(tmp_path / name),
+        ]) == 0
+        report = json.loads((tmp_path / name).read_text())
+        report.pop("wall_time_s")
+        reports.append(report)
+    assert reports[0] == reports[1]
 
 
 def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):

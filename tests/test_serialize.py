@@ -1,10 +1,11 @@
 import json
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import random_model
+from helpers import fifo_of, random_model
 from gmmsense import cli
 from gmmsense.serialize import load_model, read_matrix, save_model, write_matrix
 
@@ -74,6 +75,59 @@ def test_read_checks_the_declared_size_before_reading(tmp_path, rows, cols, payl
     # ask read for 32 GiB. Both are rejected from the file size alone.
     path = tmp_path / "huge.scsm"
     path.write_bytes(b"SCSM" + np.array([rows, cols], dtype="<u4").tobytes() + payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as err:
+            read_matrix(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert str(err.value) == (
+        f"{path}: truncated payload: the header declares {rows}x{cols} "
+        f"({rows * cols * 8} bytes), the file holds {len(payload)}"
+    )
+
+
+needs_fifo = pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs os.mkfifo")
+
+
+@needs_fifo
+def test_matrix_reads_through_a_fifo(tmp_path):
+    # A pipe has no size to check up front, as with --signals <(cmd).
+    a = np.random.default_rng(2).standard_normal((3, 5))
+    write_matrix(tmp_path / "m.scsm", a)
+    path = fifo_of(tmp_path / "pipe.scsm", (tmp_path / "m.scsm").read_bytes())
+    assert np.array_equal(read_matrix(path).view(np.uint64), a.view(np.uint64))
+
+
+@needs_fifo
+@pytest.mark.parametrize(
+    "mangle, problem, holds",
+    [
+        (lambda raw: raw[:-1], "truncated payload", "47"),
+        (lambda raw: raw + b"\0", "trailing bytes after payload", "more"),
+    ],
+    ids=["truncated", "trailing"],
+)
+def test_fifo_payload_must_match_the_header(tmp_path, mangle, problem, holds):
+    path = fifo_of(tmp_path / "pipe.scsm", mangle(_valid_bytes(tmp_path)))
+    with pytest.raises(ValueError) as err:
+        read_matrix(path)
+    assert str(err.value) == (
+        f"{path}: {problem}: the header declares 2x3 (48 bytes), the file holds {holds}"
+    )
+
+
+@needs_fifo
+@pytest.mark.parametrize(
+    "rows, cols, payload",
+    [(2**31, 2**31, b""), (65536, 65536, bytes(200_000))],
+    ids=["overflowing", "huge"],
+)
+def test_fifo_huge_header_reads_only_what_arrives(tmp_path, rows, cols, payload):
+    raw = b"SCSM" + np.array([rows, cols], dtype="<u4").tobytes() + payload
+    path = fifo_of(tmp_path / "pipe.scsm", raw)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError) as err:
