@@ -7,13 +7,14 @@ projected class covariances. The measure upper-bounds the mutual
 information between the new measurements and the class label given the
 measurement history. For two classes and an empty history its optimum is
 closed form: the top generalized eigenvectors of the two class covariances
-(plus noise), ranked by their share of the measure. Otherwise it has a
-closed-form gradient, so blocks are designed by steepest ascent with
-re-orthonormalization, whose line searches start from Barzilai-Borwein
-step lengths for blocks of several rows. A single row also has a cheap
-closed-form Hessian, so after a short ascent it is polished by Riemannian
-Newton on the unit sphere. For reconstruction with a known class, the
-optimal block is closed form: the top eigenvectors of that class's
+(plus noise), ranked by their share of the measure. Otherwise a block starts
+from the spectral start: the generalized eigenvectors of the mixture
+posterior and the posterior of the most likely class, scored as single rows
+in one pass. A single row has a cheap closed-form Hessian, so it is then
+polished by Riemannian Newton on the unit sphere; a block of several rows
+takes steepest ascent with re-orthonormalization, whose line searches start
+from Barzilai-Borwein step lengths. For reconstruction with a known class,
+the optimal block is closed form: the top eigenvectors of that class's
 posterior covariance given the history.
 """
 
@@ -354,11 +355,8 @@ _STEP0 = 0.1
 _MAX_BACKTRACKS = 40
 _TOL = 1e-6
 
-# Single-row blocks: the ascent takes at most _GLOBAL_STEPS accepted steps,
-# whose large early steps find a good basin (Newton from a random start
-# lands in the nearest local maximum), then Riemannian Newton polishes
-# until the norm of the gradient on the sphere is at most _GRAD_TOL.
-_GLOBAL_STEPS = 20
+# Single-row blocks: Riemannian Newton polishes until the norm of the
+# gradient on the sphere is at most _GRAD_TOL.
 _GRAD_TOL = 1e-9
 # Predicted gain, relative to max(1, |score|), below which the score's
 # rounding (a few ulps of the summed log-determinants) hides a step's gain.
@@ -371,12 +369,11 @@ _LOG = logging.getLogger("gmmsense")
 class AscentOptions:
     """Options of the block design.
 
-    max_iters caps the accepted steps of each phase of the design: of the
-    steepest ascent (Barzilai-Borwein steps for b > 1) and, for a
-    single-row block, of the Newton polish that follows it. 0 returns the
-    seeded random starting block, also where the two-class closed form
-    would apply. The closed form takes no steps and does not depend on the
-    seed.
+    max_iters caps the accepted steps of the search that follows the
+    starting block: Riemannian Newton for a single-row block (b = 1),
+    steepest ascent with Barzilai-Borwein steps for b > 1. 0 returns the
+    starting block itself: the two-class closed form, the spectral start
+    or, where no pencil factor exists, the seeded random block.
     """
 
     max_iters: int = 200
@@ -405,33 +402,35 @@ def design_classification_block(
     + sigma2 I, the measure splits over the generalized eigenvectors of
     (P_1, P_2) into sum f(lambda_i), f(lambda) = 1/2 [log(w_1 lambda +
     w_2) - w_1 log lambda], and the b eigenvectors with the largest f,
-    orthonormalized, are returned. That result does not depend on the
-    seed. The closed form is skipped, and the ascent below runs, when
-    max_iters is 0, when P_1 and P_2 are bitwise equal, when P_2 has no
-    Cholesky factor or some lambda <= 0, or when a projected eigenvalue of
-    the result sits at its floor.
+    orthonormalized, are returned. The closed form is skipped when P_1 and
+    P_2 are bitwise equal, when P_2 has no Cholesky factor or some lambda
+    <= 0, or when a projected eigenvalue of the result sits at its floor.
 
-    Otherwise: steepest ascent from a seeded random orthonormal block;
-    every accepted iterate re-orthonormalizes the rows (row-space
-    preserving) and never decreases the objective, so the returned block
-    scores at least as high as the initialization. For b > 1 the first
-    trial of each line search after the first is a Barzilai-Borwein step
-    (Barzilai & Borwein 1988; Wen & Yin 2013), alternating the long and the
-    short length. A single-row block (b = 1) takes at most _GLOBAL_STEPS
-    ascent steps and is then polished by Riemannian Newton on the unit
+    Otherwise the design starts from the spectral start (_spectral_start):
+    the best of the generalized eigenvectors of the mixture posterior and
+    the posterior of the most likely class, scored as single rows. Only
+    where that pencil has no factor does it start from a seeded random
+    orthonormal block; the seed matters nowhere else. From the start, a
+    single-row block (b = 1) is polished by Riemannian Newton on the unit
     sphere until the norm of its gradient there is at most _GRAD_TOL; a
     Newton step whose gain is below the score's rounding is ranked by the
-    gradient norm instead. With empty history this is the non-adaptive
-    design; a full K-row non-adaptive layout is produced by a single call
-    with b = K.
+    gradient norm instead. A block of b > 1 rows takes steepest ascent
+    with re-orthonormalization (row-space preserving), whose line searches
+    after the first start from Barzilai-Borwein lengths (Barzilai & Borwein
+    1988; Wen & Yin 2013), alternating the long and the short one. Every
+    accepted step strictly raises the score, so the returned block scores
+    at least as high as its start. With empty history this is the
+    non-adaptive design; a full K-row non-adaptive layout is produced by a
+    single call with b = K.
 
     With the "gmmsense" logger enabled at DEBUG, each call logs one record
-    with b, the ascent and Newton steps taken, the final score, the final
-    gradient norm (tangent to the row space) and the stop reason:
-    "closed_form" (two-class optimum, no steps), "grad" (gradient norm
-    reached), "tol" (relative improvement below _TOL, b > 1), "no_ascent"
-    (no trial step improved the score), "max_iters" or "flat" (gradient
-    exactly zero).
+    with b, the start ("closed_form", "spectral" or "seeded"), the ascent
+    and Newton steps taken, the final score, the final gradient norm
+    (tangent to the row space) and the stop reason: "closed_form"
+    (two-class optimum, no steps), "grad" (gradient norm reached, b = 1),
+    "tol" (relative improvement below _TOL, b > 1), "no_ascent" (no trial
+    step improved the score), "max_iters" or "flat" (gradient exactly
+    zero, as for identical classes or a class already decided).
     """
     if opts is None:
         opts = AscentOptions()
@@ -441,32 +440,34 @@ def design_classification_block(
     posteriors = posterior_matrices(state, model)
     weights = state.class_priors
     closed = None
-    if opts.max_iters > 0 and state.n_measurements == 0 and weights.shape == (2,):
+    if state.n_measurements == 0 and weights.shape == (2,):
         closed = _two_class_design(posteriors, weights, b)
     ascent_steps = newton_steps = 0
     if closed is not None:
         block, projection = closed
         score = _score(projection, weights)
-        reason = "closed_form"
+        start = reason = "closed_form"
     else:
-        block = random_orthonormal(b, n, seed=seed).rows
+        block, start = _spectral_start(posteriors, weights, b), "spectral"
+        if block is None:
+            block, start = random_orthonormal(b, n, seed=seed).rows, "seeded"
         projection = _project(block, posteriors)
         score = _score(projection, weights)
-        ascent_cap = min(opts.max_iters, _GLOBAL_STEPS) if b == 1 else opts.max_iters
-        block, projection, score, ascent_steps, reason = _ascend(
-            block, projection, score, posteriors, weights, ascent_cap
-        )
-        if b == 1 and reason != "flat":
+        if b == 1:
             block, projection, score, newton_steps, reason = _newton_on_sphere(
+                block, projection, score, posteriors, weights, opts.max_iters
+            )
+        else:
+            block, projection, score, ascent_steps, reason = _ascend(
                 block, projection, score, posteriors, weights, opts.max_iters
             )
     if _LOG.isEnabledFor(logging.DEBUG):
         grad = _gradient(projection, weights)
         grad_norm = float(np.linalg.norm(grad - grad @ block.T @ block))
         _LOG.debug(
-            "design_classification_block b=%d ascent_steps=%d newton_steps=%d "
+            "design_classification_block b=%d start=%s ascent_steps=%d newton_steps=%d "
             "score=%.12g grad_norm=%.3g stop=%s",
-            b, ascent_steps, newton_steps, score, grad_norm, reason,
+            b, start, ascent_steps, newton_steps, score, grad_norm, reason,
         )
     return block
 
@@ -502,16 +503,72 @@ def _two_class_design(posteriors: PosteriorMatrices, weights: np.ndarray, b: int
     return block, projection
 
 
+def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
+    """Starting block from the generalized eigenvectors of (Pavg, P_gamma).
+
+    gamma is the most likely class under weights (the first on a tie) and
+    Pavg the mixture posterior. Cholesky of P_gamma = L L^T, one inverse
+    of L and one eigh of L^-1 Pavg L^-T give N candidate rows L^-T v, each
+    normalized. A single row's measure is a weighted sum of log generalized
+    Rayleigh quotients, so these are natural candidates; with an empty
+    history and two classes they span the closed-form optimum. All candidates are scored as single
+    rows in one pass, from their floored projections and _score's formula;
+    the best one (b = 1), or the best b orthonormalized, are returned.
+
+    Where P_gamma has no factor (no Cholesky, or a pivot at the eigenvalue
+    floor; sigma2 = 0 with a history leaves the measured directions without
+    variance), the pencil is built on the range of Pavg: its eigenvectors
+    above EIG_FLOOR_REL times its scale. Returns None, and the design falls
+    back to a seeded random block, where that range is the whole space or
+    holds fewer than b directions, or P_gamma has no factor on it either.
+    """
+    stack, scales = posteriors.stack, posteriors.scales
+    gamma = int(np.argmax(weights))
+    p_avg, p_gamma = stack[-1], stack[gamma]
+    basis = None
+    chol = _factor(p_gamma, scales[gamma])
+    if chol is None:
+        vals, vecs = np.linalg.eigh(p_avg)
+        keep = vals > EIG_FLOOR_REL * scales[-1]
+        basis = vecs[:, keep]
+        if not b <= basis.shape[1] < p_avg.shape[0]:
+            return None
+        chol = _factor(basis.T @ p_gamma @ basis, scales[gamma])
+        if chol is None:
+            return None
+        p_avg = np.diag(vals[keep])
+    inv = np.linalg.inv(chol)
+    _, vecs = np.linalg.eigh(symmetrize(inv @ p_avg @ inv.T))
+    cand = vecs.T @ inv
+    if basis is not None:
+        cand = cand @ basis.T
+    cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+    proj = np.sum((cand @ stack) * cand, axis=-1)             # (G+1, candidates)
+    logs = np.log(np.maximum(proj, EIG_FLOOR_REL * scales[:, None]))
+    scores = 0.5 * np.sum(weights[:, None] * (logs[-1] - logs[:-1]), axis=0)
+    top = np.argsort(scores, kind="stable")[::-1][:b]
+    return _orthonormalize_block(cand[top])
+
+
+def _factor(p: np.ndarray, scale: float):
+    """Cholesky factor of p, or None where it fails or a squared pivot is
+    at most EIG_FLOOR_REL times scale (p singular up to rounding)."""
+    try:
+        chol = np.linalg.cholesky(p)
+    except np.linalg.LinAlgError:
+        return None
+    if float(np.diagonal(chol).min()) ** 2 <= EIG_FLOOR_REL * scale:
+        return None
+    return chol
+
+
 def _ascend(block, projection, score, posteriors, weights, max_steps):
     """Backtracking steepest ascent with re-orthonormalization.
 
-    The first line search starts at _STEP0. A block of b > 1 rows starts
-    each later one from a Barzilai-Borwein length (_bb_step), or from twice
-    the last accepted step where that is undefined. A single row always
-    starts from twice the last accepted step: its short ascent only has to
-    find the basin that Newton then polishes, and BB steps there ended in
-    lower basins. Returns (block, projection, score, accepted steps, stop
-    reason).
+    The first line search starts at _STEP0, each later one from a
+    Barzilai-Borwein length (_bb_step), or from twice the last accepted
+    step where that is undefined. Returns (block, projection, score,
+    accepted steps, stop reason).
     """
     step = _STEP0
     grad = _gradient(projection, weights)
@@ -539,10 +596,10 @@ def _ascend(block, projection, score, posteriors, weights, max_steps):
         if improvement < _TOL * max(abs(score), 1e-12):
             return block, projection, score, steps + 1, "tol"
         grad = _gradient(projection, weights)
-        # Twice the accepted step finds a well-scaled step in O(1) trials.
-        step = 2.0 * trial_step
-        if block.shape[0] > 1:
-            step = _bb_step(block, block - previous, grad - previous_grad, steps + 1) or step
+        step = (
+            _bb_step(block, block - previous, grad - previous_grad, steps + 1)
+            or 2.0 * trial_step
+        )
     return block, projection, score, max_steps, "max_iters"
 
 

@@ -7,7 +7,6 @@ import scipy.linalg
 from helpers import lowrank_component, random_model, random_spd
 from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows, principal_angles
 from gmmsense.adaptive import (
-    _GLOBAL_STEPS,
     _GRAD_TOL,
     AcquisitionState,
     AscentOptions,
@@ -20,7 +19,9 @@ from gmmsense.adaptive import (
     _newton_on_sphere,
     _project,
     _score,
+    _spectral_start,
     _sphere_gradient,
+    _two_class_design,
     design_classification_block,
     design_reconstruction_block,
     measurement_log_likelihoods,
@@ -29,6 +30,7 @@ from gmmsense.adaptive import (
 )
 from gmmsense.design import eigen_sensing, random_orthonormal
 from gmmsense.model import GaussianComponent, GmmModel
+from gmmsense.synthetic import synth_model_pair
 
 
 def gradient_at(block, state, model):
@@ -377,13 +379,16 @@ class TestEntropySurrogateAssembly:
 
 class TestDesignClassificationBlock:
     def test_flat_objective_returns_initialization(self):
+        # identical classes: the closed form does not apply, every row
+        # scores exactly 0 and the spectral start is returned unchanged
         cov = random_spd(5, seed=29)
         a = GaussianComponent.from_moments(np.zeros(5), cov, 0.5)
         model = GmmModel(components=(a, a.with_prior(0.5)))
         state = AcquisitionState.initial(model, 0.0, 1)
+        post = posterior_matrices(state, model)
         for b in (1, 2):
             block = design_classification_block(state, model, b, seed=30)
-            init = random_orthonormal(b, 5, seed=30).rows
+            init = _spectral_start(post, state.class_priors, b)
             assert np.array_equal(block, init)
             assert separability_measure(block, state, model) == 0.0
 
@@ -515,12 +520,30 @@ class TestSingleRowNewton:
             score = separability_measure(row, state, model)
             assert score >= steepest_ascent_score(state, model, [56, s])
 
+    def test_ten_classes_reach_the_gradient_tolerance_from_the_spectral_start(self, caplog):
+        model = random_model(8, 10, seed=54)
+        hist = random_orthonormal(2, 8, seed=55).rows
+        state = state_with_rows(model, hist, sigma2=0.05, measurements=[0.4, -0.2])
+        post = posterior_matrices(state, model)
+        w = state.class_priors
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            row = design_classification_block(state, model, 1, seed=56)
+        fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
+        assert (fields["start"], fields["ascent_steps"], fields["stop"]) == ("spectral", "0", "grad")
+        start = _spectral_start(post, w, 1)
+        proj = _project(start, post)
+        polished = _newton_on_sphere(start, proj, _score(proj, w), post, w, 200)
+        assert np.array_equal(row, polished[0]) and polished[4] == "grad"
+        grad = gradient_at(row, state, model)
+        assert np.linalg.norm(grad - (grad @ row.T) @ row) <= _GRAD_TOL
+
     def test_two_classes_reach_the_closed_form(self):
         # P_1 = P_2 + Q with Q positive definite puts every generalized
         # eigenvalue above 1, where the measure increases with the Rayleigh
         # quotient, so the top eigenvector is the only local maximum. The
-        # design returns it in closed form; the single-row ascent and Newton
-        # polish, run here directly, must reach it too.
+        # design returns it in closed form; the spectral start must return
+        # it too, and the Newton polish, run here directly from random
+        # starts, must reach it.
         n, w1, w2 = 6, 0.3, 0.7
         p2 = random_spd(n, seed=57)
         p1 = p2 + 0.5 * random_spd(n, seed=58)
@@ -538,11 +561,11 @@ class TestSingleRowNewton:
         w = state.class_priors
         closed = design_classification_block(state, model, 1)[0]
         assert 1.0 - abs(closed @ best) <= 1e-9
+        assert 1.0 - abs(_spectral_start(post, w, 1)[0] @ best) <= 1e-9
         for s in range(5):
-            start = random_orthonormal(1, n, seed=[59, s]).rows
-            proj = _project(start, post)
-            row, proj, score, _, _ = _ascend(start, proj, _score(proj, w), post, w, _GLOBAL_STEPS)
-            row, _, score, _, reason = _newton_on_sphere(row, proj, score, post, w, 200)
+            row = random_orthonormal(1, n, seed=[59, s]).rows
+            proj = _project(row, post)
+            row, _, score, _, reason = _newton_on_sphere(row, proj, _score(proj, w), post, w, 200)
             assert reason == "grad"
             assert 1.0 - abs(row[0] @ best) <= 1e-9
             assert abs(separability_measure(row, state, model) - f.max()) <= 1e-9
@@ -608,11 +631,49 @@ class TestMultiRowDesign:
                 cand = random_orthonormal(b, n, seed=[seed, s]).rows
                 assert score >= separability_measure(cand, state, model)
 
+    @pytest.mark.parametrize("sigma2", [0.01, 0.1])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    def test_spectral_start_spans_the_closed_form_with_empty_history(self, b, sigma2):
+        # with an empty history the mixture posterior is w_1 P_1 + w_2 P_2,
+        # so the pencil (Pavg, P_gamma) has the generalized eigenvectors of
+        # (P_1, P_2), and single-row scores rank them by f(lambda)
+        for seed in (70, 72, 73):
+            model = random_model(10, 2, seed=seed)
+            state = AcquisitionState.initial(model, sigma2, b)
+            post = posterior_matrices(state, model)
+            closed, _ = _two_class_design(post, state.class_priors, b)
+            start = _spectral_start(post, state.class_priors, b)
+            assert np.abs(start @ start.T - np.eye(b)).max() <= 1e-12
+            assert principal_angles(start, closed).max() <= 1e-8
+
+    @pytest.mark.parametrize("b", [1, 4])
+    def test_zero_noise_history_designs_on_the_unmeasured_directions(self, b, caplog):
+        # sigma2 = 0: every posterior is singular along the measured row, so
+        # P_gamma has no Cholesky factor and the pencil is built on the
+        # range of the mixture posterior. The seeded ascent reached 0.0018
+        # (b = 1) and, stopping at max_iters with a gradient norm of 1.98,
+        # 2.583 (b = 4) on this model.
+        model, _ = synth_model_pair(64, 30, 46, seed=1)
+        state = AcquisitionState.initial(model, 0.0, 1)
+        first = design_classification_block(state, model, 1)
+        state = state.append_block(first, [0.0], model)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            block = design_classification_block(state, model, b)
+        fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
+        assert fields["start"] == "spectral" and fields["stop"] in ("grad", "tol")
+        assert np.abs(block @ first.T).max() <= 1e-8
+        score = separability_measure(block, state, model)
+        assert score >= {1: 0.00179867523824, 4: 2.58265482456}[b]
+
     @pytest.mark.parametrize(
         "case",
         ["low_rank_class_1", "low_rank_class_2", "floored", "identical", "zero_prior", "max_iters_0"],
     )
     def test_two_classes_fall_back_to_the_seeded_ascent(self, case, caplog):
+        # Where the closed form does not apply, the ascent starts from the
+        # spectral start, or from the seeded block where the pencil of the
+        # more likely class (class 1 on a tie) has no factor. max_iters 0
+        # returns the starting block, here the closed form.
         n, b, sigma2, opts = 6, 2, 0.0, AscentOptions()
         spd = GaussianComponent.from_moments(np.zeros(n), random_spd(n, seed=75), 0.5)
         if case.startswith("low_rank"):
@@ -626,6 +687,7 @@ class TestMultiRowDesign:
             comps = floored_class_model()[0].components
             n = 5
         elif case == "identical":
+            # the spectral start scores exactly 0 and stops flat
             comps = (spd, spd)
         elif case == "zero_prior":
             other = random_model(n, 1, seed=77).components[0]
@@ -638,16 +700,24 @@ class TestMultiRowDesign:
             block = design_classification_block(state, model, b, seed=78, opts=opts)
         (record,) = caplog.records
         stop = record.getMessage().split("stop=")[1]
+        kind = record.getMessage().split("start=")[1].split()[0]
+        if case == "max_iters_0":
+            assert (kind, stop) == ("closed_form", "closed_form")
+            assert np.array_equal(block, design_classification_block(state, model, b, seed=0))
+            return
         post = posterior_matrices(state, model)
-        start = random_orthonormal(b, n, seed=78).rows
+        start = _spectral_start(post, state.class_priors, b)
+        if case in ("low_rank_class_1", "floored"):
+            assert start is None and kind == "seeded"
+            start = random_orthonormal(b, n, seed=78).rows
+        else:
+            assert kind == "spectral"
         proj = _project(start, post)
         ascent = _ascend(start, proj, _score(proj, state.class_priors), post,
                          state.class_priors, opts.max_iters)
         assert np.array_equal(block, ascent[0]) and stop == ascent[4]
-        if case == "identical":
+        if case in ("identical", "zero_prior"):
             assert stop == "flat" and np.array_equal(block, start)
-        if case == "max_iters_0":
-            assert stop == "max_iters" and np.array_equal(block, start)
 
     @pytest.mark.parametrize("b", [2, 4])
     def test_barzilai_borwein_steps_beat_the_doubling_rule(self, b, caplog):
@@ -692,8 +762,9 @@ class TestDesignLogging:
         assert float(fields["score"]) == pytest.approx(
             separability_measure(logged, state, model), rel=1e-11
         )
+        assert fields["start"] == "spectral"
         if b == 1:
-            assert int(fields["ascent_steps"]) == 20 and int(fields["newton_steps"]) > 0
+            assert int(fields["ascent_steps"]) == 0 and int(fields["newton_steps"]) > 0
             assert fields["stop"] == "grad" and float(fields["grad_norm"]) <= _GRAD_TOL
         else:
             assert int(fields["newton_steps"]) == 0 and fields["stop"] == "tol"
@@ -704,19 +775,68 @@ class TestDesignLogging:
         ids=["flat", "max_iters"],
     )
     def test_stop_reason_of_a_returned_start(self, identical, max_iters, stop, caplog):
+        # three classes, so that max_iters 0 is not met by the closed form
         if identical:
             a = GaussianComponent.from_moments(np.zeros(5), random_spd(5, seed=65), 0.5)
             model = GmmModel(components=(a, a.with_prior(0.5)))
         else:
-            model = random_model(5, 2, seed=65)
+            model = random_model(5, 3, seed=65)
         state = AcquisitionState.initial(model, 0.0, 1)
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             row = design_classification_block(
                 state, model, 1, seed=66, opts=AscentOptions(max_iters)
             )
-        assert np.array_equal(row, random_orthonormal(1, 5, seed=66).rows)
+        start = _spectral_start(posterior_matrices(state, model), state.class_priors, 1)
+        assert np.array_equal(row, start)
         fields = self.logged(caplog)
-        assert (fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == ("0", "0", stop)
+        assert (fields["start"], fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
+            "spectral", "0", "0", stop
+        )
+
+    @pytest.mark.parametrize("start", ["closed_form", "spectral", "seeded"])
+    def test_each_start_is_logged_and_returned_at_max_iters_0(self, start, caplog):
+        n, b = 6, 2
+        if start == "closed_form":
+            model = random_model(n, 2, seed=81)
+            state = AcquisitionState.initial(model, 0.1, b)
+        elif start == "spectral":
+            model = random_model(n, 3, seed=81)
+            state = state_with_rows(model, random_orthonormal(1, n, seed=82).rows, 0.1)
+        else:
+            # sigma2 = 0 and a rank-3 most likely class: no pencil factor
+            spd = GaussianComponent.from_moments(np.zeros(n), random_spd(n, seed=81), 0.4)
+            model = GmmModel(components=(lowrank_component(82, n, 3, prior=0.6), spd))
+            state = AcquisitionState.initial(model, 0.0, b)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            block = design_classification_block(state, model, b, seed=83, opts=AscentOptions(0))
+        fields = self.logged(caplog)
+        assert (fields["start"], fields["ascent_steps"], fields["newton_steps"]) == (start, "0", "0")
+        post = posterior_matrices(state, model)
+        if start == "closed_form":
+            expected = _two_class_design(post, state.class_priors, b)[0]
+        elif start == "spectral":
+            expected = _spectral_start(post, state.class_priors, b)
+        else:
+            expected = random_orthonormal(b, n, seed=83).rows
+        assert np.array_equal(block, expected)
+        assert fields["stop"] == ("closed_form" if start == "closed_form" else "max_iters")
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_decided_state_stops_flat_at_the_spectral_start(self, b, caplog):
+        # a far-out measurement drives class 2's prior to exactly 0, so the
+        # mixture posterior is bitwise class 1's and every row scores 0
+        model = diag_model([100.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0])
+        state = state_with_rows(model, np.eye(4)[:1], sigma2=0.01, measurements=[1e3])
+        assert tuple(state.class_priors) == (1.0, 0.0)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            block = design_classification_block(state, model, b, seed=84)
+        fields = self.logged(caplog)
+        assert (fields["start"], fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
+            "spectral", "0", "0", "flat"
+        )
+        post = posterior_matrices(state, model)
+        assert np.array_equal(block, _spectral_start(post, state.class_priors, b))
+        assert separability_measure(block, state, model) == 0.0
 
     def test_closed_form_logs_no_steps(self, caplog):
         model = random_model(6, 2, seed=79)
