@@ -3,7 +3,14 @@
 Reconstruction solves the per-class ridge problem
     min_a ||y - R V_g a||^2 + sigma2 * a^T diag(1/lambda_g) a
 in closed form (a Wiener filter in the coefficient domain), selects the
-class with the smallest objective, and maps back to signal space.
+class with the smallest objective, and maps back to signal space. One
+eigendecomposition of each class's inner matrix R Sigma_g R^T + sigma2 I
+serves both the coefficients and the minimum of the objective, which is
+the Gaussian quadratic form sigma2 * y_c^T (R Sigma_g R^T + sigma2 I)^-1 y_c
+(y_c the class-centered measurements), so no reconstruction or residual is
+formed to score a class. At sigma2 = 0 the minimum is the residual alone:
+0 for every class whose projected covariance is full rank, so such exact
+fits tie and the lowest index among them wins.
 Classification from raw measurements uses the Gaussian measurement-space
 criterion (quadratic form plus log-determinant, no prior term). Sequential
 hypothesis testing stops acquiring once some class beats every other by a
@@ -16,10 +23,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import EIG_FLOOR_REL, sym_floored_eigh
+from ._linalg import floor_eigenvalues, symmetrize
 from .adaptive import AcquisitionState, AscentOptions, design_classification_block
 from .design import as_rows
-from .model import GaussianComponent, GmmModel, _readonly, m_step_update
+from .model import (
+    GaussianComponent,
+    GmmModel,
+    _readonly,
+    _require_finite,
+    m_step_update,
+)
 
 __all__ = [
     "ReconstructionResult",
@@ -64,10 +77,12 @@ def wiener_coefficients(
     Computes diag(lambda) V^T R^T (R Sigma R^T + sigma2 I)^-1 y, the exact
     minimizer of the per-class objective. y is one measurement vector of
     shape (m,) or a batch of shape (S, m) sensed with the same rows; the
-    coefficients come back as (N,) or (S, N), from one factorization of
-    the inner matrix. The measurements must already be centered by the
-    component's projected mean. With sigma2 = 0 the inner inverse relies
-    on eigenvalue flooring.
+    coefficients come back as (N,) or (S, N), as (y U) C from the class's
+    one factorization (see _wiener_solver). The measurements must already
+    be centered by the component's projected mean. With sigma2 = 0 the
+    inner inverse relies on eigenvalue flooring. Raises ValueError for a
+    non-finite measurement (naming the first bad signal) and for a sigma2
+    that is not finite or is negative.
     """
     rows = as_rows(sensing)
     y = np.asarray(y, dtype=float)
@@ -75,19 +90,46 @@ def wiener_coefficients(
         raise ValueError("measurement length does not match the sensing rows")
     if rows.shape[1] != component.dimension:
         raise ValueError("sensing width does not match the component dimension")
-    return _wiener_solver(rows, component, sigma2)(y)
+    _check_sigma2(sigma2)
+    _require_finite(np.atleast_2d(y), "measurements")
+    vecs, coef_map, _ = _wiener_solver(rows, component, sigma2)
+    return (y @ vecs) @ coef_map
+
+
+def _check_sigma2(sigma2: float) -> None:
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
 
 
 def _wiener_solver(rows: np.ndarray, component: GaussianComponent, sigma2: float):
-    """Factorize the inner matrix once; return y -> coefficients for it."""
+    """One factorization of a class's inner matrix, shared by every solve.
+
+    Takes eigh of the inner matrix R Sigma R^T + sigma2 I = U diag(d) U^T
+    and floors d to d~ (floor_eigenvalues) where it is inverted. Returns
+    (U, C, omega) for centered measurements y with z = y U:
+    - C = diag(1/d~) U^T R V Lambda (m x N), so the ridge coefficients
+      are z C;
+    - omega (m,), so the minimum of the ridge objective
+      ||y - R V a||^2 + sigma2 a^T Lambda^-1 a is (z * z) omega.
+    Along u_i the minimizer leaves the squared residual (sigma2 / d_i)^2
+    z_i^2 and the penalty sigma2 (d_i - sigma2) z_i^2 / d_i^2, which add to
+    omega_i z_i^2 with omega_i = sigma2 / d_i: the objective is the
+    Gaussian quadratic form sigma2 y^T (R Sigma R^T + sigma2 I)^-1 y. A
+    floored direction (d_i below the floor, so sigma2 is too) carries no
+    signal and stays whole in the residual: omega_i = 1. sigma2 / d~_i
+    there would zero the residual of a sigma2 = 0 low-rank class, its only
+    discriminating term; the floored solve's (1 - d_i / d~_i)^2 would count
+    the rounding noise in d_i at first order (about 1e-6 relative at the
+    1e-10 floor). At sigma2 = 0 a class whose projected covariance is full
+    rank fits every y exactly: omega is 0 and so is its objective.
+    """
     inner = rows @ component.covariance @ rows.T + sigma2 * np.eye(rows.shape[0])
-    vals, vecs = sym_floored_eigh(inner)
-
-    def solve(y: np.ndarray) -> np.ndarray:
-        t = ((y @ vecs) / vals) @ vecs.T  # inner^-1 applied to each measurement
-        return ((t @ rows) @ component.basis) * component.eigenvalues
-
-    return solve
+    vals, vecs = np.linalg.eigh(symmetrize(inner))
+    floored = floor_eigenvalues(vals)
+    lifted = (rows @ component.basis) * component.eigenvalues  # R V Lambda
+    coef_map = (vecs.T @ lifted) / floored[:, None]
+    weights = np.where(vals < floored, 1.0, sigma2 / floored)
+    return vecs, coef_map, weights
 
 
 # Signals per E-step chunk. A chunk never holds a single signal when the
@@ -113,32 +155,34 @@ def _class_objectives(
     rows. Returns (objectives (G, S), labels (S,), coefficients (S, N)):
     labels are the 0-based argmin over classes (ties go to the lowest
     index, as np.argmin) and coefficients are the winning class's ridge
-    coefficients. Signals are processed in chunks of _CHUNK, keeping the
-    running best per signal, so working memory is O(_CHUNK * N + G * S)
-    on top of the (S, M) input and the (S, N) output; no (G, S, N) array
-    is formed. Each class's inner matrix is factorized once.
+    coefficients. Each class's inner matrix is factorized once
+    (_wiener_solver); per chunk a class then costs two matrix products,
+    z = (y - R mu) U and the coefficients z C, and its objectives are the
+    closed-form quadratic form (z * z) omega, with no reconstruction or
+    residual formed. At sigma2 = 0 every class whose projected covariance
+    is full rank scores exactly 0, so the lowest such index wins. The
+    coefficients are computed for the whole chunk before the winners are
+    taken: a one-row product rounds differently, and results must not
+    depend on the chunking. Signals are processed in chunks of _CHUNK,
+    keeping the running best per signal, so working memory is
+    O(_CHUNK * N + G * S) on top of the (S, M) input and the (S, N)
+    output; no (G, S, N) array is formed.
     """
     n_sig = y_rows.shape[0]
     objectives = np.empty((model.n_components, n_sig))
     labels = np.zeros(n_sig, dtype=np.intp)
     coefficients = np.empty((n_sig, model.dimension))
-    classes = []
-    for comp in model.components:
-        lam_max = float(comp.eigenvalues.max(initial=0.0))
-        lam = None
-        if sigma2 > 0.0 and lam_max > 0.0:
-            # alpha is zero along zero-eigenvalue directions, so the floored
-            # penalty matches the exact limit.
-            lam = np.maximum(comp.eigenvalues, EIG_FLOOR_REL * lam_max)
-        classes.append((comp, rows @ comp.mean, _wiener_solver(rows, comp, sigma2), lam))
+    classes = [
+        (rows @ comp.mean, *_wiener_solver(rows, comp, sigma2))
+        for comp in model.components
+    ]
     for start, stop in _chunks(n_sig):
-        for gi, (comp, projected_mean, solve, lam) in enumerate(classes):
-            centered = y_rows[start:stop] - projected_mean  # (chunk, m)
-            alpha = solve(centered)  # (chunk, N)
-            resid = centered - (alpha @ comp.basis.T) @ rows.T
-            obj = np.einsum("sm,sm->s", resid, resid)
-            if lam is not None:
-                obj = obj + sigma2 * np.sum(alpha**2 / lam, axis=1)
+        for gi, (projected_mean, vecs, coef_map, weights) in enumerate(classes):
+            z = (y_rows[start:stop] - projected_mean) @ vecs  # (chunk, m)
+            # Not (z * z) @ weights: a matrix-vector product can round a
+            # row differently with the chunk's row count.
+            obj = np.einsum("sm,sm,m->s", z, z, weights)
+            alpha = z @ coef_map  # (chunk, N)
             objectives[gi, start:stop] = obj
             if gi == 0:
                 best = obj
@@ -157,12 +201,18 @@ def map_reconstruct(
     """Reconstruct one signal with per-class ridge solves + model selection.
 
     Evaluates the objective ||y_c - R V_g a||^2 + sigma2 a^T diag(1/l) a at
-    the closed-form minimizer for every class (y_c centered per class),
+    the closed-form minimizer for every class (y_c centered per class), in
+    closed form from the class's one factorization (see _wiener_solver),
     picks the smallest, and returns the signal estimate mean + V a. At
-    sigma2 = 0 the objective is the residual alone.
+    sigma2 = 0 the objective is the residual alone, exactly 0 for a class
+    whose projected covariance is full rank; ties go to the lowest index.
+    Raises ValueError for non-finite measurements and for a sigma2 that is
+    not finite or is negative.
     """
     rows = as_rows(sensing)
     y = np.asarray(y, dtype=float).ravel()
+    _check_sigma2(sigma2)
+    _require_finite(y[None, :], "measurements")
     objectives, labels, coefficients = _class_objectives(y[None, :], rows, model, sigma2)
     comp = model.components[labels[0]]
     alpha = coefficients[0]
@@ -206,10 +256,19 @@ def map_em(
     update. kappa = 0 returns the model unchanged. All signals share the
     same sensing rows.
 
-    The E-step streams over signal chunks (see _class_objectives), so
-    working memory is O(chunk * N + G * S) plus the (S, M) measurements and
-    one (S, N) array of coefficients, turned into the estimates in place;
-    no (G, S, N) array is formed.
+    The E-step factorizes each class's inner matrix once per iteration and
+    scores every signal by the closed-form quadratic form of that
+    factorization (see _wiener_solver); the winning class's coefficients
+    come from the same factorization. At sigma2 = 0 every class whose
+    projected covariance is full rank fits each signal exactly (objective
+    0), so the lowest such index takes the signal: zero-noise learning
+    separates classes only through rank-deficient projections. The E-step
+    streams over signal chunks (see _class_objectives), so working memory
+    is O(chunk * N + G * S) plus the (S, M) measurements and one (S, N)
+    array of coefficients, turned into the estimates in place; no
+    (G, S, N) array is formed. Raises ValueError for a non-finite
+    measurement (naming the first bad signal) and for a sigma2 that is not
+    finite or is negative.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")
@@ -217,6 +276,8 @@ def map_em(
     y_rows = np.asarray(measurements, dtype=float)
     if y_rows.ndim != 2 or y_rows.shape[1] != rows.shape[0]:
         raise ValueError("measurements must be (S, M) matching the sensing rows")
+    _check_sigma2(sigma2)
+    _require_finite(y_rows, "measurements")
     current = model
     for _ in range(kappa):
         _, labels, estimates = _class_objectives(y_rows, rows, current, sigma2)

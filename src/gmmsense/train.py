@@ -119,10 +119,14 @@ def train_gmm(
 
     The refinement runs the reconstruction/moment loop with identity
     sensing. sigma2 regularizes the model-selection objective; by default
-    it is scaled to a small fraction of the mean per-sample signal energy
-    (with exact full observations the selection objective needs a positive
-    noise level to discriminate). The returned covariances carry a shared
-    diagonal load of LOAD_REL times the mean per-sample energy.
+    it is scaled to a small fraction of the mean per-sample signal energy.
+    With exact full observations the objective is the quadratic form
+    sigma2 x_c^T (Sigma_g + sigma2 I)^-1 x_c of each class's one
+    factorization (see map_em), so it needs a positive noise level to
+    discriminate: at sigma2 = 0 every class with a full-rank covariance
+    fits every patch exactly and the lowest such index wins. The returned
+    covariances carry a shared diagonal load of LOAD_REL times the mean
+    per-sample energy.
     iters = 0 keeps the orientation model. Each EM pass streams over the
     signals (see map_em): its working memory is O(chunk * N + G * S) on
     top of the (S, N) signals and estimates, with no (G, S, N) array.
@@ -155,7 +159,12 @@ def train_gmm_coadapt(
     drawn once and kept fixed), measures the training signals, and runs one
     reconstruction/moment-update pass. This is the offline training used
     before batch evaluation, where the sensing matrix depends on the model
-    being learned.
+    being learned. Each pass scores the classes by the closed-form ridge
+    objective of map_em. With sigma2 = 0 that is the residual alone, 0 for
+    every class whose projected covariance R Sigma_g R^T is full rank (as
+    it is for m orthonormal rows and a full-rank covariance), so such
+    classes tie and the lowest such index takes every signal; a positive
+    sigma2 separates them.
     """
     if method not in ("random", "rip_ab"):
         raise ValueError(f"co-adaptation supports random or rip_ab, got {method!r}")

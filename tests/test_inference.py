@@ -21,7 +21,7 @@ from gmmsense.model import (
     m_step_update,
     sample_signals,
 )
-from gmmsense.synthetic import bhattacharyya_distance
+from gmmsense.synthetic import bhattacharyya_distance, synth_model_pair
 
 
 def eq_objective(y, rows, comp, alpha, sigma2):
@@ -447,6 +447,167 @@ class TestStreamingEStep:
         finally:
             tracemalloc.stop()
         assert peak < 10e6
+
+
+def ridge_reference(y_c, rows, comp, sigma2):
+    """Coefficients a = Lambda V^T R^T (R Sigma R^T + sigma2 I)^-1 y_c of
+    centered measurements (S, m) by a dense solve, and the ridge objective
+    ||y_c - R V a||^2 + sigma2 a^T Lambda^-1 a at them."""
+    inner = rows @ comp.covariance @ rows.T + sigma2 * np.eye(rows.shape[0])
+    alpha = (np.linalg.solve(inner, y_c.T).T @ rows @ comp.basis) * comp.eigenvalues
+    resid = y_c - alpha @ (rows @ comp.basis).T
+    penalty = sigma2 * np.sum(alpha**2 / comp.eigenvalues, axis=1)
+    return alpha, np.einsum("sm,sm->s", resid, resid) + penalty
+
+
+def shifted_model(base, seed):
+    """base with random nonzero class means, so every class centers y apart."""
+    rng = np.random.default_rng(seed)
+    return GmmModel(
+        components=tuple(
+            GaussianComponent.from_moments(
+                rng.standard_normal(c.dimension), c.covariance, c.prior
+            )
+            for c in base.components
+        )
+    )
+
+
+class TestClosedFormObjectives:
+    def test_matches_the_ridge_objective_at_its_minimizer(self):
+        n, m, g, sigma2 = 10, 6, 5, 0.05
+        model = shifted_model(random_model(n, g, seed=60), seed=61)
+        rows = random_orthonormal(m, n, seed=62).rows
+        rng = np.random.default_rng(63)
+        signals = sample_signals(model, 300, seed=64).signals
+        y = signals @ rows.T + np.sqrt(sigma2) * rng.standard_normal((300, m))
+        objectives, labels, coefficients = inference._class_objectives(
+            y, rows, model, sigma2
+        )
+        refs = [ridge_reference(y - rows @ c.mean, rows, c, sigma2) for c in model.components]
+        ref_obj = np.stack([obj for _, obj in refs])
+        assert np.all(np.abs(objectives - ref_obj) <= 1e-10 * ref_obj)
+        assert np.array_equal(labels, np.argmin(ref_obj, axis=0))
+        assert len(np.unique(labels)) > 1
+        for gi, (comp, (alpha, _)) in enumerate(zip(model.components, refs)):
+            solved = wiener_coefficients(y - rows @ comp.mean, rows, comp, sigma2)
+            assert np.abs(solved - alpha).max() <= 1e-10 * np.abs(alpha).max()
+            won = labels == gi
+            assert np.abs(coefficients[won] - alpha[won]).max(initial=0.0) <= (
+                1e-10 * np.abs(alpha).max()
+            )
+
+    def test_zero_noise_floored_directions_are_full_residual(self):
+        # Rank-3 classes seen through 8 rows: 5 directions of each inner
+        # matrix are floored, and the objective is the squared distance of
+        # y_c from the class's projected range.
+        n, m, rank = 12, 8, 3
+        model = GmmModel(
+            components=tuple(
+                lowrank_component(s, n, rank, prior=1.0 / 3.0) for s in (70, 71, 72)
+            )
+        )
+        rows = random_orthonormal(m, n, seed=73).rows
+        y = 50.0 * np.random.default_rng(74).standard_normal((40, m))
+        objectives, _, _ = inference._class_objectives(y, rows, model, 0.0)
+        for gi, comp in enumerate(model.components):
+            q, _ = np.linalg.qr(rows @ comp.basis[:, :rank])
+            y_c = y - rows @ comp.mean
+            outside = y_c - (y_c @ q) @ q.T
+            distance = np.einsum("sm,sm->s", outside, outside)
+            assert np.all(distance > 0.01 * np.einsum("sm,sm->s", y_c, y_c))
+            assert np.all(np.abs(objectives[gi] - distance) <= 1e-10 * distance)
+            alpha = wiener_coefficients(y_c, rows, comp, 0.0)
+            resid = y_c - alpha @ (rows @ comp.basis).T
+            assert np.all(
+                np.abs(objectives[gi] - np.einsum("sm,sm->s", resid, resid))
+                <= 1e-10 * distance
+            )
+        # A signal of a class lies in its projected range: an exact fit
+        # there, a full residual elsewhere.
+        batch = sample_signals(model, 60, seed=75)
+        labels = inference._class_objectives(
+            batch.signals @ rows.T, rows, model, 0.0
+        )[1]
+        assert np.array_equal(labels + 1, batch.labels)
+
+    def test_zero_noise_full_rank_projections_fit_exactly_and_tie_to_class_1(self):
+        n, m = 8, 5
+        model = shifted_model(random_model(n, 4, seed=76), seed=77)
+        rows = random_orthonormal(m, n, seed=78).rows
+        y = np.random.default_rng(79).standard_normal((50, m))
+        objectives, labels, coefficients = inference._class_objectives(
+            y, rows, model, 0.0
+        )
+        assert np.all(objectives == 0.0)
+        assert np.all(labels == 0)
+        comp = model.components[0]
+        fit = coefficients @ (rows @ comp.basis).T + rows @ comp.mean
+        assert np.abs(fit - y).max() <= 1e-10 * np.abs(y).max()
+        res = map_reconstruct(y[0], rows, model, 0.0)
+        assert res.selected_class == 1
+        assert np.all(res.objective_values == 0.0)
+        assert map_em(y, rows, model, 0.0, kappa=1).priors.tolist() == [1, 0, 0, 0]
+
+
+def pair_model():
+    return synth_model_pair(8, 3, 30, seed=1)[0]
+
+
+def entry_point(name, y, sigma2):
+    """Run one E-step entry point on measurements y (S, 8) with identity rows."""
+    model = pair_model()
+    if name == "map_em":
+        return map_em(y, np.eye(8), model, sigma2, kappa=1)
+    if name == "map_reconstruct":
+        return map_reconstruct(y[-1], np.eye(8), model, sigma2)
+    return wiener_coefficients(y, np.eye(8), model.components[0], sigma2)
+
+
+ENTRY_POINTS = ["map_em", "map_reconstruct", "wiener_coefficients"]
+
+
+class TestEStepRejectsBadInputs:
+    def signals(self):
+        return sample_signals(pair_model(), 30, seed=2).signals.copy()
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_negative_sigma2(self, name):
+        # map_em used to return a one-class model (priors [1, 0]).
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, got -0.5"):
+            entry_point(name, self.signals(), -0.5)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_nan_sigma2(self, name):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, got nan"):
+            entry_point(name, self.signals(), np.nan)
+
+    @pytest.mark.parametrize("name", ENTRY_POINTS)
+    def test_infinite_sigma2(self, name):
+        with pytest.raises(ValueError, match="sigma2 must be finite and >= 0, got inf"):
+            entry_point(name, self.signals(), np.inf)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_measurement_in_map_em(self, bad):
+        y = self.signals()
+        y[17, 4] = bad
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 17 is not"):
+            entry_point("map_em", y, 0.1)
+
+    def test_non_finite_measurement_in_map_reconstruct(self):
+        # Used to return class 1 with NaN objectives.
+        y = self.signals()
+        y[-1, 0] = np.nan
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 0 is not"):
+            entry_point("map_reconstruct", y, 0.1)
+
+    def test_non_finite_measurement_in_wiener_coefficients(self):
+        y = self.signals()
+        y[9, 7] = -np.inf
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 9 is not"):
+            entry_point("wiener_coefficients", y, 0.1)
+        with pytest.raises(ValueError, match="but signal 0 is not"):
+            entry_point("wiener_coefficients", y[9], 0.1)
 
 
 class TestShtRun:
