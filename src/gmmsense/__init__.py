@@ -16,9 +16,7 @@ from .adaptive import (
 )
 from .design import (
     SensingMatrix,
-    average_basis,
     eigen_sensing,
-    procrustes_rotation,
     random_orthonormal,
     rip_ab,
 )
@@ -75,7 +73,6 @@ __all__ = [
     "SensingMatrix",
     "ShtOutcome",
     "SignalBatch",
-    "average_basis",
     "bhattacharyya_distance",
     "design_classification_block",
     "design_reconstruction_block",
@@ -88,7 +85,6 @@ __all__ = [
     "map_reconstruct",
     "patch_extract",
     "posterior_matrices",
-    "procrustes_rotation",
     "random_orthonormal",
     "read_matrix",
     "read_pgm",

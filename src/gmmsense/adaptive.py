@@ -35,7 +35,7 @@ from ._linalg import (
     symmetrize,
 )
 from .design import as_rows, random_orthonormal, require_orthonormal_rows
-from .model import GmmModel, _readonly
+from .model import GmmModel, _check_sigma2, _readonly, _require_finite
 
 __all__ = [
     "AcquisitionState",
@@ -74,7 +74,8 @@ class AcquisitionState:
     mutually orthogonal. class_log_likelihoods holds the joint Gaussian
     log-likelihood of all measurements so far under each class;
     class_priors are the Bayes-updated class probabilities (the model
-    priors while no measurement has been made).
+    priors while no measurement has been made). sigma2 must be finite and
+    >= 0, and append_block rejects non-finite measurements (ValueError).
     """
 
     rows: np.ndarray
@@ -96,8 +97,7 @@ class AcquisitionState:
             raise ValueError("rows must be a 2-D array")
         if self.measurements.shape != (self.rows.shape[0],):
             raise ValueError("measurements length must match the row count")
-        if self.sigma2 < 0:
-            raise ValueError("sigma2 must be >= 0")
+        _check_sigma2(self.sigma2)
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
         if self.class_log_likelihoods.shape != self.class_priors.shape:
@@ -105,7 +105,7 @@ class AcquisitionState:
                 f"class log-likelihoods of shape {self.class_log_likelihoods.shape} "
                 f"do not match class priors of shape {self.class_priors.shape}"
             )
-        if abs(float(self.class_priors.sum()) - 1.0) > 1e-12:
+        if not abs(float(self.class_priors.sum()) - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError("class priors must sum to 1")
 
     @classmethod
@@ -141,6 +141,7 @@ class AcquisitionState:
         if y.shape[0] != rows.shape[0]:
             raise ValueError("measurement count does not match the block rows")
         require_orthonormal_rows(rows, "block")
+        _require_finite(y[None, :], "measurements")
         all_rows = np.vstack([self.rows, rows])
         all_y = np.concatenate([self.measurements, y])
         loglik = measurement_log_likelihoods(all_rows, all_y, model, self.sigma2)
@@ -578,14 +579,9 @@ def _ascend(block, projection, score, posteriors, weights, max_steps):
         accepted = None
         trial_step = step
         for _ in range(_MAX_BACKTRACKS):
-            try:
-                trial = _orthonormalize_block(block + trial_step * grad)
-                trial_projection = _project(trial, posteriors)
-                trial_score = _score(trial_projection, weights)
-            except (ValueError, np.linalg.LinAlgError):
-                trial_score = -np.inf
-            if trial_score > score:
-                accepted = (trial, trial_projection, trial_score)
+            trial = _trial(block + trial_step * grad, posteriors, weights)
+            if trial[2] > score:
+                accepted = trial
                 break
             trial_step *= 0.5
         if accepted is None:
@@ -618,6 +614,17 @@ def _bb_step(block: np.ndarray, s: np.ndarray, y: np.ndarray, step_index: int) -
     if sy == 0.0 or yy == 0.0:
         return 0.0
     return float(np.sum(s * s)) / sy if step_index % 2 == 0 else sy / yy
+
+
+def _trial(candidate: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray):
+    """(block, projection, score) of the re-orthonormalized candidate; score
+    -inf, block and projection None where either step fails."""
+    try:
+        block = _orthonormalize_block(candidate)
+        projection = _project(block, posteriors)
+        return block, projection, _score(projection, weights)
+    except (ValueError, np.linalg.LinAlgError):
+        return None, None, -np.inf
 
 
 def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:
@@ -713,20 +720,15 @@ def _newton_on_sphere(v, projection, score, posteriors, weights, max_steps):
         accepted = None
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            try:
-                trial = _orthonormalize_block(v + t * xi)
-                trial_projection = _project(trial, posteriors)
-                trial_score = _score(trial_projection, weights)
-            except (ValueError, np.linalg.LinAlgError):
-                trial_score = -np.inf
-            if trial_score > score:
-                accepted = (trial, trial_projection, trial_score)
+            trial = _trial(v + t * xi, posteriors, weights)
+            if trial[2] > score:
+                accepted = trial
                 break
             if plateau:
-                if trial_score > -np.inf:
-                    trial_grad, _ = _sphere_gradient(trial, trial_projection, weights)
+                if trial[2] > -np.inf:
+                    trial_grad, _ = _sphere_gradient(trial[0], trial[1], weights)
                     if np.linalg.norm(trial_grad) < norm:
-                        accepted = (trial, trial_projection, trial_score)
+                        accepted = trial
                 break
             t *= 0.5
         if accepted is None:

@@ -20,11 +20,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .adaptive import AcquisitionState, design_classification_block
-from .design import eigen_sensing, random_orthonormal, rip_ab
-from .model import SignalBatch, sample_signals
+from .design import eigen_sensing
+from .model import SignalBatch, _check_sigma2, sample_signals
 from .patches import patch_extract, read_pgm
-from .protocol import ExperimentReport, ProtocolConfig, run_two_step, sigma2_for_snr_db
+from .protocol import (
+    ExperimentReport,
+    ProtocolConfig,
+    _step1_rows,
+    run_two_step,
+    sigma2_for_snr_db,
+)
 from .serialize import (
     load_model,
     read_matrix,
@@ -36,13 +41,8 @@ from .synthetic import synth_model_pair
 from .train import supervised_gmm, train_gmm, train_gmm_coadapt
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not 0.0 <= sigma2 < np.inf:
-        raise ValueError(f"--sigma2 must be finite and >= 0, got {sigma2}")
-
-
 def _cmd_gen_synthetic(args) -> int:
-    _check_sigma2(args.sigma2)
+    _check_sigma2(args.sigma2, "--sigma2")
     out = Path(args.out)
     model, bd = synth_model_pair(
         args.dimension, args.bd_low, args.bd_high, seed=args.seed
@@ -113,7 +113,7 @@ def _ingest_csv(path, label_col: int) -> SignalBatch:
 
 
 def _cmd_train_gmm(args) -> int:
-    _check_sigma2(args.sigma2)
+    _check_sigma2(args.sigma2, "--sigma2")
     if bool(args.images) == bool(args.csv):
         raise ValueError("provide either --images or --csv (exactly one)")
     if args.images:
@@ -161,22 +161,12 @@ def _cmd_train_gmm(args) -> int:
 
 
 def _cmd_design(args) -> int:
-    _check_sigma2(args.sigma2)
+    _check_sigma2(args.sigma2, "--sigma2")
     model, _ = load_model(args.model)
-    if args.method == "random":
-        sensing = random_orthonormal(args.measurements, model.dimension, seed=args.seed)
-        rows = sensing.rows
-    elif args.method == "rip_ab":
-        rows = rip_ab(model, args.measurements).rows
-    elif args.method == "eigen":
+    if args.method == "eigen":
         rows = eigen_sensing(model.component(args.component), args.measurements).rows
-    elif args.method == "ida":
-        empty = AcquisitionState.initial(model, args.sigma2, args.measurements)
-        rows = design_classification_block(
-            empty, model, args.measurements, seed=args.seed
-        )
     else:
-        raise ValueError(f"unknown design method {args.method!r}")
+        rows = _step1_rows(args.method, model, args.measurements, args.sigma2, args.seed)
     write_matrix(args.out, rows)
     if args.csv:
         write_matrix_csv(args.csv, rows)

@@ -19,8 +19,6 @@ __all__ = [
     "require_orthonormal_rows",
     "random_orthonormal",
     "eigen_sensing",
-    "average_basis",
-    "procrustes_rotation",
     "rip_ab",
 ]
 
@@ -80,33 +78,19 @@ def eigen_sensing(component: GaussianComponent, m: int) -> SensingMatrix:
     return SensingMatrix(rows=component.basis[:, :m].T)
 
 
-def average_basis(model: GmmModel) -> np.ndarray:
-    """Prior-weighted average of the component bases."""
-    return np.einsum("g,gij->ij", model.priors, model.basis_stack)
-
-
-def procrustes_rotation(a: np.ndarray, c: np.ndarray) -> np.ndarray:
-    """Orthogonal X minimizing ||A X - C||_F subject to X X^T = I.
-
-    Classic orthogonal Procrustes solution: with A^T C = U S W^T, the
-    minimizer is X = U W^T.
-    """
-    u, _, wt = svd_descending_signed(np.asarray(a).T @ np.asarray(c))
-    return u @ wt
-
-
 def rip_ab(model: GmmModel, m: int) -> SensingMatrix:
     """Batch design aligning the prior-weighted average basis with identity.
 
-    The orthogonal X closest to the average basis E in Frobenius norm is
-    the Procrustes rotation X = U W^T of the SVD E = U S W^T (descending
-    singular values, deterministic signs); the design is the first m rows
-    of X^T = W U^T.
+    The orthogonal X closest to the average basis E = sum_g pi_g V_g in
+    Frobenius norm is the Procrustes rotation X = U W^T of the SVD
+    E = U S W^T (descending singular values, deterministic signs); the
+    design is the first m rows of X^T = W U^T.
     For a single-component model this reduces to eigen_sensing of that
     component, since W U^T = E^T when E is orthogonal.
     """
     n = model.dimension
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got m={m}")
-    rotation = procrustes_rotation(np.eye(n), average_basis(model))
-    return SensingMatrix(rows=rotation.T[:m])
+    average = np.einsum("g,gij->ij", model.priors, model.basis_stack)
+    u, _, wt = svd_descending_signed(average)
+    return SensingMatrix(rows=(u @ wt).T[:m])

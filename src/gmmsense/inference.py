@@ -29,6 +29,7 @@ from .design import as_rows
 from .model import (
     GaussianComponent,
     GmmModel,
+    _check_sigma2,
     _readonly,
     _require_finite,
     m_step_update,
@@ -96,11 +97,6 @@ def wiener_coefficients(
     return (y @ vecs) @ coef_map
 
 
-def _check_sigma2(sigma2: float) -> None:
-    if not 0.0 <= sigma2 < np.inf:
-        raise ValueError(f"sigma2 must be finite and >= 0, got {sigma2}")
-
-
 def _wiener_solver(rows: np.ndarray, component: GaussianComponent, sigma2: float):
     """One factorization of a class's inner matrix, shared by every solve.
 
@@ -162,11 +158,13 @@ def _class_objectives(
     residual formed. At sigma2 = 0 every class whose projected covariance
     is full rank scores exactly 0, so the lowest such index wins. The
     coefficients are computed for the whole chunk before the winners are
-    taken: a one-row product rounds differently, and results must not
-    depend on the chunking. Signals are processed in chunks of _CHUNK,
-    keeping the running best per signal, so working memory is
-    O(_CHUNK * N + G * S) on top of the (S, M) input and the (S, N)
-    output; no (G, S, N) array is formed.
+    taken (a one-row product takes numpy's matrix-vector path), but BLAS
+    can still round a short chunk differently: the coefficients may move
+    in the last bits with the chunk size (1e-13 relative seen), while the
+    objectives and labels have stayed bitwise. Signals are processed in
+    chunks of _CHUNK, keeping the running best per signal, so working
+    memory is O(_CHUNK * N + G * S) on top of the (S, M) input and the
+    (S, N) output; no (G, S, N) array is formed.
     """
     n_sig = y_rows.shape[0]
     objectives = np.empty((model.n_components, n_sig))
@@ -266,9 +264,10 @@ def map_em(
     streams over signal chunks (see _class_objectives), so working memory
     is O(chunk * N + G * S) plus the (S, M) measurements and one (S, N)
     array of coefficients, turned into the estimates in place; no
-    (G, S, N) array is formed. Raises ValueError for a non-finite
-    measurement (naming the first bad signal) and for a sigma2 that is not
-    finite or is negative.
+    (G, S, N) array is formed. The chunk size can move the estimates, and
+    so the refitted moments, in the last bits (see _class_objectives).
+    Raises ValueError for a non-finite measurement (naming the first bad
+    signal) and for a sigma2 that is not finite or is negative.
     """
     if kappa < 0:
         raise ValueError("kappa must be >= 0")

@@ -45,6 +45,17 @@ def _require_finite(a: np.ndarray, what: str) -> None:
         raise ValueError(f"{what} must be finite, but signal {row} is not")
 
 
+def _check_sigma2(sigma2: float, what: str = "sigma2") -> None:
+    """ValueError unless the noise variance sigma2 is finite and >= 0."""
+    if not 0.0 <= sigma2 < np.inf:
+        raise ValueError(f"{what} must be finite and >= 0, got {sigma2}")
+
+
+def _mean_energy(batch: SignalBatch) -> float:
+    """Mean per-sample energy of a batch: mean over signals of ||x||^2 / N."""
+    return float(np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension)
+
+
 def spd_eigendecompose(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric PSD matrix into (basis, eigenvalues).
 

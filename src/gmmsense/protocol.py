@@ -8,11 +8,14 @@ detection budget equal to the total budget (K = M) leaves the second phase
 empty, which is the single-step batch protocol: `run_two_step` is the one
 driver for both.
 
-The non-adaptive detection designs (random, rip_ab, ida) sense every
-signal with the same K rows, so a batch runs as batched linear algebra:
-one likelihood pass over all signals, then one step-2 design and one
-Wiener solve per decided class. aida_sht designs rows per signal and runs
-signal by signal.
+Sensing rows are chosen here only. _step1_rows builds the non-adaptive
+detection rows (random, rip_ab, ida) by name: the K rows every signal of
+a batch shares, the b-row ida first block of aida_sht, and the rows of
+the CLI's design verb. A batch therefore runs as batched linear algebra:
+one likelihood pass over all signals, then _step2_estimates (step-2 rows
+by name, their sensing and the Wiener solve) once per decided class.
+aida_sht designs its later rows per signal and runs signal by signal,
+calling _step2_estimates for one signal at a time.
 
 All randomness derives from the seed and a purpose tag, so reports are
 reproducible and independent of evaluation order. The measurement noise
@@ -46,7 +49,7 @@ from .adaptive import (
 )
 from .design import eigen_sensing, random_orthonormal, require_orthonormal_rows, rip_ab
 from .inference import map_classify, sht_run, wiener_coefficients
-from .model import GmmModel, SignalBatch
+from .model import GmmModel, SignalBatch, _check_sigma2, _mean_energy
 
 __all__ = [
     "ProtocolConfig",
@@ -151,8 +154,7 @@ class ProtocolConfig:
             raise ValueError("b must be >= 1")
         if not 0.0 < self.P_e < 0.5:
             raise ValueError("P_e must lie in (0, 0.5)")
-        if self.sigma2 < 0.0:
-            raise ValueError("sigma2 must be >= 0")
+        _check_sigma2(self.sigma2)
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
@@ -273,8 +275,7 @@ class ExperimentReport:
 
 def sigma2_for_snr_db(batch: SignalBatch, snr_db: float) -> float:
     """Noise variance giving the requested SNR against mean per-sample energy."""
-    energy = float(np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension)
-    return energy * 10.0 ** (-snr_db / 10.0)
+    return _mean_energy(batch) * 10.0 ** (-snr_db / 10.0)
 
 
 def _noise(config: ProtocolConfig, n_signals: int, dimension: int) -> np.ndarray:
@@ -303,40 +304,43 @@ def _sensor(x: np.ndarray, noise: np.ndarray):
     return sense
 
 
-def _step1_design(config: ProtocolConfig, model: GmmModel) -> np.ndarray:
-    """Shared K-row non-adaptive detection design for a whole batch."""
-    k = config.K
-    if config.step1 == "random":
-        return random_orthonormal(k, model.dimension, seed=[_TAG_DESIGN, config.seed]).rows
-    if config.step1 == "rip_ab":
+def _step1_rows(
+    method: str, model: GmmModel, k: int, sigma2: float, seed, opts: AscentOptions | None = None
+) -> np.ndarray:
+    """k rows of a non-adaptive detection design: random, rip_ab or ida.
+
+    ida is one classification block on an empty history; sigma2 and opts
+    matter only to it. seed drives the random rows and ida's seeded start.
+    """
+    if method == "random":
+        return random_orthonormal(k, model.dimension, seed=seed).rows
+    if method == "rip_ab":
         return rip_ab(model, k).rows
-    if config.step1 == "ida":
-        empty = AcquisitionState.initial(model, config.sigma2, block_size=k)
-        return design_classification_block(
-            empty, model, k, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
-        )
-    raise ValueError(f"{config.step1!r} is not a non-adaptive design")
+    if method == "ida":
+        empty = AcquisitionState.initial(model, sigma2, block_size=k)
+        return design_classification_block(empty, model, k, seed=seed, opts=opts)
+    raise ValueError(f"{method!r} is not a non-adaptive design")
 
 
-def _step2_rows(
-    config: ProtocolConfig,
-    state: AcquisitionState,
-    model: GmmModel,
-    gamma: int,
-    m: int,
-) -> np.ndarray:
-    """m reconstruction rows for class gamma after the detection history."""
-    if config.step2 == "eigen_mse":
-        return eigen_sensing(model.component(gamma), m).rows
-    return design_reconstruction_block(state, model, gamma, m)
+def _step2_estimates(config, state, model, gamma: int, y1, x, noise) -> np.ndarray:
+    """Step 2 for signals x (S, N) decided as class gamma: (S, N) estimates.
 
-
-def _reconstruct(
-    rows: np.ndarray, y: np.ndarray, model: GmmModel, gamma: int, sigma2: float
-) -> np.ndarray:
-    """Wiener estimates under class gamma of measurements y, (m,) or (S, m)."""
+    All S share the detection rows of state, which measured y1 (S, k);
+    noise (S, M) holds their noise rows. One step-2 design for gamma fills
+    the budget M (it reads the history only through its rows and sigma2),
+    is sensed, and each signal gets the Wiener estimate under gamma.
+    """
     comp = model.component(gamma)
-    alpha = wiener_coefficients(y - rows @ comp.mean, rows, comp, sigma2)
+    rows, y = state.rows, y1
+    k = rows.shape[0]
+    if config.M > k:
+        if config.step2 == "eigen_mse":
+            rows2 = eigen_sensing(comp, config.M - k).rows
+        else:
+            rows2 = design_reconstruction_block(state, model, gamma, config.M - k)
+        rows = np.vstack([rows, rows2])
+        y = np.hstack([y, x @ rows2.T + noise[:, k:]])
+    alpha = wiener_coefficients(y - rows @ comp.mean, rows, comp, config.sigma2)
     return comp.mean + (comp.basis @ alpha.T).T
 
 
@@ -349,7 +353,9 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     for all of its signals. Each signal still gets its own acquisition
     state (likelihoods and Bayes-updated priors) and its own map_classify.
     """
-    rows1 = _step1_design(config, model)
+    rows1 = _step1_rows(
+        config.step1, model, config.K, config.sigma2, [_TAG_DESIGN, config.seed], config.ascent
+    )
     require_orthonormal_rows(rows1, "step-1")
     k, n = config.K, batch.n_signals
     x = batch.signals
@@ -369,35 +375,26 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     ]
     classes = np.array([map_classify(state, model) for state in states], dtype=int)
     estimates = np.empty_like(x)
-    m2 = config.M - k
     for gamma in np.unique(classes).tolist():
         idx = np.flatnonzero(classes == gamma)
-        rows_all, y_all = rows1, y1[idx]
-        if m2 > 0:
-            # Step-2 rows depend on a state only through its rows and sigma2,
-            # which every signal shares, so one design serves the class.
-            rows2 = _step2_rows(config, states[idx[0]], model, gamma, m2)
-            y2 = x[idx] @ rows2.T + noise[idx, k:]
-            rows_all = np.vstack([rows1, rows2])
-            y_all = np.hstack([y_all, y2])
-        estimates[idx] = _reconstruct(rows_all, y_all, model, gamma, config.sigma2)
+        estimates[idx] = _step2_estimates(
+            config, states[idx[0]], model, gamma, y1[idx], x[idx], noise[idx]
+        )
     return classes, np.full(n, k), estimates
 
 
 def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noise):
-    """aida_sht detection: each signal gets its own adaptive rows, one at a time."""
-    empty = AcquisitionState.initial(model, config.sigma2, config.b)
-    first_block = design_classification_block(
-        empty, model, config.b, seed=[_TAG_DESIGN, config.seed], opts=config.ascent
+    """aida_sht detection: a shared b-row ida first block, then each signal's own rows."""
+    first_block = _step1_rows(
+        "ida", model, config.b, config.sigma2, [_TAG_DESIGN, config.seed], config.ascent
     )
     n = batch.n_signals
     classes = np.empty(n, dtype=int)
     k_used = np.empty(n, dtype=int)
     estimates = np.empty_like(batch.signals)
     for i, x in enumerate(batch.signals):
-        sense = _sensor(x, noise[i])
         outcome = sht_run(
-            sense,
+            _sensor(x, noise[i]),
             model,
             config.b,
             config.M,
@@ -408,13 +405,9 @@ def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel,
             opts=config.ascent,
         )
         gamma, state = outcome.final_class, outcome.state
-        rows_all, y_all = state.rows, state.measurements
-        m2 = config.M - state.n_measurements
-        if m2 > 0:
-            rows2 = _step2_rows(config, state, model, gamma, m2)
-            rows_all = np.vstack([rows_all, rows2])
-            y_all = np.concatenate([y_all, sense(rows2)])
-        estimates[i] = _reconstruct(rows_all, y_all, model, gamma, config.sigma2)
+        estimates[i] = _step2_estimates(
+            config, state, model, gamma, state.measurements[None], x[None], noise[i : i + 1]
+        )[0]
         classes[i] = gamma
         k_used[i] = state.n_measurements
     return classes, k_used, estimates

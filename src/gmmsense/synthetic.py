@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._linalg import SingularMatrixError, fix_column_signs, sym_floored_eigh
+from ._linalg import SingularMatrixError, fix_column_signs, sym_floored_eigh, symmetrize
 from .model import GaussianComponent, GmmModel
 
 __all__ = [
@@ -94,8 +94,7 @@ def synth_covariance(
     u, _, _ = np.linalg.svd(rng.standard_normal((n, n)))
     u = fix_column_signs(u)
     vals = power_law_eigenvalues(n, r, beta, omega)
-    cov = (u * vals) @ u.T
-    cov = 0.5 * (cov + cov.T)
+    cov = symmetrize((u * vals) @ u.T)
     return GaussianComponent(
         mean=np.zeros(n), covariance=cov, basis=u, eigenvalues=vals, prior=1.0
     )

@@ -11,9 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
+from ._linalg import symmetrize
 from .design import SensingMatrix, random_orthonormal, rip_ab
 from .inference import map_em
-from .model import GaussianComponent, GmmModel, SignalBatch, m_step_update
+from .model import GaussianComponent, GmmModel, SignalBatch, _mean_energy, m_step_update
 
 __all__ = [
     "orientation_labels",
@@ -39,8 +40,7 @@ def regularize_model(model: GmmModel, batch: SignalBatch) -> GmmModel:
     log-determinant criteria; a small shared load keeps every class full
     rank.
     """
-    energy = float(np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension)
-    load = LOAD_REL * max(energy, 1e-300)
+    load = LOAD_REL * max(_mean_energy(batch), 1e-300)
     eye = np.eye(model.dimension)
     comps = tuple(
         GaussianComponent.from_moments(c.mean, c.covariance + load * eye, c.prior)
@@ -80,11 +80,15 @@ def orientation_labels(batch: SignalBatch, orientation_bins: int = 18) -> np.nda
     return labels
 
 
-def _global_component(batch: SignalBatch, prior: float) -> GaussianComponent:
+def _fallback_model(batch: SignalBatch, g_total: int) -> GmmModel:
+    """g_total copies of the global batch moments with equal priors: the
+    moments m_step_update keeps for a class given fewer than two signals."""
     mean = batch.signals.mean(axis=0)
     centered = batch.signals - mean
-    cov = centered.T @ centered / batch.n_signals
-    return GaussianComponent.from_moments(mean, 0.5 * (cov + cov.T), prior)
+    cov = symmetrize(centered.T @ centered / batch.n_signals)
+    return GmmModel(
+        components=(GaussianComponent.from_moments(mean, cov, 1.0 / g_total),) * g_total
+    )
 
 
 def init_gmm_by_orientation(
@@ -96,12 +100,7 @@ def init_gmm_by_orientation(
     (with their empirical prior), keeping every component well defined.
     """
     labels = orientation_labels(batch, orientation_bins)
-    g_total = orientation_bins + 1
-    fallback = _global_component(batch, 1.0 / g_total)
-    placeholder = GmmModel(
-        components=tuple(fallback.with_prior(1.0 / g_total) for _ in range(g_total))
-    )
-    return m_step_update(batch.signals, labels, placeholder)
+    return m_step_update(batch.signals, labels, _fallback_model(batch, orientation_bins + 1))
 
 
 def _check_iters(iters: int) -> None:
@@ -135,10 +134,7 @@ def train_gmm(
     model = init_gmm_by_orientation(batch, orientation_bins)
     if iters >= 1:
         if sigma2 is None:
-            energy = float(
-                np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension
-            )
-            sigma2 = max(1e-4 * energy, 1e-12)
+            sigma2 = max(1e-4 * _mean_energy(batch), 1e-12)
         identity = SensingMatrix(rows=np.eye(batch.dimension))
         model = map_em(batch.signals, identity, model, sigma2, kappa=iters)
     return regularize_model(model, batch)
@@ -185,9 +181,5 @@ def supervised_gmm(batch: SignalBatch) -> GmmModel:
     """Moment-fit one component per label of a labeled batch."""
     if batch.labels is None:
         raise ValueError("supervised fitting requires a labeled batch")
-    g_total = int(batch.labels.max())
-    fallback = _global_component(batch, 1.0 / g_total)
-    placeholder = GmmModel(
-        components=tuple(fallback.with_prior(1.0 / g_total) for _ in range(g_total))
-    )
+    placeholder = _fallback_model(batch, int(batch.labels.max()))
     return m_step_update(batch.signals, batch.labels, placeholder)

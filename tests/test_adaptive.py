@@ -102,6 +102,30 @@ class TestAcquisitionState:
         again = state.append_block(rows, [1.0], model)  # same direction again
         assert again.n_measurements == 2
 
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -0.5])
+    def test_initial_rejects_a_sigma2_that_is_not_finite_and_nonnegative(self, sigma2):
+        model = random_model(4, 2, seed=1)
+        with pytest.raises(ValueError, match=f"sigma2 must be finite and >= 0, got {sigma2}"):
+            AcquisitionState.initial(model, sigma2, 1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_append_rejects_a_non_finite_measurement(self, value):
+        model = random_model(4, 2, seed=1)
+        state = AcquisitionState.initial(model, 0.1, 1)
+        with pytest.raises(ValueError, match="measurements must be finite"):
+            state.append_block(np.array([[1.0, 0.0, 0.0, 0.0]]), [value], model)
+
+    def test_rejects_priors_holding_a_nan(self):
+        with pytest.raises(ValueError, match="class priors must sum to 1"):
+            AcquisitionState(
+                rows=np.empty((0, 2)),
+                measurements=np.empty(0),
+                sigma2=0.0,
+                block_size=1,
+                class_log_likelihoods=np.zeros(2),
+                class_priors=np.array([np.nan, 1.0]),
+            )
+
     def test_rejects_likelihoods_not_matching_priors(self):
         with pytest.raises(ValueError, match=r"shape \(3,\) do not match class priors of shape \(1,\)"):
             AcquisitionState(

@@ -3,14 +3,7 @@ import pytest
 
 from helpers import random_model, random_spd
 from gmmsense._linalg import orthonormalize_rows, principal_angles
-from gmmsense.design import (
-    SensingMatrix,
-    average_basis,
-    eigen_sensing,
-    procrustes_rotation,
-    random_orthonormal,
-    rip_ab,
-)
+from gmmsense.design import SensingMatrix, eigen_sensing, random_orthonormal, rip_ab
 from gmmsense.model import GaussianComponent, GmmModel
 
 
@@ -87,35 +80,6 @@ class TestEigenSensing:
         assert np.abs(x - xhat).max() < 1e-10
 
 
-class TestAverageBasis:
-    def test_single_component(self):
-        model = random_model(5, 1, seed=6)
-        assert np.array_equal(average_basis(model), model.components[0].basis)
-
-    def test_zero_weight_component_ignored(self):
-        a = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=7), 1.0)
-        b = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=8), 0.0)
-        model = GmmModel(components=(a, b))
-        assert np.array_equal(average_basis(model), a.basis)
-
-    def test_entrywise_average(self):
-        a = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=9), 0.5)
-        b = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=10), 0.5)
-        model = GmmModel(components=(a, b))
-        assert np.allclose(average_basis(model), 0.5 * a.basis + 0.5 * b.basis)
-
-
-class TestProcrustes:
-    def test_identity_base_case(self):
-        assert np.allclose(procrustes_rotation(np.eye(4), np.eye(4)), np.eye(4))
-
-    def test_recovers_rotation(self):
-        q = random_rotation(5, seed=13)
-        a = np.random.default_rng(14).standard_normal((7, 5))
-        x = procrustes_rotation(a, a @ q)
-        assert np.abs(x - q).max() < 1e-10
-
-
 class TestRipAb:
     def test_single_component_reduces_to_eigen_sensing(self):
         model = random_model(6, 1, seed=15)
@@ -127,13 +91,20 @@ class TestRipAb:
 
     def test_beats_random_orthogonal_matrices_on_alignment(self):
         model = random_model(8, 3, seed=16)
-        e = average_basis(model)
+        e = sum(c.prior * c.basis for c in model.components)  # entrywise average
         u, _, wt = np.linalg.svd(e)
         b_star = wt.T @ u.T
+        assert np.allclose(rip_ab(model, 8).rows, b_star, rtol=0.0, atol=1e-10)
         best = np.linalg.norm(b_star @ e - np.eye(8))
         for s in range(1000):
             b = random_rotation(8, seed=1000 + s)
             assert best <= np.linalg.norm(b @ e - np.eye(8)) + 1e-12
+
+    def test_zero_weight_component_is_ignored(self):
+        a = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=7), 1.0)
+        b = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=8), 0.0)
+        alone = rip_ab(GmmModel(components=(a,)), 3).rows
+        assert np.array_equal(rip_ab(GmmModel(components=(a, b)), 3).rows, alone)
 
     def test_deterministic_and_permutation_invariant(self):
         a = GaussianComponent.from_moments(np.zeros(5), random_spd(5, seed=17), 0.5)

@@ -1,4 +1,8 @@
 import importlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,3 +36,14 @@ def test_every_package_name_is_exported_by_its_module():
     modules = [importlib.import_module(name) for name in MODULES[1:]]
     module_exports = {n for m in modules for n in getattr(m, "__all__", [])}
     assert sorted(set(gmmsense.__all__) - module_exports) == []
+
+
+def test_import_loads_no_scipy():
+    # scipy is a test-only dependency: the library must import without it.
+    src = Path(gmmsense.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    code = "import sys, gmmsense, gmmsense.cli; print('scipy' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "False\n"

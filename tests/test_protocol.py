@@ -27,7 +27,7 @@ from gmmsense.protocol import (
     run_two_step,
     sigma2_for_snr_db,
 )
-from gmmsense.serialize import read_matrix, write_matrix
+from gmmsense.serialize import load_model, read_matrix, write_matrix
 from gmmsense.synthetic import synth_model_pair
 
 N, M, K = 16, 6, 3
@@ -103,6 +103,24 @@ def test_labels_above_the_class_count_are_rejected(pair, model, batch):
         run_two_step(config_for(*pair), labelled, model)
     labelled = SignalBatch(signals=batch.signals, labels=np.full(batch.n_signals, 2))
     assert run_two_step(config_for(*pair), labelled, model).accuracy is not None
+
+
+def test_a_budget_above_the_signal_dimension_is_rejected(model, batch):
+    config = ProtocolConfig("rip_ab", "eigen_mse", M=N + 1, K=2)
+    with pytest.raises(ValueError, match=f"budget M={N + 1} exceeds the signal dimension {N}"):
+        run_two_step(config, batch, model)
+
+
+def test_psnr_is_reported_against_the_batch_peak(model, batch):
+    config = config_for("rip_ab", "eigen_mse")
+    assert run_two_step(config, batch, model).psnr is None
+    peaked = SignalBatch(signals=batch.signals, provenance={"i_max": 255.0})
+    report = run_two_step(config, peaked, model)
+    assert report.psnr == 10.0 * np.log10(255.0**2 / report.mse)
+    # Zero signals of a zero-mean model are recovered exactly without noise.
+    exact = SignalBatch(signals=np.zeros_like(batch.signals), provenance={"i_max": 255.0})
+    report = run_two_step(config_for("rip_ab", "eigen_mse", sigma2=0.0), exact, model)
+    assert report.mse == 0.0 and report.psnr == float("inf")
 
 
 def per_signal_reference(config, batch, model):
@@ -299,11 +317,21 @@ BASE = {"step1": "ida", "step2": "eigen_mse", "M": 4, "K": 2}
         ("sigma2", float("inf"), "sigma2 must be a finite number, got inf"),
         ("allow_nonstandard", 1, "allow_nonstandard must be true or false, got 1"),
         ("allow_nonstandard", "yes", "allow_nonstandard must be true or false, got 'yes'"),
+        ("step1", "aida", "unknown step1 'aida', choose from "
+                          "('random', 'rip_ab', 'ida', 'aida_sht')"),
+        ("step2", "eigen", "unknown step2 'eigen', choose from ('eigen_mse', 'mi_adaptive')"),
+        ("K", 0, "need 1 <= K <= M, got K=0, M=4"),
+        ("K", 5, "need 1 <= K <= M, got K=5, M=4"),
+        ("b", 0, "b must be >= 1"),
+        ("P_e", 0.0, "P_e must lie in (0, 0.5)"),
+        ("P_e", 0.5, "P_e must lie in (0, 0.5)"),
+        ("sigma2", -0.5, "sigma2 must be finite and >= 0, got -0.5"),
     ],
     ids=[
         "M-str", "M-float", "M-bool", "K-null", "b-float", "b-bool", "seed-str",
         "seed-negative", "P_e-str", "P_e-nan", "P_e-bool", "sigma2-null", "sigma2-inf",
-        "allow_nonstandard-int", "allow_nonstandard-str",
+        "allow_nonstandard-int", "allow_nonstandard-str", "step1-unknown", "step2-unknown",
+        "K-zero", "K-above-M", "b-zero", "P_e-zero", "P_e-half", "sigma2-negative",
     ],
 )
 def test_from_dict_rejects_a_value_of_the_wrong_type(key, value, message):
@@ -580,3 +608,59 @@ def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):
     ]) == 1
     assert capsys.readouterr().err == "error: --sigma2 must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "d.scsm").exists()
+
+
+@pytest.mark.parametrize("method", ["random", "rip_ab", "eigen", "ida"])
+def test_cli_design_writes_the_library_rows(method, data, tmp_path, capsys):
+    # --seed reaches the library as given, with no protocol tag.
+    model, _ = load_model(data / "model")
+    expected = {
+        "random": lambda: random_orthonormal(5, N, seed=9).rows,
+        "rip_ab": lambda: rip_ab(model, 5).rows,
+        "eigen": lambda: eigen_sensing(model.component(2), 5).rows,
+        "ida": lambda: design_classification_block(
+            AcquisitionState.initial(model, 0.01, 5), model, 5, seed=9
+        ),
+    }[method]()
+    out = tmp_path / "d.scsm"
+    assert cli.main([
+        "design", "--model", str(data / "model"), "--method", method, "--measurements", "5",
+        "--component", "2", "--sigma2", "0.01", "--seed", "9", "--out", str(out),
+    ]) == 0
+    assert np.array_equal(read_matrix(out), expected)
+    assert capsys.readouterr().out == f"wrote {method} design (5x{N}) to {out}\n"
+
+
+def test_cli_train_gmm_csv_remaps_labels_to_consecutive_classes(tmp_path, capsys):
+    # Landsat-style labels: class 6 is absent, so 7 becomes class 6.
+    raw = np.repeat([1, 2, 3, 4, 5, 7], 4)
+    signals = np.random.default_rng(0).standard_normal((24, 3)) + raw[:, None]
+    csv = tmp_path / "landsat.csv"
+    np.savetxt(csv, np.column_stack([raw, signals]), delimiter=",", fmt="%.17g")
+    assert cli.main(["train-gmm", "--csv", str(csv), "--out", str(tmp_path / "m")]) == 0
+    assert "trained model: G=6, N=3" in capsys.readouterr().out
+    model, _ = load_model(tmp_path / "m")
+    for g, value in enumerate([1, 2, 3, 4, 5, 7], start=1):
+        assert np.array_equal(model.component(g).mean, signals[raw == value].mean(axis=0))
+    assert np.array_equal(model.priors, np.full(6, 1 / 6))
+
+
+def test_cli_run_protocol_on_images_reports_psnr(tmp_path, capsys):
+    image = tmp_path / "img.pgm"
+    write_pgm(image, make_image(2, size=32))
+    model = tmp_path / "m"
+    assert cli.main([
+        "train-gmm", "--images", str(image), "--patch", "4", "--classes", "3",
+        "--iters", "1", "--out", str(model),
+    ]) == 0
+    config = write_json(tmp_path / "c.json", {"step1": "rip_ab", "step2": "eigen_mse",
+                                              "M": 8, "K": 4})
+    out = tmp_path / "r.json"
+    assert cli.main([
+        "run-protocol", "--config", config, "--model", str(model), "--images", str(image),
+        "--patch", "4", "--snr-db", "20", "--out", str(out),
+    ]) == 0
+    d = json.loads(out.read_text())
+    assert d["n_signals"] == 64 and d["accuracy"] is None
+    assert d["psnr"] == 10.0 * np.log10(255.0**2 / d["mse"])
+    assert f"psnr={d['psnr']:.2f} dB accuracy=n/a" in capsys.readouterr().out
