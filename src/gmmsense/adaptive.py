@@ -75,7 +75,7 @@ class AcquisitionState:
     log-likelihood of all measurements so far under each class;
     class_priors are the Bayes-updated class probabilities (the model
     priors while no measurement has been made). sigma2 must be finite and
-    >= 0, and append_block rejects non-finite measurements (ValueError).
+    >= 0 and the measurements finite (ValueError).
     """
 
     rows: np.ndarray
@@ -97,6 +97,7 @@ class AcquisitionState:
             raise ValueError("rows must be a 2-D array")
         if self.measurements.shape != (self.rows.shape[0],):
             raise ValueError("measurements length must match the row count")
+        _require_finite(self.measurements[None, :], "measurements")
         _check_sigma2(self.sigma2)
         if self.block_size < 1:
             raise ValueError("block_size must be >= 1")
@@ -141,7 +142,6 @@ class AcquisitionState:
         if y.shape[0] != rows.shape[0]:
             raise ValueError("measurement count does not match the block rows")
         require_orthonormal_rows(rows, "block")
-        _require_finite(y[None, :], "measurements")
         all_rows = np.vstack([self.rows, rows])
         all_y = np.concatenate([self.measurements, y])
         loglik = measurement_log_likelihoods(all_rows, all_y, model, self.sigma2)
@@ -181,13 +181,17 @@ def measurement_log_likelihoods(
     sigma2 = 0 case finite once measurements span a component's support.
     y is one measurement vector of shape (m,) or a batch of shape (S, m)
     sensed with the same rows; the log-likelihoods come back as (G,) or
-    (S, G), from one factorization of the G class covariances.
+    (S, G), from one factorization of the G class covariances. Raises
+    ValueError for a non-finite measurement (naming the first bad signal)
+    and for a sigma2 that is not finite or is negative.
     """
     rows = np.asarray(rows, dtype=float)
     y = np.asarray(y, dtype=float)
     m = rows.shape[0]
     if y.ndim not in (1, 2) or y.shape[-1] != m:
         raise ValueError("measurement length does not match the rows")
+    _check_sigma2(sigma2)
+    _require_finite(np.atleast_2d(y), "measurements")
     cov = rows @ model.covariance_stack @ rows.T + sigma2 * np.eye(m)
     vals, vecs = sym_floored_eigh(cov)
     centered = y[..., None, :] - model.mean_stack @ rows.T  # (..., G, m)
@@ -433,6 +437,12 @@ def design_classification_block(
     step improved the score), "max_iters" or "flat" (gradient exactly
     zero, as for identical classes or a class already decided).
     """
+    return _classification_design(state, model, b, seed, opts)[0]
+
+
+def _classification_design(state, model, b, seed, opts):
+    """design_classification_block's (block, start): start is "closed_form",
+    "spectral" or "seeded", and only a seeded block depends on seed."""
     if opts is None:
         opts = AscentOptions()
     n = model.dimension
@@ -470,7 +480,7 @@ def design_classification_block(
             "score=%.12g grad_norm=%.3g stop=%s",
             b, start, ascent_steps, newton_steps, score, grad_norm, reason,
         )
-    return block
+    return block, start
 
 
 def _two_class_design(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):

@@ -342,7 +342,8 @@ def sht_run(
     log-likelihood of all measurements so far plus the initial log-prior
     difference. The first block is the non-adaptive separability design
     (precomputable and passable via first_block, which must then have
-    shape (b, N)); it initializes the acquisition and is never tested on
+    shape (b, N); run_two_step passes the one protocol._step1_rows keeps
+    on the model); it initializes the acquisition and is never tested on
     its own, so the earliest decision uses two blocks. Each later block
     re-optimizes the separability against the history so far. If the
     budget is exhausted undecided, the outcome falls back to

@@ -212,6 +212,14 @@ class GmmModel:
     def basis_stack(self) -> np.ndarray:
         return _readonly([c.basis for c in self.components])
 
+    @cached_property
+    def _step1_memo(self) -> dict:
+        """Seed-free step-1 designs of this model, filled by
+        protocol._step1_rows: read-only k x N rows keyed by method and k,
+        plus sigma2 and the ascent options for ida. It lives and dies with
+        the model."""
+        return {}
+
 
 @dataclass(frozen=True)
 class SignalBatch:

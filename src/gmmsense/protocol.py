@@ -11,7 +11,10 @@ driver for both.
 Sensing rows are chosen here only. _step1_rows builds the non-adaptive
 detection rows (random, rip_ab, ida) by name: the K rows every signal of
 a batch shares, the b-row ida first block of aida_sht, and the rows of
-the CLI's design verb. A batch therefore runs as batched linear algebra:
+the CLI's design verb. A design that does not depend on the seed (rip_ab,
+and ida unless it starts from a seeded block) is made once per model and
+kept on it, so repeated runs on one model, such as one aida_sht call per
+chunk of signals, reuse its rows. A batch runs as batched linear algebra:
 one likelihood pass over all signals, then _step2_estimates (step-2 rows
 by name, their sensing and the Wiener solve) once per decided class.
 aida_sht designs its later rows per signal and runs signal by signal,
@@ -42,14 +45,15 @@ from .adaptive import (
     AcquisitionState,
     AscentOptions,
     _bayes_posteriors,
+    _classification_design,
     _is_int,
-    design_classification_block,
+    design_classification_block,  # noqa: F401  perfbench's tracer patches this binding
     design_reconstruction_block,
     measurement_log_likelihoods,
 )
 from .design import eigen_sensing, random_orthonormal, require_orthonormal_rows, rip_ab
 from .inference import map_classify, sht_run, wiener_coefficients
-from .model import GmmModel, SignalBatch, _check_sigma2, _mean_energy
+from .model import GmmModel, SignalBatch, _check_sigma2, _mean_energy, _readonly
 
 __all__ = [
     "ProtocolConfig",
@@ -311,15 +315,30 @@ def _step1_rows(
 
     ida is one classification block on an empty history; sigma2 and opts
     matter only to it. seed drives the random rows and ida's seeded start.
+    A design that does not depend on the seed (rip_ab, and ida from its
+    closed-form or spectral start) is made once per model: its read-only
+    rows are kept in the model's _step1_memo, keyed by method and k (and
+    sigma2 and opts for ida), and later calls return them. A seeded ida
+    design is never kept. The rows are checked orthonormal on every call.
     """
     if method == "random":
-        return random_orthonormal(k, model.dimension, seed=seed).rows
-    if method == "rip_ab":
-        return rip_ab(model, k).rows
-    if method == "ida":
-        empty = AcquisitionState.initial(model, sigma2, block_size=k)
-        return design_classification_block(empty, model, k, seed=seed, opts=opts)
-    raise ValueError(f"{method!r} is not a non-adaptive design")
+        rows = random_orthonormal(k, model.dimension, seed=seed).rows
+    elif method not in ("rip_ab", "ida"):
+        raise ValueError(f"{method!r} is not a non-adaptive design")
+    else:
+        opts = AscentOptions() if opts is None else opts
+        key = (method, k) if method == "rip_ab" else (method, k, sigma2, opts)
+        rows = model._step1_memo.get(key)
+        if rows is None:
+            if method == "rip_ab":
+                rows, start = rip_ab(model, k).rows, None
+            else:
+                empty = AcquisitionState.initial(model, sigma2, block_size=k)
+                rows, start = _classification_design(empty, model, k, seed, opts)
+            if start != "seeded":
+                rows = model._step1_memo[key] = _readonly(rows)
+    require_orthonormal_rows(rows, "step-1")
+    return rows
 
 
 def _step2_estimates(config, state, model, gamma: int, y1, x, noise) -> np.ndarray:
@@ -356,7 +375,6 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     rows1 = _step1_rows(
         config.step1, model, config.K, config.sigma2, [_TAG_DESIGN, config.seed], config.ascent
     )
-    require_orthonormal_rows(rows1, "step-1")
     k, n = config.K, batch.n_signals
     x = batch.signals
     y1 = x @ rows1.T + noise[:, :k]

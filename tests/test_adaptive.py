@@ -115,6 +115,18 @@ class TestAcquisitionState:
         with pytest.raises(ValueError, match="measurements must be finite"):
             state.append_block(np.array([[1.0, 0.0, 0.0, 0.0]]), [value], model)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_constructor_rejects_a_non_finite_measurement(self, value):
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 0 is not"):
+            AcquisitionState(
+                rows=np.eye(2),
+                measurements=np.array([0.5, value]),
+                sigma2=0.1,
+                block_size=1,
+                class_log_likelihoods=np.zeros(2),
+                class_priors=np.full(2, 0.5),
+            )
+
     def test_rejects_priors_holding_a_nan(self):
         with pytest.raises(ValueError, match="class priors must sum to 1"):
             AcquisitionState(
@@ -154,6 +166,24 @@ class TestMeasurementLogLikelihoods:
         rows = random_orthonormal(3, 6, seed=5).rows
         with pytest.raises(ValueError, match="measurement length"):
             measurement_log_likelihoods(rows, np.zeros((5, 4)), model, 0.1)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_rejects_a_non_finite_measurement(self, value):
+        model = random_model(6, 2, seed=4)
+        rows = random_orthonormal(3, 6, seed=5).rows
+        y = np.zeros((5, 3))
+        y[2, 1] = value
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 2 is not"):
+            measurement_log_likelihoods(rows, y, model, 0.1)
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 0 is not"):
+            measurement_log_likelihoods(rows, y[2], model, 0.1)
+
+    @pytest.mark.parametrize("sigma2", [np.nan, np.inf, -5.0])
+    def test_rejects_a_sigma2_that_is_not_finite_and_nonnegative(self, sigma2):
+        model = random_model(6, 2, seed=4)
+        rows = random_orthonormal(3, 6, seed=5).rows
+        with pytest.raises(ValueError, match=f"sigma2 must be finite and >= 0, got {sigma2}"):
+            measurement_log_likelihoods(rows, np.zeros(3), model, sigma2)
 
 
 class TestBayesPosteriors:

@@ -1,12 +1,14 @@
 import dataclasses
+import gc
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from helpers import fifo_of, make_image
-from gmmsense import cli, protocol
+from helpers import fifo_of, lowrank_component, make_image, random_model, random_spd
+from gmmsense import adaptive, cli, protocol
 from gmmsense.adaptive import (
     AcquisitionState,
     AscentOptions,
@@ -267,6 +269,107 @@ def test_detection_does_not_depend_on_the_total_budget(model):
     two_step = dataclasses.replace(single, M=M)
     report = run_two_step(single, batch, model)
     assert np.array_equal(report.classes, run_two_step(two_step, batch, model).classes)
+
+
+def fresh_models():
+    """A two-class model (closed-form ida) and a three-class one (spectral)."""
+    return {
+        "closed_form": synth_model_pair(N, 3.0, 30.0, seed=1)[0],
+        "spectral": random_model(N, 3, seed=12),
+    }
+
+
+class TestStep1Memo:
+    @pytest.mark.parametrize("k", [1, K])
+    @pytest.mark.parametrize("start", ["closed_form", "spectral"])
+    def test_memoized_rows_equal_a_fresh_design(self, start, k):
+        model = fresh_models()[start]
+        empty = AcquisitionState.initial(model, 0.01, k)
+        assert protocol._classification_design(empty, model, k, 0, FAST)[1] == start
+        for seed in (1, 2):  # the second call reads the memo
+            rows = protocol._step1_rows("ida", model, k, 0.01, seed, FAST)
+            assert np.array_equal(rows, design_classification_block(empty, model, k, opts=FAST))
+            kept = protocol._step1_rows("rip_ab", model, k, 0.01, seed)
+            assert np.array_equal(kept, rip_ab(model, k).rows)
+        assert set(model._step1_memo) == {("ida", k, 0.01, FAST), ("rip_ab", k)}
+        memo = model._step1_memo[("ida", k, 0.01, FAST)]
+        assert protocol._step1_rows("ida", model, k, 0.01, 3, FAST) is memo
+        assert memo.shape == (k, N) and memo.base is None
+
+    def test_memoized_rows_are_read_only(self):
+        model = fresh_models()["spectral"]
+        for method in ("rip_ab", "ida"):
+            rows = protocol._step1_rows(method, model, K, 0.01, 0)
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+        assert all(not rows.flags.writeable for rows in model._step1_memo.values())
+
+    def test_a_seeded_design_is_not_kept(self):
+        # sigma2 = 0 and a rank-3 most likely class: no pencil factor, so
+        # the ida design starts from a seeded random block
+        spd = GaussianComponent.from_moments(np.zeros(6), random_spd(6, seed=81), 0.4)
+        model = GmmModel(components=(lowrank_component(82, 6, 3, prior=0.6), spd))
+        empty = AcquisitionState.initial(model, 0.0, 2)
+        assert protocol._classification_design(empty, model, 2, 5, FAST)[1] == "seeded"
+        first = protocol._step1_rows("ida", model, 2, 0.0, 5, FAST)
+        second = protocol._step1_rows("ida", model, 2, 0.0, 6, FAST)
+        assert model._step1_memo == {}
+        assert not np.array_equal(first, second)
+        for rows, seed in ((first, 5), (second, 6)):
+            fresh = design_classification_block(empty, model, 2, seed=seed, opts=FAST)
+            assert np.array_equal(rows, fresh)
+
+    def test_the_memo_dies_with_the_model(self, batch):
+        model = synth_model_pair(N, 3.0, 30.0, seed=1)[0]
+        for pair in (("rip_ab", "eigen_mse"), ("ida", "eigen_mse"), ("aida_sht", "mi_adaptive")):
+            run_two_step(config_for(*pair), batch, model)
+        assert len(model._step1_memo) == 3
+        ref = weakref.ref(model)
+        del model
+        gc.collect()
+        assert ref() is None
+
+    def test_a_second_aida_run_designs_one_block_fewer(self, batch, monkeypatch):
+        model = synth_model_pair(N, 3.0, 30.0, seed=1)[0]
+        real, calls = adaptive._classification_design, []
+
+        def counting(*args):
+            calls.append(args[2])
+            return real(*args)
+
+        # the public design_classification_block calls the core too
+        monkeypatch.setattr(adaptive, "_classification_design", counting)
+        monkeypatch.setattr(protocol, "_classification_design", counting)
+        config = config_for("aida_sht", "mi_adaptive", sigma2=sigma2_for_snr_db(batch, 5.0))
+        cold = run_two_step(config, batch, model)
+        n_cold = len(calls)
+        warm = run_two_step(config, batch, model)
+        assert len(calls) - n_cold == n_cold - 1
+        assert warm.same_results(cold)
+
+
+STANDARD_CASES = [
+    (pair, b, snr_db) for pair in VALID_PROTOCOL_PAIRS for b in (1, 4) for snr_db in (20.0, 5.0)
+]
+
+
+def test_reports_do_not_depend_on_the_memo():
+    # A cold model, the same model with a warm memo and an equal but
+    # distinct model give bitwise the same reports.
+    model = synth_model_pair(64, 30, 46, seed=0)[0]
+    twin = GmmModel(components=model.components)
+    batch = sample_signals(model, 3, seed=4)
+    configs = [
+        ProtocolConfig(
+            *pair, M=8, K=4, b=b, sigma2=sigma2_for_snr_db(batch, snr_db), ascent=FAST, seed=7
+        )
+        for pair, b, snr_db in STANDARD_CASES
+    ]
+    cold = [run_two_step(config, batch, model) for config in configs]
+    assert len(model._step1_memo) == 5  # rip_ab; ida at b = 1 and 4 (= K), per SNR
+    for config, report in zip(configs, cold):
+        assert report.same_results(run_two_step(config, batch, model))
+        assert report.same_results(run_two_step(config, batch, twin))
 
 
 class TestConfigFromDict:
