@@ -35,9 +35,8 @@ from .model import (
     SignalBatch,
     m_step_update,
     sample_signals,
-    spd_eigendecompose,
 )
-from .patches import patch_extract, read_pgm, write_pgm
+from .patches import patch_extract, read_pgm
 from .protocol import (
     ExperimentReport,
     ProtocolConfig,
@@ -46,7 +45,6 @@ from .protocol import (
 )
 from .serialize import load_model, read_matrix, save_model, write_matrix
 from .synthetic import (
-    BD_BUCKETS,
     bhattacharyya_distance,
     synth_covariance,
     synth_covariance_pair,
@@ -62,7 +60,6 @@ from .train import (
 __all__ = [
     "AcquisitionState",
     "AscentOptions",
-    "BD_BUCKETS",
     "ExperimentReport",
     "GaussianComponent",
     "GmmModel",
@@ -95,7 +92,6 @@ __all__ = [
     "separability_measure",
     "sht_run",
     "sigma2_for_snr_db",
-    "spd_eigendecompose",
     "supervised_gmm",
     "synth_covariance",
     "synth_covariance_pair",
@@ -104,7 +100,6 @@ __all__ = [
     "train_gmm_coadapt",
     "wiener_coefficients",
     "write_matrix",
-    "write_pgm",
 ]
 
 __version__ = "0.1.0"

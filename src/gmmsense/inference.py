@@ -8,9 +8,12 @@ eigendecomposition of each class's inner matrix R Sigma_g R^T + sigma2 I
 serves both the coefficients and the minimum of the objective, which is
 the Gaussian quadratic form sigma2 * y_c^T (R Sigma_g R^T + sigma2 I)^-1 y_c
 (y_c the class-centered measurements), so no reconstruction or residual is
-formed to score a class. At sigma2 = 0 the minimum is the residual alone:
-0 for every class whose projected covariance is full rank, so such exact
-fits tie and the lowest index among them wins.
+formed to score a class. A batch is scored against every class first, one
+matrix product per class and chunk of signals; the coefficients are then
+solved once per signal, for its winning class only. At sigma2 = 0 the
+minimum is the residual alone: 0 for every class whose projected
+covariance is full rank, so such exact fits tie and the lowest index
+among them wins.
 Classification from raw measurements uses the Gaussian measurement-space
 criterion (quadratic form plus log-determinant, no prior term). Sequential
 hypothesis testing stops acquiring once some class beats every other by a
@@ -128,14 +131,15 @@ def _wiener_solver(rows: np.ndarray, component: GaussianComponent, sigma2: float
     return vecs, coef_map, weights
 
 
-# Signals per E-step chunk. A chunk never holds a single signal when the
-# batch has more: a one-row matmul takes numpy's matrix-vector path, which
-# rounds differently from the same row inside a larger product.
+# Signals per E-step chunk, and per block of one class's estimates in
+# map_em. Neither holds a single signal when there are more: a one-row
+# matmul takes numpy's matrix-vector path, which rounds differently from the
+# same row inside a larger product.
 _CHUNK = 2048
 
 
 def _chunks(n_sig: int):
-    """(start, stop) bounds of the E-step chunks; a 1-signal tail joins the last."""
+    """(start, stop) bounds of E-step chunks or blocks; a 1-signal tail joins the last."""
     edges = list(range(0, n_sig, _CHUNK)) + [n_sig]
     if len(edges) > 2 and edges[-1] - edges[-2] == 1:
         del edges[-2]
@@ -152,45 +156,53 @@ def _class_objectives(
     labels are the 0-based argmin over classes (ties go to the lowest
     index, as np.argmin) and coefficients are the winning class's ridge
     coefficients. Each class's inner matrix is factorized once
-    (_wiener_solver); per chunk a class then costs two matrix products,
-    z = (y - R mu) U and the coefficients z C, and its objectives are the
-    closed-form quadratic form (z * z) omega, with no reconstruction or
-    residual formed. At sigma2 = 0 every class whose projected covariance
-    is full rank scores exactly 0, so the lowest such index wins. The
-    coefficients are computed for the whole chunk before the winners are
-    taken (a one-row product takes numpy's matrix-vector path), but BLAS
-    can still round a short chunk differently: the coefficients may move
-    in the last bits with the chunk size (1e-13 relative seen), while the
-    objectives and labels have stayed bitwise. Signals are processed in
-    chunks of _CHUNK, keeping the running best per signal, so working
-    memory is O(_CHUNK * N + G * S) on top of the (S, M) input and the
-    (S, N) output; no (G, S, N) array is formed.
+    (_wiener_solver). Every class is scored first: per chunk of _CHUNK
+    signals a class costs one matrix product, z = (y - R mu) U, and its
+    objectives are the closed-form quadratic form (z * z) omega, with no
+    reconstruction or residual formed. The running winner's z rows are
+    kept in the first m columns of the coefficient array. Then each class
+    solves once, z C over all the signals it won: G products per chunk
+    plus one solve per signal. At sigma2 = 0 every class whose projected
+    covariance is full rank scores exactly 0, so the lowest such index
+    wins. A one-row product takes numpy's matrix-vector path, so a chunk
+    or a solve holds one signal only when the whole batch, or all of a
+    class's winners, is that one signal. BLAS can still round a row
+    differently with a product's row count: the coefficients may move in
+    the last bits with _CHUNK (1e-13 relative seen), while the objectives
+    and labels have stayed bitwise. Working memory is O(_CHUNK * N + G * S)
+    while scoring and one class's winners (at most S x N) while solving,
+    on top of the (S, M) input and the (S, N) output; no (G, S, N) array
+    is formed.
     """
-    n_sig = y_rows.shape[0]
+    n_sig, m = y_rows.shape
     objectives = np.empty((model.n_components, n_sig))
     labels = np.zeros(n_sig, dtype=np.intp)
-    coefficients = np.empty((n_sig, model.dimension))
+    # Wide enough for the winners' z: raw rows may number m > N.
+    coefficients = np.empty((n_sig, max(model.dimension, m)))
     classes = [
         (rows @ comp.mean, *_wiener_solver(rows, comp, sigma2))
         for comp in model.components
     ]
     for start, stop in _chunks(n_sig):
-        for gi, (projected_mean, vecs, coef_map, weights) in enumerate(classes):
+        for gi, (projected_mean, vecs, _, weights) in enumerate(classes):
             z = (y_rows[start:stop] - projected_mean) @ vecs  # (chunk, m)
             # Not (z * z) @ weights: a matrix-vector product can round a
             # row differently with the chunk's row count.
             obj = np.einsum("sm,sm,m->s", z, z, weights)
-            alpha = z @ coef_map  # (chunk, N)
             objectives[gi, start:stop] = obj
             if gi == 0:
                 best = obj
-                coefficients[start:stop] = alpha
+                coefficients[start:stop, :m] = z
                 continue
             wins = obj < best  # strict: ties stay with the lower index
             best[wins] = obj[wins]
             labels[start:stop][wins] = gi
-            coefficients[start:stop][wins] = alpha[wins]
-    return objectives, labels, coefficients
+            coefficients[start:stop, :m][wins] = z[wins]
+    for gi, (_, _, coef_map, _) in enumerate(classes):
+        idx = np.flatnonzero(labels == gi)
+        if idx.size:
+            coefficients[idx, : model.dimension] = coefficients[idx, :m] @ coef_map
+    return objectives, labels, coefficients[:, : model.dimension]
 
 
 def map_reconstruct(
@@ -254,18 +266,21 @@ def map_em(
     update. kappa = 0 returns the model unchanged. All signals share the
     same sensing rows.
 
-    The E-step factorizes each class's inner matrix once per iteration and
-    scores every signal by the closed-form quadratic form of that
-    factorization (see _wiener_solver); the winning class's coefficients
-    come from the same factorization. At sigma2 = 0 every class whose
+    The E-step factorizes each class's inner matrix once per iteration,
+    scores every signal against every class by the closed-form quadratic
+    form of that factorization (G matrix products per chunk of signals),
+    and then solves once per signal for the winning class's coefficients
+    (see _class_objectives). At sigma2 = 0 every class whose
     projected covariance is full rank fits each signal exactly (objective
     0), so the lowest such index takes the signal: zero-noise learning
-    separates classes only through rank-deficient projections. The E-step
-    streams over signal chunks (see _class_objectives), so working memory
-    is O(chunk * N + G * S) plus the (S, M) measurements and one (S, N)
-    array of coefficients, turned into the estimates in place; no
-    (G, S, N) array is formed. The chunk size can move the estimates, and
-    so the refitted moments, in the last bits (see _class_objectives).
+    separates classes only through rank-deficient projections. Working
+    memory is that of _class_objectives: the (S, M) measurements, one
+    (S, N) array of coefficients, turned into the estimates in place in
+    row blocks of at most _CHUNK, and transients of at most one class's
+    signals. A pass's estimates are freed before the next E-step allocates
+    its own, so one (S, N) array is alive at a time; no (G, S, N) array is
+    formed. The chunk size can move the estimates,
+    and so the refitted moments, in the last bits (see _class_objectives).
     Raises ValueError for a non-finite measurement (naming the first bad
     signal) and for a sigma2 that is not finite or is negative.
     """
@@ -280,13 +295,14 @@ def map_em(
     current = model
     for _ in range(kappa):
         _, labels, estimates = _class_objectives(y_rows, rows, current, sigma2)
-        # Coefficients become estimates in place, one product per class over
-        # all of its signals.
+        # Coefficients become estimates in place, in the E-step's row blocks.
         for gi, comp in enumerate(current.components):
             idx = np.flatnonzero(labels == gi)
-            if idx.size:
-                estimates[idx] = comp.mean + estimates[idx] @ comp.basis.T
+            for start, stop in _chunks(idx.size):
+                block = idx[start:stop]
+                estimates[block] = comp.mean + estimates[block] @ comp.basis.T
         current = m_step_update(estimates, labels + 1, current)
+        del estimates  # the next E-step allocates its own
     return current
 
 

@@ -25,7 +25,6 @@ __all__ = [
     "GaussianComponent",
     "GmmModel",
     "SignalBatch",
-    "spd_eigendecompose",
     "sample_signals",
     "m_step_update",
 ]
@@ -56,7 +55,7 @@ def _mean_energy(batch: SignalBatch) -> float:
     return float(np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension)
 
 
-def spd_eigendecompose(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _spd_eigendecompose(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a symmetric PSD matrix into (basis, eigenvalues).
 
     The basis columns are orthonormal eigenvectors in descending eigenvalue
@@ -138,7 +137,7 @@ class GaussianComponent:
         cls, mean: np.ndarray, covariance: np.ndarray, prior: float = 1.0
     ) -> "GaussianComponent":
         """Build a component from raw moments, running the PCA internally."""
-        basis, eigenvalues = spd_eigendecompose(covariance)
+        basis, eigenvalues = _spd_eigendecompose(covariance)
         return cls(
             mean=np.asarray(mean, dtype=float),
             covariance=symmetrize(np.asarray(covariance, dtype=float)),

@@ -6,7 +6,7 @@ import numpy as np
 
 from .model import SignalBatch
 
-__all__ = ["read_pgm", "write_pgm", "patch_extract"]
+__all__ = ["read_pgm", "patch_extract"]
 
 I_MAX_8BIT = 255.0
 
@@ -51,18 +51,6 @@ def read_pgm(path) -> np.ndarray:
     return img.astype(float)
 
 
-def write_pgm(path, image: np.ndarray) -> None:
-    """Write a 2-D array as 8-bit binary PGM, clipping to [0, 255]."""
-    img = np.asarray(image, dtype=float)
-    if img.ndim != 2:
-        raise ValueError("image must be 2-D")
-    pixels = np.clip(np.rint(img), 0, 255).astype(np.uint8)
-    h, w = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(pixels.tobytes())
-
-
 def patch_extract(image: np.ndarray, patch: int, overlap: bool = False) -> SignalBatch:
     """Extract square patches as row signals with per-patch DC removed.
 
@@ -82,10 +70,13 @@ def patch_extract(image: np.ndarray, patch: int, overlap: bool = False) -> Signa
     windows = np.lib.stride_tricks.sliding_window_view(img, (patch, patch))
     windows = windows[::stride, ::stride]
     grid = windows.shape[:2]
-    flat = windows.reshape(-1, patch * patch)
+    flat = windows.reshape(-1, patch * patch)  # a copy, unless it can view img
+    if np.shares_memory(flat, img):
+        flat = flat.copy()
     dc = flat.mean(axis=1)
+    flat -= dc[:, None]
     return SignalBatch(
-        signals=flat - dc[:, None],
+        signals=flat,
         provenance={
             "kind": "patches",
             "image_shape": tuple(img.shape),

@@ -18,21 +18,7 @@ __all__ = [
     "synth_covariance",
     "synth_covariance_pair",
     "synth_model_pair",
-    "BD_BUCKETS",
 ]
-
-# Distance buckets the benchmark suite draws from; pairs above ~142 are
-# rare and numerically touchy, matching how hard they are to sample.
-BD_BUCKETS: tuple[tuple[float, float], ...] = (
-    (30.0, 46.0),
-    (46.0, 62.0),
-    (62.0, 78.0),
-    (78.0, 94.0),
-    (94.0, 110.0),
-    (110.0, 126.0),
-    (126.0, 142.0),
-    (142.0, np.inf),
-)
 
 
 def _floored_logdet_of(covariance: np.ndarray) -> float:

@@ -126,9 +126,11 @@ def train_gmm(
     fits every patch exactly and the lowest such index wins. The returned
     covariances carry a shared diagonal load of LOAD_REL times the mean
     per-sample energy.
-    iters = 0 keeps the orientation model. Each EM pass streams over the
-    signals (see map_em): its working memory is O(chunk * N + G * S) on
-    top of the (S, N) signals and estimates, with no (G, S, N) array.
+    iters = 0 keeps the orientation model. Each EM pass scores every class
+    with one matrix product per chunk of signals, then solves once per
+    signal for its winning class (see map_em): on top of the (S, N)
+    signals it holds one (S, N) array of estimates and transients of at
+    most one class's signals, with no (G, S, N) array.
     """
     _check_iters(iters)
     model = init_gmm_by_orientation(batch, orientation_bins)

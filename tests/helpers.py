@@ -70,6 +70,15 @@ def make_image(seed: int, size: int = 96) -> np.ndarray:
     return np.clip(img, 0, 255)
 
 
+def write_pgm(path, image: np.ndarray) -> None:
+    """Write a 2-D array as 8-bit binary PGM, clipping to [0, 255]."""
+    pixels = np.clip(np.rint(np.asarray(image, dtype=float)), 0, 255).astype(np.uint8)
+    h, w = pixels.shape
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{w} {h}\n255\n".encode())
+        fh.write(pixels.tobytes())
+
+
 def fifo_of(path, raw: bytes):
     """Make a FIFO at path that hands raw to the first reader to open it.
 

@@ -6,7 +6,7 @@ import pytest
 from helpers import lowrank_component, random_model, random_spd
 from gmmsense import inference
 from gmmsense._linalg import EIG_FLOOR_REL
-from gmmsense.adaptive import AcquisitionState
+from gmmsense.adaptive import AcquisitionState, design_classification_block
 from gmmsense.design import random_orthonormal
 from gmmsense.inference import (
     map_classify,
@@ -396,6 +396,15 @@ def assert_models_equal(a, b):
     assert np.array_equal(a.covariance_stack, b.covariance_stack)
 
 
+def assert_map_em_is_dense(rows, g):
+    """map_em over more than one chunk, at positive noise, is bitwise dense_map_em."""
+    model = random_model(rows.shape[1], g, seed=43)
+    assert inference._CHUNK < 4500
+    y = sample_signals(model, 4500, seed=44).signals @ rows.T
+    streamed = map_em(y, rows, model, 0.05, kappa=2)
+    assert_models_equal(streamed, dense_map_em(y, rows, model, 0.05, kappa=2))
+
+
 class TestStreamingEStep:
     def test_identical_components_tie_to_the_first(self):
         comp = GaussianComponent.from_moments(np.zeros(5), random_spd(5, seed=40), 0.5)
@@ -412,14 +421,11 @@ class TestStreamingEStep:
 
     def test_map_em_is_bitwise_the_dense_argmin_path(self):
         # More signals than one chunk, compressed rows, positive noise.
-        n, m, g = 10, 6, 8
-        model = random_model(n, g, seed=43)
-        assert inference._CHUNK < 4500
-        signals = sample_signals(model, 4500, seed=44).signals
-        rows = random_orthonormal(m, n, seed=45).rows
-        y = signals @ rows.T
-        streamed = map_em(y, rows, model, 0.05, kappa=2)
-        assert_models_equal(streamed, dense_map_em(y, rows, model, 0.05, kappa=2))
+        assert_map_em_is_dense(random_orthonormal(6, 10, seed=45).rows, g=8)
+
+    def test_map_em_with_identity_rows_is_bitwise_the_dense_argmin_path(self):
+        # train_gmm's path: full observations, G = 10.
+        assert_map_em_is_dense(np.eye(16), g=10)
 
     @pytest.mark.parametrize(
         "n, g, m, n_sig, seeds, chunks, coef_rtol",
@@ -449,6 +455,48 @@ class TestStreamingEStep:
                 assert np.array_equal(coefficients, whole[2])
             else:
                 assert np.allclose(coefficients, whole[2], rtol=coef_rtol, atol=0.0)
+
+    def test_lone_winners_get_their_class_coefficients(self, monkeypatch):
+        # Class 1 wins one signal of the batch, so its one solve is a
+        # one-row product; smaller chunks also leave some class a single
+        # winner within a chunk. Coefficients are solved per class over its
+        # winners, so they must not depend on how the scoring was chunked.
+        model = random_model(7, 4, seed=46)
+        rows = random_orthonormal(5, 7, seed=47).rows
+        y = np.random.default_rng(48).standard_normal((60, 5))
+        results = {}
+        for chunk in (2, 3, 5, 2048):
+            monkeypatch.setattr(inference, "_CHUNK", chunk)
+            _, labels, coefficients = inference._class_objectives(y, rows, model, 0.02)
+            lone = [
+                np.bincount(labels[start:stop], minlength=4)
+                for start, stop in inference._chunks(60)
+            ]
+            assert any(1 in counts for counts in lone)
+            results[chunk] = labels, coefficients
+        labels, coefficients = results[2048]
+        assert np.bincount(labels, minlength=4)[1] == 1
+        for chunk, (other_labels, other) in results.items():
+            assert np.array_equal(other_labels, labels), chunk
+            assert np.array_equal(other, coefficients), chunk
+        for gi, comp in enumerate(model.components):
+            idx = np.flatnonzero(labels == gi)
+            expected = wiener_coefficients(y[idx] - rows @ comp.mean, rows, comp, 0.02)
+            assert np.allclose(coefficients[idx], expected, rtol=1e-12, atol=0.0)
+
+    def test_more_rows_than_dimensions(self):
+        # Raw rows may outnumber N: the winners' z rows are then wider than
+        # the coefficients they become.
+        model = random_model(5, 3, seed=1)
+        rows = np.random.default_rng(2).standard_normal((8, 5))
+        y = np.random.default_rng(3).standard_normal((50, 8))
+        _, labels, coefficients = inference._class_objectives(y, rows, model, 0.1)
+        assert coefficients.shape == (50, 5)
+        assert len(np.unique(labels)) == 3
+        for gi, comp in enumerate(model.components):
+            idx = np.flatnonzero(labels == gi)
+            expected = wiener_coefficients(y[idx] - rows @ comp.mean, rows, comp, 0.1)
+            assert np.allclose(coefficients[idx], expected, rtol=1e-12, atol=0.0)
 
     def test_map_em_memory_does_not_scale_with_classes_times_signals(self):
         # One (G, S, N) array is 10 * 6000 * 32 * 8 B = 15 MB; the dense path
@@ -646,3 +694,32 @@ class TestShtRun:
         )
         assert outcome.state.n_measurements <= 4
         assert np.array_equal(outcome.state.rows[:2], block)
+
+    @pytest.mark.parametrize("p_e", [0.05, 0.2])
+    def test_decided_error_rate_stays_within_the_target(self, p_e):
+        # Wald's threshold eta = (1 - P_e) / P_e bounds the error among
+        # decided signals by P_e; allow a one-sided 3-sigma binomial margin.
+        model, _ = synth_model_pair(16, 10.0, 20.0, seed=0)
+        # 0 dB: sigma2 is the mean per-sample energy of the two equal classes.
+        sigma2 = sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
+        batch = sample_signals(model, 200, seed=1)
+        noise = np.random.default_rng(2).standard_normal((200, 8))
+        first = design_classification_block(AcquisitionState.initial(model, sigma2, 1), model, 1)
+        decided = wrong = 0
+        for i, (x, label) in enumerate(zip(batch.signals, batch.labels)):
+            draws = iter(np.sqrt(sigma2) * noise[i])
+            outcome = sht_run(
+                lambda rows: rows @ x + next(draws),
+                model,
+                1,
+                8,
+                p_e,
+                sigma2=sigma2,
+                seed=i,
+                first_block=first,
+            )
+            if outcome.decided_class is not None:
+                decided += 1
+                wrong += outcome.decided_class != label
+        assert decided >= 90
+        assert wrong / decided <= p_e + 3.0 * np.sqrt(p_e * (1.0 - p_e) / decided)

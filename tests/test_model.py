@@ -7,26 +7,26 @@ from gmmsense.model import (
     GaussianComponent,
     GmmModel,
     SignalBatch,
+    _spd_eigendecompose,
     m_step_update,
     sample_signals,
-    spd_eigendecompose,
 )
 
 
 class TestSpdEigendecompose:
     def test_identity(self):
-        basis, vals = spd_eigendecompose(np.eye(3))
+        basis, vals = _spd_eigendecompose(np.eye(3))
         assert np.array_equal(vals, np.ones(3))
         assert np.abs(basis - np.eye(3)).max() < 1e-12
 
     def test_already_diagonal(self):
-        basis, vals = spd_eigendecompose(np.diag([4.0, 1.0]))
+        basis, vals = _spd_eigendecompose(np.diag([4.0, 1.0]))
         assert np.allclose(vals, [4.0, 1.0])
         assert np.abs(basis - np.eye(2)).max() < 1e-12
 
     def test_random_roundtrip(self):
         a = random_spd(6, seed=11)
-        basis, vals = spd_eigendecompose(a)
+        basis, vals = _spd_eigendecompose(a)
         recon = (basis * vals) @ basis.T
         assert np.linalg.norm(recon - a) <= 1e-10 * np.linalg.norm(a)
 
@@ -34,20 +34,20 @@ class TestSpdEigendecompose:
         a = np.eye(4)
         a[0, 1] = 0.01
         with pytest.raises(NonSymmetricMatrixError):
-            spd_eigendecompose(a)
+            _spd_eigendecompose(a)
 
     def test_rejects_negative_definite_direction(self):
         a = np.diag([1.0, -1e-6])
         with pytest.raises(NotPositiveSemidefiniteError):
-            spd_eigendecompose(a)
+            _spd_eigendecompose(a)
 
     def test_clamps_rounding_negatives(self):
         a = np.diag([1.0, -1e-12])
-        _, vals = spd_eigendecompose(a)
+        _, vals = _spd_eigendecompose(a)
         assert vals[1] == 0.0
 
     def test_descending_and_nonnegative(self):
-        _, vals = spd_eigendecompose(random_spd(9, seed=12, cond=1e6))
+        _, vals = _spd_eigendecompose(random_spd(9, seed=12, cond=1e6))
         assert np.all(np.diff(vals) <= 0)
         assert np.all(vals >= 0)
 
@@ -55,18 +55,18 @@ class TestSpdEigendecompose:
         # Rank 6 with lambda_max = 1e4: the 10 null directions come out of
         # eigh as noise of order 1e-12 and must be stored as exact zeros.
         cov = lowrank_component(1, 16, 6).covariance
-        _, vals = spd_eigendecompose(cov)
+        _, vals = _spd_eigendecompose(cov)
         assert np.count_nonzero(vals) == 6
         assert np.all(vals[6:] == 0.0)
 
     def test_keeps_small_eigenvalue_above_rank_tolerance(self):
         # 1e-13 > 2 * eps * 1.0, so it is spectrum, not rounding noise.
-        _, vals = spd_eigendecompose(np.diag([1.0, 1e-13]))
+        _, vals = _spd_eigendecompose(np.diag([1.0, 1e-13]))
         assert vals[1] == 1e-13
 
     def test_zeroes_rounding_positives(self):
         # 1e-17 <= 2 * eps * 1.0.
-        _, vals = spd_eigendecompose(np.diag([1.0, 1e-17]))
+        _, vals = _spd_eigendecompose(np.diag([1.0, 1e-17]))
         assert vals[1] == 0.0
 
 

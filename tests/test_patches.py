@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import make_image
-from gmmsense.patches import patch_extract, read_pgm, write_pgm
+from helpers import make_image, write_pgm
+from gmmsense.patches import patch_extract, read_pgm
 
 
 def test_pgm_round_trip(tmp_path):
@@ -55,3 +55,27 @@ def test_patch_grid_and_dc_offsets_rebuild_each_patch(overlap, grid):
             patch = img[i * stride : i * stride + 3, j * stride : j * stride + 3]
             assert np.allclose(rebuilt[k], patch.ravel(), rtol=0, atol=1e-12)
             k += 1
+
+
+@pytest.mark.parametrize(
+    "patch, overlap", [(3, False), (3, True), (1, False)], ids=["tiled", "overlap", "pixel"]
+)
+def test_dc_is_removed_without_touching_the_callers_image(patch, overlap):
+    # For patch = 1 the patch rows can be a view of a float image, which
+    # must be copied before the DC is subtracted in place.
+    img = np.ascontiguousarray(make_image(1, size=10)[:, :7])
+    before = img.copy()
+    batch = patch_extract(img, patch, overlap=overlap)
+    assert np.array_equal(img, before)
+    stride = 1 if overlap else patch
+    rows, cols = batch.provenance["grid"]
+    flat = np.array(
+        [
+            img[i * stride : i * stride + patch, j * stride : j * stride + patch].ravel()
+            for i in range(rows)
+            for j in range(cols)
+        ]
+    )
+    dc = flat.mean(axis=1)
+    assert np.array_equal(batch.dc_offsets, dc)
+    assert np.array_equal(batch.signals, flat - dc[:, None])

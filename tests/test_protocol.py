@@ -7,7 +7,14 @@ import weakref
 import numpy as np
 import pytest
 
-from helpers import fifo_of, lowrank_component, make_image, random_model, random_spd
+from helpers import (
+    fifo_of,
+    lowrank_component,
+    make_image,
+    random_model,
+    random_spd,
+    write_pgm,
+)
 from gmmsense import adaptive, cli, protocol
 from gmmsense.adaptive import (
     AcquisitionState,
@@ -19,7 +26,6 @@ from gmmsense.adaptive import (
 from gmmsense.design import eigen_sensing, random_orthonormal, rip_ab
 from gmmsense.inference import map_classify, wiener_coefficients
 from gmmsense.model import GaussianComponent, GmmModel, SignalBatch, sample_signals
-from gmmsense.patches import write_pgm
 from gmmsense.protocol import (
     _TAG_DESIGN,
     _TAG_NOISE,
