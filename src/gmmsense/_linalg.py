@@ -1,8 +1,8 @@
 """Dense linear-algebra helpers shared across the package.
 
 Everything here enforces the deterministic conventions the rest of the code
-relies on: descending eigenvalue order, sign-fixed eigenvectors and singular
-vectors, and eigenvalue flooring before inversions and determinants.
+relies on: descending eigenvalue order, sign-fixed eigenvectors, and
+eigenvalue flooring before inversions and determinants.
 """
 
 from __future__ import annotations
@@ -160,30 +160,3 @@ def orthonormalize_rows(a: np.ndarray) -> np.ndarray:
         raise SingularMatrixError("rows are linearly dependent")
     signs = np.sign(d)
     return (q * signs).T
-
-
-def svd_descending_signed(a: np.ndarray):
-    """SVD with descending singular values and sign-fixed left vectors.
-
-    Each column of U has its first above-noise entry positive; the matching
-    row of Vh is flipped so U @ diag(s) @ Vh still reconstructs A.
-    """
-    u, s, vh = np.linalg.svd(a)
-    signs = _leading_entries(u)[1]
-    k = min(u.shape[1], vh.shape[0])
-    vh[:k] *= signs[:k, None]
-    return u * signs, s, vh
-
-
-def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
-    """Principal angles (radians) between the row spaces of two matrices.
-
-    Small angles use the sine formulation (projection residual), which is
-    accurate down to machine precision where arccos loses half its digits.
-    """
-    qa = orthonormalize_rows(rows_a)
-    qb = orthonormalize_rows(rows_b)
-    cos = np.clip(np.linalg.svd(qa @ qb.T, compute_uv=False), 0.0, 1.0)
-    resid = qa - (qa @ qb.T) @ qb
-    sin = np.clip(np.sort(np.linalg.svd(resid, compute_uv=False)), 0.0, 1.0)
-    return np.where(cos**2 > 0.5, np.arcsin(sin), np.arccos(cos))

@@ -332,12 +332,7 @@ def _gradient(projection, weights: np.ndarray) -> np.ndarray:
     return terms[-1] - np.einsum("g,gbn->bn", weights, terms[:-1])
 
 
-def separability_measure(
-    block,
-    state: AcquisitionState,
-    model: GmmModel,
-    posteriors: PosteriorMatrices | None = None,
-) -> float:
+def separability_measure(block, state: AcquisitionState, model: GmmModel) -> float:
     """Class-separability score of a candidate measurement block.
 
     Half the prior-weighted sum over classes of (logdet of the projected
@@ -348,9 +343,7 @@ def separability_measure(
     """
     rows = as_rows(block)
     require_orthonormal_rows(rows, "candidate")
-    if posteriors is None:
-        posteriors = posterior_matrices(state, model)
-    return _score(_project(rows, posteriors), state.class_priors)
+    return _score(_project(rows, posterior_matrices(state, model)), state.class_priors)
 
 
 # Steepest-ascent constants of the block design: the first trial step,

@@ -177,10 +177,6 @@ def _cmd_design(args) -> int:
 def _cmd_run_protocol(args) -> int:
     with open(args.config) as fh:
         d = json.load(fh)
-    # Set before validation, which rejects a nonstandard pair; from_dict
-    # rejects a config that is not a mapping.
-    if args.allow_nonstandard and isinstance(d, dict):
-        d["allow_nonstandard"] = True
     config = ProtocolConfig.from_dict(d)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
@@ -282,7 +278,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--patch", type=int, default=8)
     p.add_argument("--snr-db", type=float, default=None, help="override sigma2 from SNR")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
-    p.add_argument("--allow-nonstandard", action="store_true")
     p.add_argument("--out", required=True, help="report JSON path")
     p.add_argument("--per-signal", default=None, help="per-signal CSV path")
     p.set_defaults(func=_cmd_run_protocol)

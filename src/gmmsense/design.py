@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import orthonormalize_rows, svd_descending_signed
+from ._linalg import orthonormalize_rows
 from .model import GaussianComponent, GmmModel, _readonly
 
 __all__ = [
@@ -83,8 +83,9 @@ def rip_ab(model: GmmModel, m: int) -> SensingMatrix:
 
     The orthogonal X closest to the average basis E = sum_g pi_g V_g in
     Frobenius norm is the Procrustes rotation X = U W^T of the SVD
-    E = U S W^T (descending singular values, deterministic signs); the
-    design is the first m rows of X^T = W U^T.
+    E = U S W^T; flipping a column of U flips the matching row of W^T, so
+    X does not depend on the signs the SVD picks. The design is the first
+    m rows of X^T = W U^T.
     For a single-component model this reduces to eigen_sensing of that
     component, since W U^T = E^T when E is orthogonal.
     """
@@ -92,5 +93,5 @@ def rip_ab(model: GmmModel, m: int) -> SensingMatrix:
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got m={m}")
     average = np.einsum("g,gij->ij", model.priors, model.basis_stack)
-    u, _, wt = svd_descending_signed(average)
+    u, _, wt = np.linalg.svd(average)
     return SensingMatrix(rows=(u @ wt).T[:m])

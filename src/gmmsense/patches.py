@@ -35,7 +35,12 @@ def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
 
 
 def read_pgm(path) -> np.ndarray:
-    """Read an 8-bit binary PGM (P5) image as a float array in [0, 255]."""
+    """Read an 8-bit binary PGM (P5) image as a float array in [0, 255].
+
+    Pixels are scaled by 255 / maxval, so every image shares the peak
+    I_MAX_8BIT that PSNR is computed against. A pixel above maxval is a
+    ValueError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if not data.startswith(b"P5"):
@@ -48,7 +53,9 @@ def read_pgm(path) -> np.ndarray:
     if len(payload) != width * height:
         raise ValueError(f"{path}: truncated pixel data")
     img = np.frombuffer(payload, dtype=np.uint8).reshape(height, width)
-    return img.astype(float)
+    if img.max(initial=0) > maxval:
+        raise ValueError(f"{path}: pixel value {img.max()} above maxval {maxval}")
+    return img * I_MAX_8BIT / maxval  # exact at maxval 255: v * 255 / 255 == v
 
 
 def patch_extract(image: np.ndarray, patch: int, overlap: bool = False) -> SignalBatch:

@@ -6,7 +6,9 @@ adaptive acquisition), and a reconstruction phase that spends the
 remaining budget on rows tailored to the detected component. Setting the
 detection budget equal to the total budget (K = M) leaves the second phase
 empty, which is the single-step batch protocol: `run_two_step` is the one
-driver for both.
+driver for both. The two phases are chosen independently: any detection
+design of STEP1_METHODS runs with any reconstruction design of
+STEP2_METHODS.
 
 Sensing rows are chosen here only. _step1_rows builds the non-adaptive
 detection rows (random, rip_ab, ida) by name: the K rows every signal of
@@ -60,20 +62,10 @@ __all__ = [
     "ExperimentReport",
     "run_two_step",
     "sigma2_for_snr_db",
-    "VALID_PROTOCOL_PAIRS",
 ]
 
 STEP1_METHODS = ("random", "rip_ab", "ida", "aida_sht")
 STEP2_METHODS = ("eigen_mse", "mi_adaptive")
-
-# Protocol pairs from the published configuration table.
-VALID_PROTOCOL_PAIRS = (
-    ("random", "eigen_mse"),
-    ("rip_ab", "eigen_mse"),
-    ("ida", "eigen_mse"),
-    ("ida", "mi_adaptive"),
-    ("aida_sht", "mi_adaptive"),
-)
 
 _TAG_DESIGN = 101
 _TAG_NOISE = 202
@@ -103,11 +95,10 @@ class ProtocolConfig:
 
     M is the total measurement budget per signal, K the detection budget
     (ignored by aida_sht, which stops on its own), b the adaptive block
-    size, P_e the sequential-test error target. Pairs outside the standard
-    configuration table are rejected unless allow_nonstandard is set.
-    M, K, b and seed must be integers, P_e and sigma2 finite numbers and
-    allow_nonstandard a bool; numpy scalars are accepted and stored as
-    Python numbers. Anything else is a ValueError naming the field.
+    size, P_e the sequential-test error target. Any step1 of STEP1_METHODS
+    runs with any step2 of STEP2_METHODS. M, K, b and seed must be
+    integers, P_e and sigma2 finite numbers; numpy scalars are accepted and
+    stored as Python numbers. Anything else is a ValueError naming the field.
     """
 
     step1: str
@@ -119,7 +110,6 @@ class ProtocolConfig:
     sigma2: float = 0.0
     ascent: AscentOptions = field(default_factory=AscentOptions)
     seed: int = 0
-    allow_nonstandard: bool = False
 
     def __post_init__(self):
         # Numpy scalars pass and are stored as Python numbers, so to_dict
@@ -136,22 +126,10 @@ class ProtocolConfig:
             ):
                 raise ValueError(f"{name} must be a finite number, got {value!r}")
             object.__setattr__(self, name, float(value))
-        if not isinstance(self.allow_nonstandard, (bool, np.bool_)):
-            raise ValueError(
-                f"allow_nonstandard must be true or false, got {self.allow_nonstandard!r}"
-            )
-        object.__setattr__(self, "allow_nonstandard", bool(self.allow_nonstandard))
         if self.step1 not in STEP1_METHODS:
             raise ValueError(f"unknown step1 {self.step1!r}, choose from {STEP1_METHODS}")
         if self.step2 not in STEP2_METHODS:
             raise ValueError(f"unknown step2 {self.step2!r}, choose from {STEP2_METHODS}")
-        if not (self.step1, self.step2) in VALID_PROTOCOL_PAIRS and not self.allow_nonstandard:
-            pairs = ", ".join(f"{a}+{b}" for a, b in VALID_PROTOCOL_PAIRS)
-            raise ValueError(
-                f"protocol pair {self.step1}+{self.step2} is not a standard "
-                f"configuration (valid: {pairs}); pass allow_nonstandard=True "
-                f"to run it anyway"
-            )
         if not 1 <= self.K <= self.M:
             raise ValueError(f"need 1 <= K <= M, got K={self.K}, M={self.M}")
         if self.b < 1:

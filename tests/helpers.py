@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 
+from gmmsense._linalg import orthonormalize_rows
 from gmmsense.model import GaussianComponent, GmmModel
 
 
@@ -42,6 +43,20 @@ def lowrank_component(
     vals[:rank] = scale * i**-3.0
     cov = (q * vals) @ q.T
     return GaussianComponent.from_moments(np.zeros(n), 0.5 * (cov + cov.T), prior)
+
+
+def principal_angles(rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    """Principal angles (radians) between the row spaces of two matrices.
+
+    Small angles use the sine formulation (projection residual), which is
+    accurate down to machine precision where arccos loses half its digits.
+    """
+    qa = orthonormalize_rows(rows_a)
+    qb = orthonormalize_rows(rows_b)
+    cos = np.clip(np.linalg.svd(qa @ qb.T, compute_uv=False), 0.0, 1.0)
+    resid = qa - (qa @ qb.T) @ qb
+    sin = np.clip(np.sort(np.linalg.svd(resid, compute_uv=False)), 0.0, 1.0)
+    return np.where(cos**2 > 0.5, np.arcsin(sin), np.arccos(cos))
 
 
 def make_image(seed: int, size: int = 96) -> np.ndarray:

@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from helpers import random_model, random_spd
-from gmmsense._linalg import orthonormalize_rows, principal_angles
+from helpers import principal_angles, random_model, random_spd
+from gmmsense._linalg import orthonormalize_rows
 from gmmsense.design import SensingMatrix, eigen_sensing, random_orthonormal, rip_ab
 from gmmsense.model import GaussianComponent, GmmModel
 

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from helpers import random_spd
+from helpers import principal_angles, random_spd
 from gmmsense._linalg import (
     NonSymmetricMatrixError,
     SingularMatrixError,
@@ -9,8 +9,6 @@ from gmmsense._linalg import (
     fix_column_signs,
     floor_eigenvalues,
     orthonormalize_rows,
-    principal_angles,
-    svd_descending_signed,
     require_symmetric,
 )
 
@@ -68,17 +66,6 @@ def test_orthonormalize_rows_rejects_dependent_rows():
         orthonormalize_rows(a)
 
 
-def test_svd_descending_signed_reconstructs():
-    rng = np.random.default_rng(5)
-    a = rng.standard_normal((6, 6))
-    u, s, vh = svd_descending_signed(a)
-    assert np.all(np.diff(s) <= 0)
-    assert np.abs((u * s) @ vh - a).max() < 1e-12
-    for j in range(6):
-        nz = np.flatnonzero(np.abs(u[:, j]) > 1e-9)
-        assert u[nz[0], j] > 0
-
-
 def test_principal_angles_identical_and_orthogonal():
     rows = orthonormalize_rows(np.random.default_rng(6).standard_normal((2, 6)))
     assert principal_angles(rows, rows).max() < 1e-12
@@ -120,15 +107,6 @@ def _loop_eigh_descending(a):
     return vals, _loop_fix_column_signs(vecs)
 
 
-def _loop_svd_descending_signed(a):
-    u, s, vh = np.linalg.svd(a)
-    flipped = _loop_fix_column_signs(u)
-    for j in range(min(u.shape[1], vh.shape[0])):
-        if not np.array_equal(flipped[:, j], u[:, j]):
-            vh[j, :] = -vh[j, :]
-    return flipped, s, vh
-
-
 def _sign_convention_cases():
     rng = np.random.default_rng(11)
     for n in (1, 2, 3, 5, 8, 17, 32, 64):
@@ -147,8 +125,6 @@ def _sign_convention_cases():
 @pytest.mark.parametrize("kind, a", list(_sign_convention_cases()))
 def test_sign_conventions_match_the_column_loops_bitwise(kind, a):
     assert np.array_equal(fix_column_signs(a), _loop_fix_column_signs(a))
-    for got, want in zip(svd_descending_signed(a), _loop_svd_descending_signed(a)):
-        assert np.array_equal(got, want)
     if kind != "general":  # eigh needs a symmetric matrix
         for got, want in zip(eigh_descending(a), _loop_eigh_descending(a)):
             assert np.array_equal(got, want)

@@ -27,14 +27,23 @@ def test_pgm_header_comment_is_skipped(tmp_path):
         (b"P5\n3 2\n255\n" + bytes(5), "truncated pixel data"),
         (b"P5\n3 2\n65535\n" + bytes(12), "only 8-bit"),
         (b"P2\n3 2\n255\n0 0 0 0 0 0\n", "not a binary PGM"),
+        (b"P5\n3 2\n100\n" + bytes([0, 0, 200, 0, 0, 0]), "pixel value 200 above maxval 100"),
     ],
-    ids=["truncated", "16-bit", "ascii"],
+    ids=["truncated", "16-bit", "ascii", "above-maxval"],
 )
 def test_pgm_rejects_malformed_files(tmp_path, raw, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
     with pytest.raises(ValueError, match=message):
         read_pgm(path)
+
+
+def test_pgm_below_8_bit_is_scaled_to_the_8_bit_peak(tmp_path):
+    # PSNR is computed against the peak 255, so a 4-bit image must span [0, 255]
+    pixels = np.array([[0, 1, 5], [10, 14, 15]], dtype=np.uint8)
+    path = tmp_path / "a.pgm"
+    path.write_bytes(b"P5\n3 2\n15\n" + pixels.tobytes())
+    assert np.array_equal(read_pgm(path), pixels * 17.0)
 
 
 @pytest.mark.parametrize("overlap, grid", [(False, (3, 2)), (True, (8, 5))])

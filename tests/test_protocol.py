@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import itertools
 import json
 import os
 import weakref
@@ -29,7 +30,8 @@ from gmmsense.model import GaussianComponent, GmmModel, SignalBatch, sample_sign
 from gmmsense.protocol import (
     _TAG_DESIGN,
     _TAG_NOISE,
-    VALID_PROTOCOL_PAIRS,
+    STEP1_METHODS,
+    STEP2_METHODS,
     ExperimentReport,
     ProtocolConfig,
     run_two_step,
@@ -40,6 +42,16 @@ from gmmsense.synthetic import synth_model_pair
 
 N, M, K = 16, 6, 3
 FAST = AscentOptions(max_iters=20)
+
+ALL_PAIRS = tuple(itertools.product(STEP1_METHODS, STEP2_METHODS))
+# The pairs the source paper evaluates.
+PAPER_PAIRS = (
+    ("random", "eigen_mse"),
+    ("rip_ab", "eigen_mse"),
+    ("ida", "eigen_mse"),
+    ("ida", "mi_adaptive"),
+    ("aida_sht", "mi_adaptive"),
+)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +70,8 @@ def config_for(step1, step2, k=K, sigma2=0.01, **kw):
     )
 
 
-@pytest.mark.parametrize("pair", VALID_PROTOCOL_PAIRS, ids="+".join)
-class TestEveryStandardPair:
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids="+".join)
+class TestEveryPair:
     def test_report_is_well_formed_and_reproducible(self, pair, model, batch):
         config = config_for(*pair)
         report = run_two_step(config, batch, model)
@@ -168,13 +180,7 @@ def per_signal_reference(config, batch, model):
     return np.array(classes), np.array(errors)
 
 
-NON_ADAPTIVE_PAIRS = (
-    ("random", "eigen_mse"),
-    ("rip_ab", "eigen_mse"),
-    ("ida", "eigen_mse"),
-    ("ida", "mi_adaptive"),
-    ("random", "mi_adaptive"),  # nonstandard
-)
+NON_ADAPTIVE_PAIRS = tuple(pair for pair in ALL_PAIRS if pair[0] != "aida_sht")
 
 
 @pytest.mark.parametrize("k", [K, M], ids=["K<M", "K=M"])
@@ -182,9 +188,7 @@ NON_ADAPTIVE_PAIRS = (
 @pytest.mark.parametrize("pair", NON_ADAPTIVE_PAIRS, ids="+".join)
 def test_batched_run_matches_per_signal_reference(pair, sigma2, k, model):
     batch = sample_signals(model, 24, seed=5)
-    config = ProtocolConfig(
-        *pair, M=M, K=k, b=2, sigma2=sigma2, ascent=FAST, seed=3, allow_nonstandard=True
-    )
+    config = ProtocolConfig(*pair, M=M, K=k, b=2, sigma2=sigma2, ascent=FAST, seed=3)
     report = run_two_step(config, batch, model)
     classes, errors = per_signal_reference(config, batch, model)
     assert len(np.unique(classes)) == model.n_components  # every class group runs
@@ -195,7 +199,7 @@ def test_batched_run_matches_per_signal_reference(pair, sigma2, k, model):
 
 @pytest.mark.parametrize("sigma2", [0.0, 0.01])
 @pytest.mark.parametrize("b", [1, 2])
-@pytest.mark.parametrize("pair", VALID_PROTOCOL_PAIRS, ids="+".join)
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids="+".join)
 def test_zero_prior_class_contract(pair, b, sigma2, model, monkeypatch):
     # Class 1 has zero prior but holds the moments that generated half of the
     # batch, so it has the highest likelihood for those signals.
@@ -233,7 +237,7 @@ def record_noise_streams(monkeypatch):
     return seeds
 
 
-@pytest.mark.parametrize("pair", VALID_PROTOCOL_PAIRS, ids="+".join)
+@pytest.mark.parametrize("pair", ALL_PAIRS, ids="+".join)
 def test_zero_noise_draws_nothing_and_senses_exactly(pair, model, batch, monkeypatch):
     config = ProtocolConfig(*pair, M=M, K=K, b=2, ascent=FAST, seed=3)
     seeds = record_noise_streams(monkeypatch)
@@ -354,8 +358,8 @@ class TestStep1Memo:
         assert warm.same_results(cold)
 
 
-STANDARD_CASES = [
-    (pair, b, snr_db) for pair in VALID_PROTOCOL_PAIRS for b in (1, 4) for snr_db in (20.0, 5.0)
+PAPER_CASES = [
+    (pair, b, snr_db) for pair in PAPER_PAIRS for b in (1, 4) for snr_db in (20.0, 5.0)
 ]
 
 
@@ -369,7 +373,7 @@ def test_reports_do_not_depend_on_the_memo():
         ProtocolConfig(
             *pair, M=8, K=4, b=b, sigma2=sigma2_for_snr_db(batch, snr_db), ascent=FAST, seed=7
         )
-        for pair, b, snr_db in STANDARD_CASES
+        for pair, b, snr_db in PAPER_CASES
     ]
     cold = [run_two_step(config, batch, model) for config in configs]
     assert len(model._step1_memo) == 5  # rip_ab; ida at b = 1 and 4 (= K), per SNR
@@ -424,8 +428,6 @@ BASE = {"step1": "ida", "step2": "eigen_mse", "M": 4, "K": 2}
         ("P_e", True, "P_e must be a finite number, got True"),
         ("sigma2", None, "sigma2 must be a finite number, got None"),
         ("sigma2", float("inf"), "sigma2 must be a finite number, got inf"),
-        ("allow_nonstandard", 1, "allow_nonstandard must be true or false, got 1"),
-        ("allow_nonstandard", "yes", "allow_nonstandard must be true or false, got 'yes'"),
         ("step1", "aida", "unknown step1 'aida', choose from "
                           "('random', 'rip_ab', 'ida', 'aida_sht')"),
         ("step2", "eigen", "unknown step2 'eigen', choose from ('eigen_mse', 'mi_adaptive')"),
@@ -439,8 +441,8 @@ BASE = {"step1": "ida", "step2": "eigen_mse", "M": 4, "K": 2}
     ids=[
         "M-str", "M-float", "M-bool", "K-null", "b-float", "b-bool", "seed-str",
         "seed-negative", "P_e-str", "P_e-nan", "P_e-bool", "sigma2-null", "sigma2-inf",
-        "allow_nonstandard-int", "allow_nonstandard-str", "step1-unknown", "step2-unknown",
-        "K-zero", "K-above-M", "b-zero", "P_e-zero", "P_e-half", "sigma2-negative",
+        "step1-unknown", "step2-unknown", "K-zero", "K-above-M", "b-zero", "P_e-zero",
+        "P_e-half", "sigma2-negative",
     ],
 )
 def test_from_dict_rejects_a_value_of_the_wrong_type(key, value, message):
@@ -458,12 +460,12 @@ def test_from_dict_rejects_a_config_that_is_not_a_mapping(config):
 def test_from_dict_accepts_numpy_scalars_and_stores_python_numbers():
     config = ProtocolConfig.from_dict({
         **BASE, "M": np.int64(4), "K": np.int32(2), "b": np.int64(2), "seed": np.uint8(3),
-        "P_e": np.float32(0.25), "sigma2": np.float64(0.01), "allow_nonstandard": np.bool_(False),
+        "P_e": np.float32(0.25), "sigma2": np.float64(0.01),
     })
     assert config.to_dict() == {**BASE, "b": 2, "seed": 3, "P_e": 0.25, "sigma2": 0.01,
-                                "allow_nonstandard": False, "ascent": {"max_iters": 200}}
+                                "ascent": {"max_iters": 200}}
     assert [type(v) for v in config.to_dict().values()] == [
-        str, str, int, int, int, float, float, dict, int, bool
+        str, str, int, int, int, float, float, dict, int
     ]
     json.dumps(config.to_dict())  # a numpy int64 used to make this raise
 
@@ -550,15 +552,17 @@ def test_cli_rejects_unknown_config_key(data, tmp_path, capsys):
     assert err.startswith("error: ") and "bogus" in err
 
 
-def test_cli_allow_nonstandard_admits_a_nonstandard_pair(data, tmp_path, capsys):
-    config = write_json(tmp_path / "c.json",
-                        {"step1": "random", "step2": "mi_adaptive", "M": 4, "K": 2})
+def test_cli_runs_a_pair_the_paper_does_not_evaluate(data, tmp_path, capsys):
+    d = {"step1": "random", "step2": "mi_adaptive", "M": 4, "K": 2}
     out = tmp_path / "r.json"
-    assert run_protocol(data, config, out) == 1
-    assert "not a standard configuration" in capsys.readouterr().err
-    assert run_protocol(data, config, out, "--allow-nonstandard") == 0
+    assert run_protocol(data, write_json(tmp_path / "c.json", d), out) == 0
     assert json.loads(out.read_text())["protocol"] == "random+mi_adaptive"
     capsys.readouterr()
+    # The switch that once admitted such a pair is an unknown key now.
+    old = write_json(tmp_path / "old.json", {**d, "allow_nonstandard": True})
+    assert run_protocol(data, old, tmp_path / "old-report.json") == 1
+    assert capsys.readouterr().err == "error: unknown protocol config key(s): allow_nonstandard\n"
+    assert not (tmp_path / "old-report.json").exists()
 
 
 def test_cli_train_gmm_rejects_a_label_column_out_of_range(tmp_path, capsys):
@@ -642,10 +646,9 @@ def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):
 )
 def test_cli_rejects_a_malformed_config(config, message, data, tmp_path, capsys):
     path = write_json(tmp_path / "c.json", config)
-    for extra in ([], ["--allow-nonstandard"]):
-        assert run_protocol(data, path, tmp_path / "r.json", *extra) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and message in err
+    assert run_protocol(data, path, tmp_path / "r.json") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not (tmp_path / "r.json").exists()
 
 
