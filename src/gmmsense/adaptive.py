@@ -11,11 +11,14 @@ closed form: the top generalized eigenvectors of the two class covariances
 from the spectral start: the generalized eigenvectors of the mixture
 posterior and the posterior of the most likely class, scored as single rows
 in one pass. A single row has a cheap closed-form Hessian, so it is then
-polished by Riemannian Newton on the unit sphere; a block of several rows
-takes steepest ascent with re-orthonormalization, whose line searches start
-from Barzilai-Borwein step lengths. For reconstruction with a known class,
-the optimal block is closed form: the top eigenvectors of that class's
-posterior covariance given the history.
+polished by Riemannian Newton on the unit sphere: each iterate and trial
+row x is evaluated from one product of the posterior stack with x, whose
+rows P_k x give the projections, the score and both gradients, and the
+Newton matrix takes one more product with the stack. A block of several
+rows takes steepest ascent with re-orthonormalization, whose line searches
+start from Barzilai-Borwein step lengths. For reconstruction with a known
+class, the optimal block is closed form: the top eigenvectors of that
+class's posterior covariance given the history.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import logging
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -215,16 +219,30 @@ class PosteriorMatrices:
     separability measure finite for classes whose posterior has collapsed
     (history spans their support at zero noise). A matrix with zero scale
     has no variance at all and an undefined log-determinant, so it is
-    rejected here with ProjectedCovarianceError.
+    rejected here with ProjectedCovarianceError. Both arrays are stored
+    read-only; the constructor copies what it is given, while
+    posterior_matrices hands over the arrays it has just built.
     """
 
     stack: np.ndarray
     scales: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "stack", _readonly(self.stack))
-        object.__setattr__(self, "scales", _readonly(self.scales))
-        _reject_first(self.scales <= 0.0)
+        self._set(_readonly(self.stack), _readonly(self.scales))
+
+    @classmethod
+    def _own(cls, stack: np.ndarray, scales: np.ndarray) -> "PosteriorMatrices":
+        """Wrap arrays that nothing else references, without copying them."""
+        posteriors = cls.__new__(cls)
+        stack.setflags(write=False)
+        scales.setflags(write=False)
+        posteriors._set(stack, scales)
+        return posteriors
+
+    def _set(self, stack: np.ndarray, scales: np.ndarray) -> None:
+        object.__setattr__(self, "stack", stack)
+        object.__setattr__(self, "scales", scales)
+        _reject_first(scales <= 0.0)
 
 
 def _reject_first(bad: np.ndarray) -> None:
@@ -234,25 +252,30 @@ def _reject_first(bad: np.ndarray) -> None:
         raise ProjectedCovarianceError(None if i == bad.shape[0] - 1 else i + 1)
 
 
-def _conditioned_covariance(
-    cov: np.ndarray, rows: np.ndarray, sigma2: float
-) -> np.ndarray:
-    """cov - cov R^T (R cov R^T + sigma2 I)^-1 R cov + sigma2 I.
+def _condition_in_place(covs: np.ndarray, rows: np.ndarray, sigma2: float) -> np.ndarray:
+    """cov - cov R^T (R cov R^T + sigma2 I)^-1 R cov + sigma2 I, symmetrized.
 
-    Works on a stack of covariances; the inner inverse uses eigenvalue
-    flooring. With empty history this is just cov + sigma2 I.
+    Works on a stack of covariances, which it overwrites; the symmetrized
+    result comes back in a second array. The inner inverse uses eigenvalue
+    flooring. With empty history this is just cov + sigma2 I. The
+    operations and their order are those of the out-of-place expression, so
+    the result is bitwise the same.
     """
-    n = cov.shape[-1]
-    eye_n = np.eye(n)
-    if rows.shape[0] == 0:
-        return symmetrize(cov + sigma2 * eye_n)
-    a = cov @ rows.T                      # (..., N, m)
-    inner = np.swapaxes(a, -1, -2) @ rows.T  # R cov R^T, shape (..., m, m)
-    inner = inner + sigma2 * np.eye(rows.shape[0])
-    vals, vecs = sym_floored_eigh(inner)
-    inv = (vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
-    post = cov - a @ inv @ np.swapaxes(a, -1, -2) + sigma2 * eye_n
-    return symmetrize(post)
+    n = covs.shape[-1]
+    if rows.shape[0]:
+        a = covs @ rows.T                        # (..., N, m)
+        inner = np.swapaxes(a, -1, -2) @ rows.T  # R cov R^T, shape (..., m, m)
+        inner = inner + sigma2 * np.eye(rows.shape[0])
+        vals, vecs = sym_floored_eigh(inner)
+        inv = (vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+        out = a @ inv @ np.swapaxes(a, -1, -2)
+        np.subtract(covs, out, out=covs)
+    else:
+        out = np.empty_like(covs)
+    covs += sigma2 * np.eye(n)
+    np.add(covs, np.swapaxes(covs, -1, -2), out=out)
+    out *= 0.5
+    return out
 
 
 def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMatrices:
@@ -261,21 +284,26 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
     Stacks the class covariances and their mixture average under the
     state's current class priors (so during a sequential acquisition the
     average tracks the Bayes-updated posterior) and conditions all G + 1
-    on the history at once. Determinant floors are anchored at the
-    unconditioned covariance scales.
+    on the history at once. The stack is built once: the G + 1 covariances
+    are written into one array, conditioned there, symmetrized into a
+    second one and handed over without a copy. Determinant floors are
+    anchored at the unconditioned covariance scales.
     """
     if state.rows.shape[1:] and state.rows.shape[1] != model.dimension:
         raise ValueError("state dimension does not match the model")
-    avg_cov = np.einsum("g,gij->ij", state.class_priors, model.covariance_stack)
-    covs = np.concatenate([model.covariance_stack, avg_cov[None]])
+    cov_stack = model.covariance_stack
+    g = cov_stack.shape[0]
+    covs = np.empty((g + 1,) + cov_stack.shape[1:])
+    covs[:g] = cov_stack
+    np.einsum("g,gij->ij", state.class_priors, cov_stack, out=covs[g])
+    scales = np.diagonal(covs, axis1=-2, axis2=-1).max(axis=-1) + state.sigma2
     try:
-        stack = _conditioned_covariance(covs, state.rows, state.sigma2)
+        stack = _condition_in_place(covs, state.rows, state.sigma2)
     except SingularMatrixError as exc:
         raise SingularMatrixError(
             f"singular measurement covariance in a posterior: {exc}"
         ) from exc
-    scales = np.diagonal(covs, axis1=-2, axis2=-1).max(axis=-1) + state.sigma2
-    return PosteriorMatrices(stack=stack, scales=scales)
+    return PosteriorMatrices._own(stack, scales)
 
 
 # Most negative projected value accepted as numerical noise, relative to the
@@ -412,23 +440,27 @@ def design_classification_block(
     single-row block (b = 1) is polished by Riemannian Newton on the unit
     sphere until the norm of its gradient there is at most _GRAD_TOL; a
     Newton step whose gain is below the score's rounding is ranked by the
-    gradient norm instead. A block of b > 1 rows takes steepest ascent
-    with re-orthonormalization (row-space preserving), whose line searches
-    after the first start from Barzilai-Borwein lengths (Barzilai & Borwein
-    1988; Wen & Yin 2013), alternating the long and the short one. Every
-    accepted step strictly raises the score, so the returned block scores
-    at least as high as its start. With empty history this is the
-    non-adaptive design; a full K-row non-adaptive layout is produced by a
-    single call with b = K.
+    gradient norm instead. Each Newton iterate and trial row x is
+    evaluated from the one product P_k x of the posterior stack with x
+    (_evaluate_row), not from the general block projection. A block of b >
+    1 rows takes steepest ascent with re-orthonormalization (row-space
+    preserving), whose line searches after the first start from
+    Barzilai-Borwein lengths (Barzilai & Borwein 1988; Wen & Yin 2013),
+    alternating the long and the short one. Every accepted step strictly
+    raises the score, so the returned block scores at least as high as its
+    start. With empty history this is the non-adaptive design; a full K-row
+    non-adaptive layout is produced by a single call with b = K.
 
     With the "gmmsense" logger enabled at DEBUG, each call logs one record
     with b, the start ("closed_form", "spectral" or "seeded"), the ascent
-    and Newton steps taken, the final score, the final gradient norm
-    (tangent to the row space) and the stop reason: "closed_form"
-    (two-class optimum, no steps), "grad" (gradient norm reached, b = 1),
-    "tol" (relative improvement below _TOL, b > 1), "no_ascent" (no trial
-    step improved the score), "max_iters" or "flat" (gradient exactly
-    zero, as for identical classes or a class already decided).
+    and Newton steps taken, the trial steps the line searches rejected
+    (backtracks), the Levenberg raises of Newton (shifts; 0 for b > 1), the
+    final score, the final gradient norm (tangent to the row space) and
+    the stop reason: "closed_form" (two-class optimum, no steps), "grad"
+    (gradient norm reached, b = 1), "tol" (relative improvement below
+    _TOL, b > 1), "no_ascent" (no trial step improved the score),
+    "max_iters" or "flat" (gradient exactly zero, as for identical classes
+    or a class already decided).
     """
     return _classification_design(state, model, b, seed, opts)[0]
 
@@ -446,7 +478,8 @@ def _classification_design(state, model, b, seed, opts):
     closed = None
     if state.n_measurements == 0 and weights.shape == (2,):
         closed = _two_class_design(posteriors, weights, b)
-    ascent_steps = newton_steps = 0
+    ascent_steps = newton_steps = backtracks = shifts = 0
+    grad_norm = None
     if closed is not None:
         block, projection = closed
         score = _score(projection, weights)
@@ -455,23 +488,24 @@ def _classification_design(state, model, b, seed, opts):
         block, start = _spectral_start(posteriors, weights, b), "spectral"
         if block is None:
             block, start = random_orthonormal(b, n, seed=seed).rows, "seeded"
-        projection = _project(block, posteriors)
-        score = _score(projection, weights)
         if b == 1:
-            block, projection, score, newton_steps, reason = _newton_on_sphere(
-                block, projection, score, posteriors, weights, opts.max_iters
+            block, score, grad_norm, newton_steps, backtracks, shifts, reason = (
+                _newton_on_sphere(block, posteriors, weights, opts.max_iters)
             )
         else:
-            block, projection, score, ascent_steps, reason = _ascend(
-                block, projection, score, posteriors, weights, opts.max_iters
+            projection = _project(block, posteriors)
+            block, projection, score, ascent_steps, backtracks, reason = _ascend(
+                block, projection, _score(projection, weights), posteriors, weights,
+                opts.max_iters,
             )
     if _LOG.isEnabledFor(logging.DEBUG):
-        grad = _gradient(projection, weights)
-        grad_norm = float(np.linalg.norm(grad - grad @ block.T @ block))
+        if grad_norm is None:
+            grad = _gradient(projection, weights)
+            grad_norm = float(np.linalg.norm(grad - grad @ block.T @ block))
         _LOG.debug(
             "design_classification_block b=%d start=%s ascent_steps=%d newton_steps=%d "
-            "score=%.12g grad_norm=%.3g stop=%s",
-            b, start, ascent_steps, newton_steps, score, grad_norm, reason,
+            "backtracks=%d shifts=%d score=%.12g grad_norm=%.3g stop=%s",
+            b, start, ascent_steps, newton_steps, backtracks, shifts, score, grad_norm, reason,
         )
     return block, start
 
@@ -572,13 +606,14 @@ def _ascend(block, projection, score, posteriors, weights, max_steps):
     The first line search starts at _STEP0, each later one from a
     Barzilai-Borwein length (_bb_step), or from twice the last accepted
     step where that is undefined. Returns (block, projection, score,
-    accepted steps, stop reason).
+    accepted steps, rejected trial steps, stop reason).
     """
     step = _STEP0
+    backtracks = 0
     grad = _gradient(projection, weights)
     for steps in range(max_steps):
         if float(np.abs(grad).max()) == 0.0:
-            return block, projection, score, steps, "flat"
+            return block, projection, score, steps, backtracks, "flat"
         accepted = None
         trial_step = step
         for _ in range(_MAX_BACKTRACKS):
@@ -586,20 +621,21 @@ def _ascend(block, projection, score, posteriors, weights, max_steps):
             if trial[2] > score:
                 accepted = trial
                 break
+            backtracks += 1
             trial_step *= 0.5
         if accepted is None:
-            return block, projection, score, steps, "no_ascent"
+            return block, projection, score, steps, backtracks, "no_ascent"
         improvement = accepted[2] - score
         previous, previous_grad = block, grad
         block, projection, score = accepted
         if improvement < _TOL * max(abs(score), 1e-12):
-            return block, projection, score, steps + 1, "tol"
+            return block, projection, score, steps + 1, backtracks, "tol"
         grad = _gradient(projection, weights)
         step = (
             _bb_step(block, block - previous, grad - previous_grad, steps + 1)
             or 2.0 * trial_step
         )
-    return block, projection, score, max_steps, "max_iters"
+    return block, projection, score, max_steps, backtracks, "max_iters"
 
 
 def _bb_step(block: np.ndarray, s: np.ndarray, y: np.ndarray, step_index: int) -> float:
@@ -639,106 +675,166 @@ def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:
     return orthonormalize_rows(candidate)
 
 
-def _hessian(projection, stack: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Euclidean Hessian of the separability measure at a single row v.
+class _Row(NamedTuple):
+    """A single row x evaluated from the one product of the posterior stack
+    with x: px holds P_k x for every matrix of the stack, c the projections
+    x^T P_k x floored at EIG_FLOOR_REL times their scales, live marks the
+    projections above their floor, and score is the measure at x."""
 
-    With a = v^T Pavg v and c_g = v^T P_g v it is Pavg/a - 2 Pavg v v^T
-    Pavg/a^2 - sum_g w_g (P_g/c_g - 2 P_g v v^T P_g/c_g^2). Floored
-    projections are locally constant and get zero weight, as in _gradient.
+    x: np.ndarray
+    px: np.ndarray
+    c: np.ndarray
+    live: np.ndarray
+    score: float
+
+
+def _evaluate_row(x: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray) -> _Row:
+    """The single-row kernel: everything Newton needs at a row x (shape (N,)).
+
+    One product of the (G+1, N, N) stack with x gives P_k x; their dot
+    products with x are the 1 x 1 projections that _project would return,
+    floored and checked the same way (ProjectedCovarianceError for a value
+    more negative than rounding allows), and scored by _score's formula.
+    Both products run matrix by matrix, so bitwise equal matrices (identical
+    classes, or a decided class and the mixture) give bitwise equal
+    projections; one product over the stack reshaped to (G+1) N rows does
+    not, since BLAS groups its rows differently from block to block.
     """
-    bp, vals, _, live = projection
-    signs = np.append(-weights, 1.0) * live[:, 0]
-    c = vals[:, 0]
-    u = bp[:, 0, :] / c[:, None]                  # P_k v / (v^T P_k v)
-    return np.einsum("k,kij->ij", signs / c, stack) - 2.0 * (u.T * signs) @ u
+    scales = posteriors.scales
+    px = posteriors.stack @ x                    # (G+1, N)
+    vals = (px[:, None, :] @ x)[:, 0]
+    _reject_first(vals < -_PROJ_NEG_TOL * scales)
+    floors = EIG_FLOOR_REL * scales
+    c = np.maximum(vals, floors)
+    logs = np.log(c)
+    score = 0.5 * float(np.sum(weights * (logs[-1] - logs[:-1])))
+    return _Row(x, px, c, vals > floors, score)
 
 
-def _sphere_gradient(v: np.ndarray, projection, weights: np.ndarray):
-    """Gradient of the measure on the unit sphere at a single row v (1 x N).
+def _row_gradients(row: _Row, weights: np.ndarray):
+    """(u, egrad, tangent gradient, slope) of the measure at a unit row.
 
-    Returns the tangent gradient and the slope v^T egrad of the Euclidean
-    gradient egrad, which is zero unless a projection is floored.
+    u_k = P_k x / c_k on live projections and 0 on floored ones, so the
+    Euclidean gradient egrad = u_avg - sum_g w_g u_g is _gradient's; the
+    tangent gradient on the sphere is egrad - slope x with slope = x^T
+    egrad, which is zero unless a projection is floored. The weighted sum
+    is formed from the u_k, not from one combined coefficient vector, so
+    identical classes cancel exactly.
     """
-    egrad = _gradient(projection, weights)[0]
-    slope = float(v[0] @ egrad)
-    return egrad - slope * v[0], slope
+    u = (row.live / row.c)[:, None] * row.px
+    egrad = u[-1] - weights @ u[:-1]
+    slope = float(row.x @ egrad)
+    return u, egrad, egrad - slope * row.x, slope
 
 
-def _newton_matrix(v: np.ndarray, projection, stack, weights, slope: float) -> np.ndarray:
-    """v v^T minus the Riemannian Hessian of the measure at a unit row v.
+def _row_newton_matrix(row: _Row, u, egrad, slope: float, stack, signs) -> np.ndarray:
+    """x x^T minus the Riemannian Hessian of the measure at a unit row x.
 
-    The Riemannian Hessian on the sphere is P (H - slope I) P with P = I -
-    v v^T, H the Euclidean Hessian and slope = v^T egrad; it is assembled
-    from H by rank-one updates. The result maps v to v and tangent vectors
-    to tangent vectors.
+    signs holds (-w_1, ..., -w_G, 1). The Euclidean Hessian is H = M - 2
+    sum_k s_k u_k u_k^T with M = sum_k (s_k / c_k) P_k and s_k the live
+    signs, and H x = -egrad, since the measure is invariant to the scale
+    of x. The Riemannian Hessian on the sphere is P (H - slope I) P with P
+    = I - x x^T, so the result is slope I - M + 2 sum_k s_k u_k u_k^T +
+    x (x - egrad)^T - egrad x^T: one (G+1) x N^2 product for M and one
+    rank-(G+3) product. It maps x to x and tangent vectors to tangent
+    vectors.
     """
-    x = v[0]
-    hess = _hessian(projection, stack, weights)
-    hx = hess @ x
-    a = slope * np.eye(x.shape[0]) - hess
-    a += np.outer(x, hx) + np.outer(hx, x)
-    a += (1.0 - float(x @ hx) - slope) * np.outer(x, x)
+    n = row.x.shape[0]
+    coef = signs * row.live / row.c
+    a = (coef @ stack.reshape(coef.shape[0], n * n)).reshape(n, n)
+    left = np.concatenate([u, row.x[None], egrad[None]])
+    right = np.concatenate([2.0 * signs[:, None] * u, (row.x - egrad)[None], -row.x[None]])
+    a = left.T @ right - a
+    a.flat[:: n + 1] += slope
     return a
 
 
-def _newton_on_sphere(v, projection, score, posteriors, weights, max_steps):
+def _row_trial(candidate: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray):
+    """_evaluate_row at the normalized candidate; None where its norm is 0
+    or a projection is negative."""
+    norm = float(np.linalg.norm(candidate))
+    if norm == 0.0:
+        return None
+    try:
+        return _evaluate_row(candidate / norm, posteriors, weights)
+    except ProjectedCovarianceError:
+        return None
+
+
+def _newton_on_sphere(v, posteriors, weights, max_steps):
     """Riemannian Newton ascent of the measure over unit rows v (1 x N).
 
-    With A from _newton_matrix and a Levenberg shift mu that makes A + mu I
-    positive definite (checked by Cholesky), the step solving
-    (A + mu I) xi = grad stays tangent and ascends. mu starts at 0, is
-    divided by 10 after each accepted step and raised to max(10 mu,
-    1e-3 max|A|) while the Cholesky fails. The step is retracted onto the
-    sphere and halved until the score strictly increases. Once the gain the
-    step predicts, grad^T xi, is below the rounding of the score, the score
-    cannot rank the full step, and it is taken if it shrinks the gradient
-    norm instead. Returns (v, projection, score, accepted steps, stop
-    reason).
+    Every iterate and trial row is evaluated by _evaluate_row, from one
+    product of the posterior stack with the row. With A from
+    _row_newton_matrix and a Levenberg shift mu that makes A + mu I
+    positive definite (checked by Cholesky), the step solving (A + mu I)
+    xi = grad stays tangent and ascends. mu starts at 0, is divided by 10
+    after each accepted step and raised to max(10 mu, 1e-3 max|A|) while
+    the Cholesky fails. The step is retracted onto the sphere and halved
+    until the score strictly increases. Once the gain the step predicts,
+    grad^T xi, is below the rounding of the score, the score cannot rank
+    the full step, and it is taken if it shrinks the gradient norm instead.
+    Raises ProjectedCovarianceError where the start has a negative
+    projection. Returns (v, score, final tangent gradient norm, accepted
+    steps, rejected trial steps, Levenberg raises, stop reason).
     """
+    stack = posteriors.stack
+    signs = np.append(-weights, 1.0)
+    row = _evaluate_row(v[0], posteriors, weights)
     eye = np.eye(v.shape[1])
     mu = 0.0
-    steps = 0
+    steps = backtracks = shifts = 0
     while True:
-        grad, slope = _sphere_gradient(v, projection, weights)
+        u, egrad, grad, slope = _row_gradients(row, weights)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
-            return v, projection, score, steps, "flat"
+            reason = "flat"
+            break
         if norm <= _GRAD_TOL:
-            return v, projection, score, steps, "grad"
+            reason = "grad"
+            break
         if steps == max_steps:
-            return v, projection, score, steps, "max_iters"
-        a = _newton_matrix(v, projection, posteriors.stack, weights, slope)
-        scale = float(np.abs(a).max())
+            reason = "max_iters"
+            break
+        a = _row_newton_matrix(row, u, egrad, slope, stack, signs)
         for _ in range(_MAX_BACKTRACKS):
-            shifted = a + mu * eye
+            shifted = a + mu * eye if mu else a
             try:
                 np.linalg.cholesky(shifted)
                 break
             except np.linalg.LinAlgError:
-                mu = max(10.0 * mu, 1e-3 * scale)
+                mu = max(10.0 * mu, 1e-3 * float(np.abs(a).max()))
+                shifts += 1
         else:
-            return v, projection, score, steps, "no_ascent"
+            reason = "no_ascent"
+            break
         xi = np.linalg.solve(shifted, grad)
-        plateau = float(grad @ xi) <= _PLATEAU * max(1.0, abs(score))
+        plateau = float(grad @ xi) <= _PLATEAU * max(1.0, abs(row.score))
         accepted = None
         t = 1.0
         for _ in range(_MAX_BACKTRACKS):
-            trial = _trial(v + t * xi, posteriors, weights)
-            if trial[2] > score:
+            trial = _row_trial(row.x + t * xi, posteriors, weights)
+            if trial is not None and trial.score > row.score:
                 accepted = trial
                 break
+            if (
+                plateau
+                and trial is not None
+                and np.linalg.norm(_row_gradients(trial, weights)[2]) < norm
+            ):
+                accepted = trial
+                break
+            backtracks += 1
             if plateau:
-                if trial[2] > -np.inf:
-                    trial_grad, _ = _sphere_gradient(trial[0], trial[1], weights)
-                    if np.linalg.norm(trial_grad) < norm:
-                        accepted = trial
                 break
             t *= 0.5
         if accepted is None:
-            return v, projection, score, steps, "no_ascent"
-        v, projection, score = accepted
+            reason = "no_ascent"
+            break
+        row = accepted
         mu /= 10.0
         steps += 1
+    return row.x[None], row.score, norm, steps, backtracks, shifts, reason
 
 
 def design_reconstruction_block(
@@ -759,8 +855,8 @@ def design_reconstruction_block(
     if not 1 <= m <= n:
         raise ValueError(f"need 1 <= m <= {n}, got m={m}")
     comp = model.component(component_index)
-    posterior = _conditioned_covariance(
-        comp.covariance[None, :, :], state.rows, state.sigma2
+    posterior = _condition_in_place(
+        np.array(comp.covariance[None, :, :]), state.rows, state.sigma2
     )[0]
     # The posterior is PSD by construction, but conditioning can leave
     # rounding negatives beyond the strict PSD check; only the eigenvectors

@@ -381,7 +381,8 @@ def sht_run(
     log_eta = float(np.log((1.0 - p_e) / p_e))
     with np.errstate(divide="ignore"):  # zero-prior classes can never win
         log_priors = np.log(model.priors)
-    seed_key = tuple(np.atleast_1d(np.asarray(seed, dtype=np.int64)).tolist())
+    # Python ints, not int64: protocol seeds may reach 2**63 and above.
+    seed_key = tuple(int(s) for s in np.atleast_1d(np.array(seed, dtype=object)))
     state = AcquisitionState.initial(model, sigma2, block_size=b)
     trace = []
     decided = None

@@ -5,22 +5,24 @@ import pytest
 import scipy.linalg
 
 from helpers import lowrank_component, principal_angles, random_model, random_spd
-from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows
+from gmmsense import adaptive
+from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows, sym_floored_eigh, symmetrize
 from gmmsense.adaptive import (
     _GRAD_TOL,
     AcquisitionState,
     AscentOptions,
+    PosteriorMatrices,
     ProjectedCovarianceError,
     _ascend,
     _bayes_posteriors,
+    _evaluate_row,
     _gradient,
-    _hessian,
-    _newton_matrix,
     _newton_on_sphere,
     _project,
+    _row_gradients,
+    _row_newton_matrix,
     _score,
     _spectral_start,
-    _sphere_gradient,
     _two_class_design,
     design_classification_block,
     design_reconstruction_block,
@@ -247,6 +249,40 @@ class TestPosteriorMatrices:
                 block @ post.stack[g] @ block.T
             )
             assert abs(lhs - rhs) <= 1e-8 * abs(lhs)
+
+    @pytest.mark.parametrize("n_rows", [0, 3])
+    def test_stack_is_bitwise_the_out_of_place_expression(self, n_rows):
+        # the stack is conditioned in place; it must equal, bit for bit,
+        # the expression that concatenates the mixture average to the class
+        # covariances, conditions and symmetrizes out of place
+        n, sigma2 = 8, 0.2
+        model = random_model(n, 4, seed=90)
+        rows = random_orthonormal(3, n, seed=91).rows[:n_rows]
+        state = AcquisitionState.initial(model, sigma2, 1)
+        if n_rows:
+            state = state.append_block(rows, [0.4, -1.3, 2.2], model)
+        post = posterior_matrices(state, model)
+        covs = model.covariance_stack
+        avg = np.einsum("g,gij->ij", state.class_priors, covs)
+        covs = np.concatenate([covs, avg[None]])
+        if n_rows:
+            a = covs @ rows.T
+            vals, vecs = sym_floored_eigh(np.swapaxes(a, -1, -2) @ rows.T + sigma2 * np.eye(3))
+            inv = (vecs / vals[..., None, :]) @ np.swapaxes(vecs, -1, -2)
+            expected = symmetrize(covs - a @ inv @ np.swapaxes(a, -1, -2) + sigma2 * np.eye(n))
+        else:
+            expected = symmetrize(covs + sigma2 * np.eye(n))
+        assert post.stack.tobytes() == expected.tobytes()
+        scales = np.diagonal(covs, axis1=-2, axis2=-1).max(axis=-1) + sigma2
+        assert post.scales.tobytes() == scales.tobytes()
+        assert not post.stack.flags.writeable and not post.scales.flags.writeable
+
+    def test_copies_what_a_caller_hands_it(self):
+        stack, scales = np.stack([np.eye(3), 2.0 * np.eye(3)]), np.array([1.0, 2.0])
+        post = PosteriorMatrices(stack=stack, scales=scales)
+        stack[0, 0, 0] = scales[0] = 7.0
+        assert post.stack[0, 0, 0] == 1.0 and post.scales[0] == 1.0
+        assert not post.stack.flags.writeable
 
     def test_rejects_zero_scale_class(self):
         zero = GaussianComponent(
@@ -511,25 +547,96 @@ def steepest_ascent_score(state, model, seed):
     return score
 
 
+class TestSingleRowKernel:
+    @pytest.mark.parametrize("sigma2", [0.0, 0.1])
+    def test_matches_the_block_kernel_on_one_row(self, sigma2):
+        # G = 10 with a 3-row history; class 1 has rank 3 and the row is
+        # orthogonal to its range, so at sigma2 = 0 its projection is
+        # floored; class 2 has prior 0
+        n = 8
+        comps = list(random_model(n, 10, seed=95).components)
+        low = lowrank_component(96, n, 3, scale=1.0, prior=comps[0].prior)
+        comps[0] = low
+        comps[2] = comps[2].with_prior(comps[1].prior + comps[2].prior)
+        comps[1] = comps[1].with_prior(0.0)
+        model = GmmModel(components=tuple(comps))
+        hist = random_orthonormal(3, n, seed=97).rows
+        state = state_with_rows(model, hist, sigma2=sigma2, measurements=[0.5, -0.2, 0.3])
+        w = state.class_priors
+        assert w[1] == 0.0 and np.all(np.delete(w, 1) > 0.0)
+        post = posterior_matrices(state, model)
+        _, vecs = np.linalg.eigh(low.covariance)
+        x = np.random.default_rng(98).standard_normal(n)
+        x -= vecs[:, -3:] @ (vecs[:, -3:].T @ x)  # orthogonal to class 1's range
+        row = x / np.linalg.norm(x)
+        point = _evaluate_row(row, post, w)
+        proj = _project(row[None], post)
+        assert np.array_equal(point.live, proj[3][:, 0])
+        assert point.live[0] == (sigma2 > 0.0) and point.live[1:].all()
+        assert np.all(np.abs(point.c - proj[1][:, 0]) <= 1e-12 * proj[1][:, 0])
+        score = _score(proj, w)
+        assert abs(point.score - score) <= 1e-12 * abs(score)
+        egrad = _gradient(proj, w)[0]
+        expected = egrad - (row @ egrad) * row
+        grad = _row_gradients(point, w)[2]
+        assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
+
+    @pytest.mark.parametrize("n", [5, 7, 64])
+    def test_identical_classes_give_an_exactly_zero_gradient(self, n):
+        # every P_k x and x^T P_k x is formed matrix by matrix, so equal
+        # matrices give equal terms and the weighted sum cancels exactly
+        a = GaussianComponent.from_moments(np.zeros(n), random_spd(n, seed=99), 0.5)
+        model = GmmModel(components=(a, a.with_prior(0.5)))
+        state = AcquisitionState.initial(model, 0.1, 1)
+        post = posterior_matrices(state, model)
+        w = state.class_priors
+        for s in range(5):
+            row = random_orthonormal(1, n, seed=[100, s]).rows
+            _, egrad, grad, slope = _row_gradients(_evaluate_row(row[0], post, w), w)
+            assert not egrad.any() and not grad.any() and slope == 0.0
+            assert _newton_on_sphere(row, post, w, 200)[-1] == "flat"
+
+    def test_an_indefinite_start_raises(self):
+        model = random_model(5, 3, seed=101)
+        state = AcquisitionState.initial(model, 0.0, 1)
+        post = posterior_matrices(state, model)
+        row = random_orthonormal(1, 5, seed=102).rows
+        stack = post.stack.copy()
+        stack[1] -= 2.0 * post.scales[1] * np.outer(row[0], row[0])  # class 2 indefinite
+        bad = PosteriorMatrices(stack=stack, scales=post.scales)
+        with pytest.raises(ProjectedCovarianceError) as err:
+            _newton_on_sphere(row, bad, state.class_priors, 200)
+        assert err.value.class_index == 2
+
+
 class TestSingleRowNewton:
     def test_hessian_matches_central_differences_of_the_gradient(self):
+        # For a tangent d the Newton matrix A gives A d = slope d - P H d
+        # (P = I - x x^T, H the Euclidean Hessian), and A rests on H x =
+        # -egrad; central differences of the kernel's Euclidean gradient
+        # give H d, so both parts of H d are checked.
         model = random_model(8, 4, seed=50)
         hist = random_orthonormal(2, 8, seed=51).rows
         state = state_with_rows(model, hist, sigma2=0.2, measurements=[0.3, -1.1])
         post = posterior_matrices(state, model)
         w = state.class_priors
-        row = random_orthonormal(1, 8, seed=52).rows
-        hess = _hessian(_project(row, post), post.stack, w)
+        row = random_orthonormal(1, 8, seed=52).rows[0]
+        point = _evaluate_row(row, post, w)
+        u, egrad, _, slope = _row_gradients(point, w)
+        a = _row_newton_matrix(point, u, egrad, slope, post.stack, np.append(-w, 1.0))
+
+        def egrad_at(x):
+            return _row_gradients(_evaluate_row(x, post, w), w)[1]
+
         rng = np.random.default_rng(53)
         h = 1e-5
         for _ in range(3):
             d = rng.standard_normal(8)
-            d -= (d @ row[0]) * row[0]  # tangent to the sphere at row
-            fd = (
-                _gradient(_project(row + h * d, post), w)[0]
-                - _gradient(_project(row - h * d, post), w)[0]
-            ) / (2.0 * h)
-            assert np.abs(hess @ d - fd).max() <= 1e-7 * np.abs(fd).max()
+            d -= (d @ row) * row  # tangent to the sphere at row
+            fd = (egrad_at(row + h * d) - egrad_at(row - h * d)) / (2.0 * h)
+            tol = 1e-7 * np.abs(fd).max()
+            assert np.abs(slope * d - a @ d - (fd - (fd @ row) * row)).max() <= tol
+            assert abs(fd @ row + egrad @ d) <= tol
 
     @pytest.mark.parametrize("floored", [True, False])
     def test_riemannian_hessian_matches_central_differences_on_the_sphere(self, floored):
@@ -540,25 +647,25 @@ class TestSingleRowNewton:
         post = posterior_matrices(state, model)
         w = state.class_priors
         pick = (3, 4) if floored else (0, 4)
-        row = orthonormalize_rows((q[:, pick[0]] + 0.5 * q[:, pick[1]])[None, :])
-        projection = _project(row, post)
-        assert projection[3][0, 0] == (not floored)
-        _, slope = _sphere_gradient(row, projection, w)
+        row = orthonormalize_rows((q[:, pick[0]] + 0.5 * q[:, pick[1]])[None, :])[0]
+        point = _evaluate_row(row, post, w)
+        assert point.live[0] == (not floored)
+        u, egrad, _, slope = _row_gradients(point, w)
         assert abs(slope - (0.5 if floored else 0.0)) <= 1e-12
-        a = _newton_matrix(row, projection, post.stack, w, slope)
-        assert np.abs(a @ row[0] - row[0]).max() <= 1e-12 * np.abs(a).max()
+        a = _row_newton_matrix(point, u, egrad, slope, post.stack, np.append(-w, 1.0))
+        assert np.abs(a @ row - row).max() <= 1e-12 * np.abs(a).max()
 
         def sphere_gradient(v):
             v = v / np.linalg.norm(v)
-            return _sphere_gradient(v, _project(v, post), w)[0]
+            return _row_gradients(_evaluate_row(v, post, w), w)[2]
 
         rng = np.random.default_rng(67)
         h = 1e-6
         for _ in range(3):
             d = rng.standard_normal(5)
-            d -= (d @ row[0]) * row[0]
+            d -= (d @ row) * row
             fd = (sphere_gradient(row + h * d) - sphere_gradient(row - h * d)) / (2.0 * h)
-            fd -= (fd @ row[0]) * row[0]
+            fd -= (fd @ row) * row
             assert np.abs(-a @ d - fd).max() <= 1e-6 * np.abs(fd).max()
 
     def test_ten_classes_reach_a_stationary_row_at_least_as_good_as_the_ascent(self):
@@ -584,9 +691,8 @@ class TestSingleRowNewton:
         fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
         assert (fields["start"], fields["ascent_steps"], fields["stop"]) == ("spectral", "0", "grad")
         start = _spectral_start(post, w, 1)
-        proj = _project(start, post)
-        polished = _newton_on_sphere(start, proj, _score(proj, w), post, w, 200)
-        assert np.array_equal(row, polished[0]) and polished[4] == "grad"
+        polished = _newton_on_sphere(start, post, w, 200)
+        assert np.array_equal(row, polished[0]) and polished[-1] == "grad"
         grad = gradient_at(row, state, model)
         assert np.linalg.norm(grad - (grad @ row.T) @ row) <= _GRAD_TOL
 
@@ -617,8 +723,7 @@ class TestSingleRowNewton:
         assert 1.0 - abs(_spectral_start(post, w, 1)[0] @ best) <= 1e-9
         for s in range(5):
             row = random_orthonormal(1, n, seed=[59, s]).rows
-            proj = _project(row, post)
-            row, _, score, _, reason = _newton_on_sphere(row, proj, _score(proj, w), post, w, 200)
+            row, *_, reason = _newton_on_sphere(row, post, w, 200)
             assert reason == "grad"
             assert 1.0 - abs(row[0] @ best) <= 1e-9
             assert abs(separability_measure(row, state, model) - f.max()) <= 1e-9
@@ -768,7 +873,7 @@ class TestMultiRowDesign:
         proj = _project(start, post)
         ascent = _ascend(start, proj, _score(proj, state.class_priors), post,
                          state.class_priors, opts.max_iters)
-        assert np.array_equal(block, ascent[0]) and stop == ascent[4]
+        assert np.array_equal(block, ascent[0]) and stop == ascent[-1]
         if case in ("identical", "zero_prior"):
             assert stop == "flat" and np.array_equal(block, start)
 
@@ -917,6 +1022,40 @@ class TestDesignLogging:
         assert fields["stop"] == "no_ascent" and float(fields["grad_norm"]) > 0.1
         start = random_orthonormal(1, 5, seed=0).rows
         assert separability_measure(row, state, model) > separability_measure(start, state, model)
+
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_counts_rejected_trials_and_levenberg_raises(self, b, monkeypatch, caplog):
+        # Every trial step is accepted (one per step) or rejected, and every
+        # failed Cholesky of the Newton matrix raises the Levenberg shift.
+        # The pencil has no factor here, so both designs start seeded.
+        model, _ = floored_class_model()
+        state = AcquisitionState.initial(model, 0.0, b)
+        calls = {"trials": 0, "failed": 0}
+        name = "_row_trial" if b == 1 else "_trial"
+        trial, cholesky = getattr(adaptive, name), np.linalg.cholesky
+
+        def counting_trial(*args):
+            calls["trials"] += 1
+            return trial(*args)
+
+        def counting_cholesky(a):
+            try:
+                return cholesky(a)
+            except np.linalg.LinAlgError:
+                calls["failed"] += 1
+                raise
+
+        monkeypatch.setattr(adaptive, name, counting_trial)
+        monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            design_classification_block(state, model, b, seed=0)
+        fields = self.logged(caplog)
+        assert fields["start"] == "seeded"
+        steps = int(fields["newton_steps" if b == 1 else "ascent_steps"])
+        backtracks, shifts = int(fields["backtracks"]), int(fields["shifts"])
+        assert backtracks > 0 and calls["trials"] == steps + backtracks
+        assert calls["failed"] == shifts and (shifts > 0) == (b == 1)
 
 
 class TestDesignReconstructionBlock:

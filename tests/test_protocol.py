@@ -289,6 +289,17 @@ def fresh_models():
     }
 
 
+@pytest.mark.parametrize("step1", STEP1_METHODS)
+def test_every_step1_takes_a_seed_of_2_to_the_63(step1, model, batch):
+    # aida_sht's per-signal seed key once went through int64 and overflowed
+    config = ProtocolConfig(
+        step1, "mi_adaptive", M=M, K=K, b=2, sigma2=0.01, ascent=FAST, seed=2**63
+    )
+    report = run_two_step(config, batch, model)
+    assert report.seed == 2**63
+    assert report.same_results(run_two_step(config, batch, model))
+
+
 class TestStep1Memo:
     @pytest.mark.parametrize("k", [1, K])
     @pytest.mark.parametrize("start", ["closed_form", "spectral"])
@@ -563,6 +574,18 @@ def test_cli_runs_a_pair_the_paper_does_not_evaluate(data, tmp_path, capsys):
     assert run_protocol(data, old, tmp_path / "old-report.json") == 1
     assert capsys.readouterr().err == "error: unknown protocol config key(s): allow_nonstandard\n"
     assert not (tmp_path / "old-report.json").exists()
+
+
+def test_cli_runs_aida_sht_with_a_seed_of_2_to_the_63(data, tmp_path, capsys):
+    config = write_json(
+        tmp_path / "c.json",
+        {"step1": "aida_sht", "step2": "mi_adaptive", "M": M, "K": K, "b": 1},
+    )
+    out = tmp_path / "r.json"
+    assert run_protocol(data, config, out, "--seed", str(2**63)) == 0
+    d = json.loads(out.read_text())
+    assert d["seed"] == 2**63 and d["config"]["seed"] == 2**63
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_train_gmm_rejects_a_label_column_out_of_range(tmp_path, capsys):
