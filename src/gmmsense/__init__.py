@@ -7,7 +7,6 @@ class detection, and an experiment harness with a CLI.
 from .adaptive import (
     AcquisitionState,
     AscentOptions,
-    PosteriorMatrices,
     ProjectedCovarianceError,
     design_classification_block,
     design_reconstruction_block,
@@ -21,7 +20,6 @@ from .design import (
     rip_ab,
 )
 from .inference import (
-    ReconstructionResult,
     ShtOutcome,
     map_classify,
     map_em,
@@ -63,10 +61,8 @@ __all__ = [
     "ExperimentReport",
     "GaussianComponent",
     "GmmModel",
-    "PosteriorMatrices",
     "ProjectedCovarianceError",
     "ProtocolConfig",
-    "ReconstructionResult",
     "SensingMatrix",
     "ShtOutcome",
     "SignalBatch",

@@ -43,7 +43,6 @@ from .model import GmmModel, _check_sigma2, _readonly, _require_finite
 
 __all__ = [
     "AcquisitionState",
-    "PosteriorMatrices",
     "ProjectedCovarianceError",
     "AscentOptions",
     "measurement_log_likelihoods",
@@ -205,8 +204,7 @@ def measurement_log_likelihoods(
     return -0.5 * (quad + logdet + m * _LOG_2PI)
 
 
-@dataclass(frozen=True)
-class PosteriorMatrices:
+class PosteriorMatrices(NamedTuple):
     """Class and mixture covariances conditioned on the measurement history.
 
     stack holds G + 1 symmetric N x N matrices: the G class posteriors
@@ -217,32 +215,12 @@ class PosteriorMatrices:
     covariance (plus sigma2), in the same order. Projected eigenvalues are
     floored at EIG_FLOOR_REL times the matching scale, which keeps the
     separability measure finite for classes whose posterior has collapsed
-    (history spans their support at zero noise). A matrix with zero scale
-    has no variance at all and an undefined log-determinant, so it is
-    rejected here with ProjectedCovarianceError. Both arrays are stored
-    read-only; the constructor copies what it is given, while
-    posterior_matrices hands over the arrays it has just built.
+    (history spans their support at zero noise). Built by
+    posterior_matrices only.
     """
 
     stack: np.ndarray
     scales: np.ndarray
-
-    def __post_init__(self):
-        self._set(_readonly(self.stack), _readonly(self.scales))
-
-    @classmethod
-    def _own(cls, stack: np.ndarray, scales: np.ndarray) -> "PosteriorMatrices":
-        """Wrap arrays that nothing else references, without copying them."""
-        posteriors = cls.__new__(cls)
-        stack.setflags(write=False)
-        scales.setflags(write=False)
-        posteriors._set(stack, scales)
-        return posteriors
-
-    def _set(self, stack: np.ndarray, scales: np.ndarray) -> None:
-        object.__setattr__(self, "stack", stack)
-        object.__setattr__(self, "scales", scales)
-        _reject_first(scales <= 0.0)
 
 
 def _reject_first(bad: np.ndarray) -> None:
@@ -285,9 +263,13 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
     state's current class priors (so during a sequential acquisition the
     average tracks the Bayes-updated posterior) and conditions all G + 1
     on the history at once. The stack is built once: the G + 1 covariances
-    are written into one array, conditioned there, symmetrized into a
-    second one and handed over without a copy. Determinant floors are
-    anchored at the unconditioned covariance scales.
+    are written into one array, conditioned there and symmetrized into a
+    second one. Returns a PosteriorMatrices whose stack and scales (see
+    there) are fresh read-only arrays. Determinant floors are anchored at
+    the unconditioned covariance scales. A matrix with zero scale has no
+    variance at all and an undefined log-determinant, so it is rejected
+    with ProjectedCovarianceError naming the first such class (None for
+    the mixture).
     """
     if state.rows.shape[1:] and state.rows.shape[1] != model.dimension:
         raise ValueError("state dimension does not match the model")
@@ -303,7 +285,10 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
         raise SingularMatrixError(
             f"singular measurement covariance in a posterior: {exc}"
         ) from exc
-    return PosteriorMatrices._own(stack, scales)
+    _reject_first(scales <= 0.0)
+    stack.setflags(write=False)
+    scales.setflags(write=False)
+    return PosteriorMatrices(stack, scales)
 
 
 # Most negative projected value accepted as numerical noise, relative to the
@@ -323,15 +308,10 @@ def _project(
     EIG_FLOOR_REL times the matching scale, so a collapsed class posterior
     contributes a large finite log-determinant instead of an infinity.
     Values more negative than rounding noise allows raise
-    ProjectedCovarianceError naming the offending class. A single-row block
-    reads its 1 x 1 projections directly instead of calling eigh.
+    ProjectedCovarianceError naming the offending class.
     """
     bp = block @ posteriors.stack                 # (G+1, b, N)
-    proj = bp @ block.T                           # (G+1, b, b)
-    if block.shape[0] == 1:
-        vals, vecs = proj[:, 0, :], np.ones((1, 1, 1))
-    else:
-        vals, vecs = np.linalg.eigh(symmetrize(proj))
+    vals, vecs = np.linalg.eigh(symmetrize(bp @ block.T))
     scales = posteriors.scales
     _reject_first(vals[:, 0] < -_PROJ_NEG_TOL * scales)
     floors = EIG_FLOOR_REL * scales[:, None]

@@ -162,7 +162,7 @@ def _cmd_train_gmm(args) -> int:
 
 def _cmd_design(args) -> int:
     _check_sigma2(args.sigma2, "--sigma2")
-    model, _ = load_model(args.model)
+    model = load_model(args.model)
     if args.method == "eigen":
         rows = eigen_sensing(model.component(args.component), args.measurements).rows
     else:
@@ -175,12 +175,16 @@ def _cmd_design(args) -> int:
 
 
 def _cmd_run_protocol(args) -> int:
+    if bool(args.signals) == bool(args.images):
+        raise ValueError("provide either --signals or --images (exactly one)")
+    if args.images and args.labels:
+        raise ValueError("--images does not take --labels")
     with open(args.config) as fh:
         d = json.load(fh)
     config = ProtocolConfig.from_dict(d)
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    model, _ = load_model(args.model)
+    model = load_model(args.model)
     if args.signals:
         signals = read_matrix(args.signals)
         labels = None
@@ -189,10 +193,8 @@ def _cmd_run_protocol(args) -> int:
         batch = SignalBatch(
             signals=signals, labels=labels, provenance={"kind": "signals"}
         )
-    elif args.images:
-        batch = _ingest_images(args.images, args.patch, overlap=False)
     else:
-        raise ValueError("provide --signals or --images")
+        batch = _ingest_images(args.images, args.patch, overlap=False)
     if args.snr_db is not None:
         config = dataclasses.replace(config, sigma2=sigma2_for_snr_db(batch, args.snr_db))
     report = run_two_step(config, batch, model)

@@ -23,6 +23,7 @@ posterior-ratio threshold derived from the target error rate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,13 +34,11 @@ from .model import (
     GaussianComponent,
     GmmModel,
     _check_sigma2,
-    _readonly,
     _require_finite,
     m_step_update,
 )
 
 __all__ = [
-    "ReconstructionResult",
     "ShtOutcome",
     "wiener_coefficients",
     "map_reconstruct",
@@ -49,28 +48,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ReconstructionResult:
-    """Model-selected reconstruction of one signal.
-
-    selected_class is the 1-based argmin of objective_values (ties go to
-    the lowest index); signal_estimate equals basis @ coefficients + mean
-    of the selected component.
-    """
+class ReconstructionResult(NamedTuple):
+    """Model-selected reconstruction of one signal; see map_reconstruct."""
 
     selected_class: int
     coefficients: np.ndarray
     signal_estimate: np.ndarray
     objective_values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "coefficients", _readonly(self.coefficients))
-        object.__setattr__(self, "signal_estimate", _readonly(self.signal_estimate))
-        object.__setattr__(self, "objective_values", _readonly(self.objective_values))
-        if not 1 <= self.selected_class <= self.objective_values.shape[0]:
-            raise ValueError("selected_class out of range")
-        if self.selected_class != int(np.argmin(self.objective_values)) + 1:
-            raise ValueError("selected_class must be the argmin of the objectives")
 
 
 def wiener_coefficients(
@@ -216,8 +200,11 @@ def map_reconstruct(
     picks the smallest, and returns the signal estimate mean + V a. At
     sigma2 = 0 the objective is the residual alone, exactly 0 for a class
     whose projected covariance is full rank; ties go to the lowest index.
-    Raises ValueError for non-finite measurements and for a sigma2 that is
-    not finite or is negative.
+    The record holds objective_values (G,), one objective per class;
+    selected_class, the 1-based lowest-index argmin of them; coefficients
+    (N,), that class's ridge coefficients a; and signal_estimate (N,),
+    its mean + basis @ a. Raises ValueError for non-finite measurements
+    and for a sigma2 that is not finite or is negative.
     """
     rows = as_rows(sensing)
     y = np.asarray(y, dtype=float).ravel()
@@ -346,9 +333,9 @@ def sht_run(
     b: int,
     m_budget: int,
     p_e: float,
+    first_block: np.ndarray,
     sigma2: float = 0.0,
     seed=0,
-    first_block: np.ndarray | None = None,
     opts: AscentOptions | None = None,
 ) -> ShtOutcome:
     """Sequentially acquire blocks until one class dominates all others.
@@ -356,14 +343,13 @@ def sht_run(
     The stopping threshold is eta = (1 - p_e) / p_e on the pairwise
     posterior ratios, evaluated in the log domain with the exact joint
     log-likelihood of all measurements so far plus the initial log-prior
-    difference. The first block is the non-adaptive separability design
-    (precomputable and passable via first_block, which must then have
-    shape (b, N); run_two_step passes the one protocol._step1_rows keeps
-    on the model); it initializes the acquisition and is never tested on
-    its own, so the earliest decision uses two blocks. Each later block
-    re-optimizes the separability against the history so far. If the
-    budget is exhausted undecided, the outcome falls back to
-    measurement-space classification.
+    difference. The first block is required: first_block, of shape (b,
+    N), is sensed as given (run_two_step passes the non-adaptive ida
+    design that protocol._step1_rows keeps on the model). It initializes
+    the acquisition and is never tested on its own, so the earliest
+    decision uses two blocks. Each later block re-optimizes the
+    separability against the history so far. If the budget is exhausted
+    undecided, the outcome falls back to measurement-space classification.
 
     signal_oracle maps a block of rows to its (noisy) measurements.
     """
@@ -371,13 +357,12 @@ def sht_run(
         raise ValueError(f"p_e must lie in (0, 0.5), got {p_e}")
     if b < 1 or b > m_budget:
         raise ValueError(f"need 1 <= b <= budget, got b={b}, budget={m_budget}")
-    if first_block is not None:
-        first_block = np.asarray(first_block, dtype=float)
-        if first_block.shape != (b, model.dimension):
-            raise ValueError(
-                f"first_block must have shape ({b}, {model.dimension}), "
-                f"got {first_block.shape}"
-            )
+    first_block = np.asarray(first_block, dtype=float)
+    if first_block.shape != (b, model.dimension):
+        raise ValueError(
+            f"first_block must have shape ({b}, {model.dimension}), "
+            f"got {first_block.shape}"
+        )
     log_eta = float(np.log((1.0 - p_e) / p_e))
     with np.errstate(divide="ignore"):  # zero-prior classes can never win
         log_priors = np.log(model.priors)
@@ -389,7 +374,7 @@ def sht_run(
     k = 0
     while state.n_measurements + b <= m_budget and decided is None:
         k += 1
-        if k == 1 and first_block is not None:
+        if k == 1:
             block = first_block
         else:
             block = design_classification_block(
@@ -410,12 +395,9 @@ def sht_run(
             winners = np.flatnonzero(margins.min(axis=1) > log_eta)
             if winners.size:
                 decided = int(winners[0]) + 1
-    fallback = None
-    if decided is None and state.n_measurements >= 1:
-        fallback = map_classify(state, model)
     return ShtOutcome(
         decided_class=decided,
         trace=tuple(trace),
         state=state,
-        fallback_class=fallback,
+        fallback_class=map_classify(state, model) if decided is None else None,
     )

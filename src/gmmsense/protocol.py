@@ -140,12 +140,6 @@ class ProtocolConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
 
-    def validate_against(self, model: GmmModel) -> None:
-        if self.M > model.dimension:
-            raise ValueError(
-                f"budget M={self.M} exceeds the signal dimension {model.dimension}"
-            )
-
     @property
     def label(self) -> str:
         return f"{self.step1}+{self.step2}"
@@ -461,9 +455,13 @@ def run_two_step(
     row i of one standard-normal draw of N columns from the stream
     [_TAG_NOISE, seed], used in acquisition order, so its report does not
     depend on the batch size or on the other signals.
-    Labels above the model's class count are rejected with ValueError.
+    A budget M above the model's dimension and labels above its class
+    count are rejected with ValueError.
     """
-    config.validate_against(model)
+    if config.M > model.dimension:
+        raise ValueError(
+            f"budget M={config.M} exceeds the signal dimension {model.dimension}"
+        )
     if batch.dimension != model.dimension:
         raise ValueError("batch dimension does not match the model")
     if batch.labels is not None and batch.labels.max() > model.n_components:

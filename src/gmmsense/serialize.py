@@ -118,8 +118,11 @@ def save_model(directory, model: GmmModel, sigma2: float | None = None) -> None:
         fh.write("\n")
 
 
-def load_model(directory) -> tuple[GmmModel, float | None]:
-    """Load a model directory; returns (model, training sigma2 or None)."""
+def load_model(directory) -> GmmModel:
+    """Load a model directory written by save_model.
+
+    The manifest's training sigma2 is recorded for the reader and not read.
+    """
     d = Path(directory)
     with open(d / _MANIFEST_NAME) as fh:
         manifest = json.load(fh)
@@ -135,9 +138,6 @@ def load_model(directory) -> tuple[GmmModel, float | None]:
         or not all(type(p) in (int, float) for p in priors)
     ):
         raise ValueError(f"{d}: manifest needs {g_total} numeric priors, got {priors!r}")
-    sigma2 = manifest.get("sigma2")
-    if sigma2 is not None and type(sigma2) not in (int, float):
-        raise ValueError(f"{d}: sigma2 must be a number or null, got {sigma2!r}")
     comps = []
     for g in range(1, g_total + 1):
         comps.append(
@@ -149,4 +149,4 @@ def load_model(directory) -> tuple[GmmModel, float | None]:
                 prior=float(priors[g - 1]),
             )
         )
-    return GmmModel(components=tuple(comps)), (None if sigma2 is None else float(sigma2))
+    return GmmModel(components=tuple(comps))

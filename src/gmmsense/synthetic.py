@@ -86,22 +86,22 @@ def synth_covariance(
     )
 
 
+# Draws of synth_covariance_pair before it gives up on a bucket.
+_MAX_ATTEMPTS = 10000
+
+
 def synth_covariance_pair(
-    n: int,
-    bd_low: float,
-    bd_high: float,
-    seed: int = 0,
-    max_attempts: int = 10000,
+    n: int, bd_low: float, bd_high: float, seed: int = 0
 ) -> tuple[GaussianComponent, GaussianComponent, float]:
     """Rejection-sample a component pair whose distance lands in a bucket.
 
     Draws (r, beta, omega) independently for both components until
-    bd_low <= BD < bd_high, up to max_attempts; raises RuntimeError if the
-    bucket is never hit.
+    bd_low <= BD < bd_high, up to _MAX_ATTEMPTS times; raises RuntimeError
+    if the bucket is never hit.
     """
     if not bd_low < bd_high:
         raise ValueError("need bd_low < bd_high")
-    for attempt in range(max_attempts):
+    for attempt in range(_MAX_ATTEMPTS):
         comps = []
         for side in (0, 1):
             rng = np.random.default_rng([seed, attempt, side])
@@ -116,7 +116,7 @@ def synth_covariance_pair(
             return comps[0], comps[1], bd
     raise RuntimeError(
         f"no covariance pair with distance in [{bd_low}, {bd_high}) "
-        f"after {max_attempts} attempts"
+        f"after {_MAX_ATTEMPTS} attempts"
     )
 
 

@@ -277,13 +277,6 @@ class TestPosteriorMatrices:
         assert post.scales.tobytes() == scales.tobytes()
         assert not post.stack.flags.writeable and not post.scales.flags.writeable
 
-    def test_copies_what_a_caller_hands_it(self):
-        stack, scales = np.stack([np.eye(3), 2.0 * np.eye(3)]), np.array([1.0, 2.0])
-        post = PosteriorMatrices(stack=stack, scales=scales)
-        stack[0, 0, 0] = scales[0] = 7.0
-        assert post.stack[0, 0, 0] == 1.0 and post.scales[0] == 1.0
-        assert not post.stack.flags.writeable
-
     def test_rejects_zero_scale_class(self):
         zero = GaussianComponent(
             mean=np.zeros(3),

@@ -165,6 +165,39 @@ class TestMapReconstruct:
         assert np.abs(res.signal_estimate - x).max() < 1e-9
 
 
+@pytest.mark.parametrize(
+    "model_seed, sigma2",
+    [(40, 0.0), (40, 0.1), (41, 0.0), (41, 0.1), ("tie", 0.1)],
+)
+def test_reconstruction_record_holds_the_argmin_and_its_estimate(model_seed, sigma2):
+    # The record is built by map_reconstruct alone: selected_class is the
+    # lowest-index argmin of objective_values and signal_estimate is the
+    # selected class's mean + basis @ coefficients.
+    n, m = 6, 4
+    tie = model_seed == "tie"
+    if tie:  # two classes with bitwise equal objectives
+        comp = shifted_model(random_model(n, 1, seed=42), seed=45).components[0]
+        model = GmmModel(components=(comp.with_prior(0.5), comp.with_prior(0.5)))
+    else:
+        model = shifted_model(random_model(n, 3, seed=model_seed), seed=45)
+    rows = random_orthonormal(m, n, seed=43).rows
+    winners = set()
+    for y in np.random.default_rng(44).standard_normal((8, m)) * 3.0:
+        res = map_reconstruct(y, rows, model, sigma2)
+        assert res.objective_values.shape == (model.n_components,)
+        assert res.selected_class == int(np.argmin(res.objective_values)) + 1
+        comp = model.component(res.selected_class)
+        assert np.array_equal(res.signal_estimate, comp.mean + comp.basis @ res.coefficients)
+        winners.add(res.selected_class)
+        if tie:
+            assert np.all(res.objective_values == res.objective_values[0])
+    if tie or sigma2 == 0.0:
+        # At sigma2 = 0 every full-rank class fits exactly: all tie at 0.
+        assert winners == {1}
+    else:
+        assert len(winners) > 1
+
+
 class TestMapClassify:
     def test_scalar_threshold(self):
         model = GmmModel(

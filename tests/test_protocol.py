@@ -748,7 +748,7 @@ def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):
 @pytest.mark.parametrize("method", ["random", "rip_ab", "eigen", "ida"])
 def test_cli_design_writes_the_library_rows(method, data, tmp_path, capsys):
     # --seed reaches the library as given, with no protocol tag.
-    model, _ = load_model(data / "model")
+    model = load_model(data / "model")
     expected = {
         "random": lambda: random_orthonormal(5, N, seed=9).rows,
         "rip_ab": lambda: rip_ab(model, 5).rows,
@@ -774,7 +774,7 @@ def test_cli_train_gmm_csv_remaps_labels_to_consecutive_classes(tmp_path, capsys
     np.savetxt(csv, np.column_stack([raw, signals]), delimiter=",", fmt="%.17g")
     assert cli.main(["train-gmm", "--csv", str(csv), "--out", str(tmp_path / "m")]) == 0
     assert "trained model: G=6, N=3" in capsys.readouterr().out
-    model, _ = load_model(tmp_path / "m")
+    model = load_model(tmp_path / "m")
     for g, value in enumerate([1, 2, 3, 4, 5, 7], start=1):
         assert np.array_equal(model.component(g).mean, signals[raw == value].mean(axis=0))
     assert np.array_equal(model.priors, np.full(6, 1 / 6))
@@ -799,3 +799,35 @@ def test_cli_run_protocol_on_images_reports_psnr(tmp_path, capsys):
     assert d["n_signals"] == 64 and d["accuracy"] is None
     assert d["psnr"] == 10.0 * np.log10(255.0**2 / d["mse"])
     assert f"psnr={d['psnr']:.2f} dB accuracy=n/a" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "inputs, message",
+    [
+        (["--signals", "signals", "--images", "image"],
+         "provide either --signals or --images (exactly one)"),
+        ([], "provide either --signals or --images (exactly one)"),
+        (["--images", "image", "--labels", "labels"], "--images does not take --labels"),
+    ],
+    ids=["signals-and-images", "neither", "images-with-labels"],
+)
+def test_cli_run_protocol_rejects_inputs_it_would_ignore(
+    inputs, message, data, tmp_path, capsys
+):
+    # Both used to exit 0: the images were dropped beside --signals, and
+    # the labels (one for 16 patches) were never read beside --images.
+    image = tmp_path / "img.pgm"
+    write_pgm(image, make_image(2, size=16))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1\n")
+    paths = {"signals": data / "signals.scsm", "image": image, "labels": labels}
+    config = write_json(
+        tmp_path / "c.json", {"step1": "rip_ab", "step2": "eigen_mse", "M": M, "K": K}
+    )
+    out = tmp_path / "r.json"
+    assert cli.main([
+        "run-protocol", "--config", config, "--model", str(data / "model"),
+        *(str(paths.get(arg, arg)) for arg in inputs), "--patch", "4", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from gmmsense import synthetic
 from gmmsense._linalg import SingularMatrixError
 from gmmsense.model import GaussianComponent
 from gmmsense.synthetic import (
@@ -123,6 +124,8 @@ class TestPairGeneration:
         assert np.array_equal(model.priors, [0.5, 0.5])
         assert 30.0 <= bd < 46.0
 
-    def test_unreachable_bucket_raises(self):
-        with pytest.raises(RuntimeError):
-            synth_covariance_pair(4, 1000.0, 1001.0, seed=0, max_attempts=20)
+    def test_unreachable_bucket_raises(self, monkeypatch):
+        # 10,000 real draws at n=4 take seconds; 20 show the same give-up.
+        monkeypatch.setattr(synthetic, "_MAX_ATTEMPTS", 20)
+        with pytest.raises(RuntimeError, match="after 20 attempts"):
+            synth_covariance_pair(4, 1000.0, 1001.0, seed=0)
