@@ -42,18 +42,8 @@ from .protocol import (
     sigma2_for_snr_db,
 )
 from .serialize import load_model, read_matrix, save_model, write_matrix
-from .synthetic import (
-    bhattacharyya_distance,
-    synth_covariance,
-    synth_covariance_pair,
-    synth_model_pair,
-)
-from .train import (
-    init_gmm_by_orientation,
-    supervised_gmm,
-    train_gmm,
-    train_gmm_coadapt,
-)
+from .synthetic import synth_model_pair
+from .train import supervised_gmm, train_gmm, train_gmm_coadapt
 
 __all__ = [
     "AcquisitionState",
@@ -66,11 +56,9 @@ __all__ = [
     "SensingMatrix",
     "ShtOutcome",
     "SignalBatch",
-    "bhattacharyya_distance",
     "design_classification_block",
     "design_reconstruction_block",
     "eigen_sensing",
-    "init_gmm_by_orientation",
     "load_model",
     "m_step_update",
     "map_classify",
@@ -89,8 +77,6 @@ __all__ = [
     "sht_run",
     "sigma2_for_snr_db",
     "supervised_gmm",
-    "synth_covariance",
-    "synth_covariance_pair",
     "synth_model_pair",
     "train_gmm",
     "train_gmm_coadapt",

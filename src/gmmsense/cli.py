@@ -7,7 +7,8 @@ Verbs:
   run-protocol    run a two-step protocol from a JSON config, emit a report
   report          aggregate JSON reports into one CSV table
 
-Any rejection (bad input, invalid configuration) exits nonzero.
+Any rejection (bad input, invalid configuration, a flag the chosen mode
+does not read) exits nonzero.
 """
 
 from __future__ import annotations
@@ -39,6 +40,20 @@ from .serialize import (
 )
 from .synthetic import synth_model_pair
 from .train import supervised_gmm, train_gmm, train_gmm_coadapt
+
+
+def _mode_flags(args, mode: str, unread, **defaults) -> None:
+    """Reject the flags in unread that were given, then fill in defaults.
+
+    Flags that only some modes of a verb read default to None in the
+    parser, so a given one shows. Verbs call this before writing anything.
+    """
+    given = [f for f in unread if getattr(args, f[2:].replace("-", "_")) is not None]
+    if given:
+        raise ValueError(f"{mode} does not take {', '.join(given)}")
+    for dest, value in defaults.items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -117,8 +132,11 @@ def _cmd_train_gmm(args) -> int:
     if bool(args.images) == bool(args.csv):
         raise ValueError("provide either --images or --csv (exactly one)")
     if args.images:
+        mode, unread = "--images", ("--label-col",)
+        if not args.coadapt:
+            mode, unread = "--images without --coadapt", (*unread, "--measurements", "--seed")
+        _mode_flags(args, mode, unread, patch=8, overlap=False, classes=19, iters=2, seed=0)
         batch = _ingest_images(args.images, args.patch, args.overlap)
-        iters = 2 if args.iters is None else args.iters
         if args.coadapt:
             if args.measurements is None:
                 raise ValueError("--coadapt requires --measurements")
@@ -127,7 +145,7 @@ def _cmd_train_gmm(args) -> int:
                 args.coadapt,
                 args.measurements,
                 orientation_bins=args.classes - 1,
-                iters=iters,
+                iters=args.iters,
                 sigma2=args.sigma2,
                 seed=args.seed,
             )
@@ -135,21 +153,12 @@ def _cmd_train_gmm(args) -> int:
             model = train_gmm(
                 batch,
                 orientation_bins=args.classes - 1,
-                iters=iters,
+                iters=args.iters,
                 sigma2=args.sigma2 if args.sigma2 > 0 else None,
             )
     else:
-        image_only = [
-            flag
-            for flag, value in (
-                ("--coadapt", args.coadapt),
-                ("--measurements", args.measurements),
-                ("--iters", args.iters),
-            )
-            if value is not None
-        ]
-        if image_only:
-            raise ValueError(f"--csv does not take {', '.join(image_only)}")
+        _mode_flags(args, "--csv", ("--patch", "--overlap", "--classes", "--iters", "--coadapt",
+                                    "--measurements", "--seed"), label_col=0)
         batch = _ingest_csv(args.csv, args.label_col)
         model = supervised_gmm(batch)
     save_model(args.out, model, sigma2=args.sigma2)
@@ -161,6 +170,10 @@ def _cmd_train_gmm(args) -> int:
 
 
 def _cmd_design(args) -> int:
+    unread = {"random": ("--component", "--sigma2"), "eigen": ("--sigma2", "--seed"),
+              "rip_ab": ("--component", "--sigma2", "--seed"), "ida": ("--component",)}
+    _mode_flags(args, f"--method {args.method}", unread[args.method],
+                component=1, sigma2=0.0, seed=0)
     _check_sigma2(args.sigma2, "--sigma2")
     model = load_model(args.model)
     if args.method == "eigen":
@@ -177,8 +190,10 @@ def _cmd_design(args) -> int:
 def _cmd_run_protocol(args) -> int:
     if bool(args.signals) == bool(args.images):
         raise ValueError("provide either --signals or --images (exactly one)")
-    if args.images and args.labels:
-        raise ValueError("--images does not take --labels")
+    if args.signals:
+        _mode_flags(args, "--signals", ("--patch",))
+    else:
+        _mode_flags(args, "--images", ("--labels",), patch=8)
     with open(args.config) as fh:
         d = json.load(fh)
     config = ProtocolConfig.from_dict(d)
@@ -248,15 +263,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-gmm", help="train a mixture model")
     p.add_argument("--images", nargs="+", default=None, help="PGM (P5) images")
     p.add_argument("--csv", default=None, help="headerless labeled CSV")
-    p.add_argument("--label-col", type=int, default=0)
-    p.add_argument("--patch", type=int, default=8)
-    p.add_argument("--overlap", action="store_true")
-    p.add_argument("--classes", type=int, default=19)
+    p.add_argument("--label-col", type=int, default=None, help="--csv only; default 0")
+    p.add_argument("--patch", type=int, default=None, help="--images only; default 8")
+    p.add_argument("--overlap", action="store_true", default=None, help="--images only")
+    p.add_argument("--classes", type=int, default=None, help="--images only; default 19")
     p.add_argument("--iters", type=int, default=None, help="--images only; default 2")
-    p.add_argument("--coadapt", choices=["random", "rip_ab"], default=None)
-    p.add_argument("--measurements", type=int, default=None)
+    p.add_argument("--coadapt", choices=["random", "rip_ab"], default=None, help="--images only")
+    p.add_argument("--measurements", type=int, default=None, help="--coadapt only")
     p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="--coadapt only; default 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_train_gmm)
 
@@ -264,9 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--method", choices=["random", "rip_ab", "eigen", "ida"], required=True)
     p.add_argument("--measurements", type=int, required=True)
-    p.add_argument("--component", type=int, default=1, help="1-based, for eigen")
-    p.add_argument("--sigma2", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--component", type=int, default=None, help="eigen only; 1-based, default 1")
+    p.add_argument("--sigma2", type=float, default=None, help="ida only; default 0")
+    p.add_argument("--seed", type=int, default=None, help="random and ida only; default 0")
     p.add_argument("--out", required=True)
     p.add_argument("--csv", default=None, help="also write CSV here")
     p.set_defaults(func=_cmd_design)
@@ -275,9 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True, help="JSON protocol config")
     p.add_argument("--model", required=True)
     p.add_argument("--signals", default=None, help="SCSM signal matrix")
-    p.add_argument("--labels", default=None, help="per-signal labels (text)")
+    p.add_argument("--labels", default=None, help="--signals only; per-signal labels (text)")
     p.add_argument("--images", nargs="+", default=None)
-    p.add_argument("--patch", type=int, default=8)
+    p.add_argument("--patch", type=int, default=None, help="--images only; default 8")
     p.add_argument("--snr-db", type=float, default=None, help="override sigma2 from SNR")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", required=True, help="report JSON path")

@@ -16,12 +16,13 @@ covariance is full rank, so such exact fits tie and the lowest index
 among them wins.
 Classification from raw measurements uses the Gaussian measurement-space
 criterion (quadratic form plus log-determinant, no prior term). Sequential
-hypothesis testing stops acquiring once some class beats every other by a
-posterior-ratio threshold derived from the target error rate.
+hypothesis testing stops once the most likely class beats the runner-up by
+a ratio derived from the target error rate; each run logs one DEBUG record.
 """
 
 from __future__ import annotations
 
+import logging
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -46,6 +47,8 @@ __all__ = [
     "map_em",
     "sht_run",
 ]
+
+_LOG = logging.getLogger("gmmsense")
 
 
 class ReconstructionResult(NamedTuple):
@@ -300,14 +303,12 @@ class ShtOutcome:
     decided_class is None when the posterior-ratio threshold never fired
     inside the budget; fallback_class then holds the measurement-space
     classification of everything acquired. final_class merges the two.
-    trace logs (block index, priors, pairwise log posterior ratios) per
-    acquired block. state is the final acquisition history: its
-    n_measurements is the number of measurements used and its class_priors
-    the final Bayes-updated priors.
+    state is the final acquisition history: its n_measurements is the
+    number of measurements used and its class_priors the final
+    Bayes-updated priors.
     """
 
     decided_class: int | None
-    trace: tuple
     state: AcquisitionState
     fallback_class: int | None = None
 
@@ -316,15 +317,11 @@ class ShtOutcome:
         return self.decided_class if self.decided_class is not None else self.fallback_class
 
 
-def _pairwise_log_ratios(loglik: np.ndarray, log_priors: np.ndarray) -> np.ndarray:
-    """log L[i, j]: joint log-likelihood ratio plus initial log-prior ratio.
-
-    Zero-prior classes carry a score of -inf; their rows come out -inf/nan
-    and can never clear the decision threshold.
-    """
-    score = loglik + log_priors
-    with np.errstate(invalid="ignore"):
-        return score[:, None] - score[None, :]
+def _leading_class(scores: np.ndarray, log_eta: float) -> tuple[int | None, float]:
+    """(0-based argmax, or None unless its margin over the runner-up exceeds log_eta; margin)."""
+    best = int(np.argmax(scores))
+    margin = float(scores[best] - np.max(np.delete(scores, best), initial=-np.inf))
+    return (best if margin > log_eta else None), margin
 
 
 def sht_run(
@@ -340,18 +337,23 @@ def sht_run(
 ) -> ShtOutcome:
     """Sequentially acquire blocks until one class dominates all others.
 
-    The stopping threshold is eta = (1 - p_e) / p_e on the pairwise
-    posterior ratios, evaluated in the log domain with the exact joint
-    log-likelihood of all measurements so far plus the initial log-prior
-    difference. The first block is required: first_block, of shape (b,
-    N), is sensed as given (run_two_step passes the non-adaptive ida
-    design that protocol._step1_rows keeps on the model). It initializes
-    the acquisition and is never tested on its own, so the earliest
-    decision uses two blocks. Each later block re-optimizes the
-    separability against the history so far. If the budget is exhausted
-    undecided, the outcome falls back to measurement-space classification.
+    A class scores its exact joint log-likelihood of all measurements so
+    far plus its initial log prior (-inf for a zero prior). The test stops
+    once the best score beats the runner-up's by more than log eta, eta =
+    (1 - p_e) / p_e, so every posterior ratio of the best class exceeds
+    eta; tied leaders never stop it, and a lone class always does. Rounding
+    is monotone, so this is bitwise the test over all pairs.
+    The first block, first_block of shape (b, N), is sensed as given
+    (run_two_step passes the ida design that protocol._step1_rows keeps on
+    the model) and never tested on its own, so the earliest decision uses
+    two blocks. Each later block re-optimizes the separability against the
+    history so far. If the budget is exhausted undecided, the outcome falls
+    back to measurement-space classification.
 
-    signal_oracle maps a block of rows to its (noisy) measurements.
+    signal_oracle maps a block of rows to its (noisy) measurements. With
+    the "gmmsense" logger enabled at DEBUG, each call logs one record: b,
+    the blocks and measurements acquired, stop=decided or stop=budget, the
+    final class and the last block's margin.
     """
     if not 0.0 < p_e < 0.5:
         raise ValueError(f"p_e must lie in (0, 0.5), got {p_e}")
@@ -369,7 +371,6 @@ def sht_run(
     # Python ints, not int64: protocol seeds may reach 2**63 and above.
     seed_key = tuple(int(s) for s in np.atleast_1d(np.array(seed, dtype=object)))
     state = AcquisitionState.initial(model, sigma2, block_size=b)
-    trace = []
     decided = None
     k = 0
     while state.n_measurements + b <= m_budget and decided is None:
@@ -382,22 +383,18 @@ def sht_run(
             )
         y = np.asarray(signal_oracle(block), dtype=float).ravel()
         state = state.append_block(block, y, model)
-        ratios = _pairwise_log_ratios(state.class_log_likelihoods, log_priors)
-        trace.append(
-            {
-                "block": k,
-                "priors": state.class_priors.copy(),
-                "log_ratios": ratios,
-            }
-        )
-        if k >= 2:
-            margins = ratios + np.diag(np.full(model.n_components, np.inf))
-            winners = np.flatnonzero(margins.min(axis=1) > log_eta)
-            if winners.size:
-                decided = int(winners[0]) + 1
-    return ShtOutcome(
+        leader, margin = _leading_class(state.class_log_likelihoods + log_priors, log_eta)
+        if k >= 2 and leader is not None:
+            decided = leader + 1
+    outcome = ShtOutcome(
         decided_class=decided,
-        trace=tuple(trace),
         state=state,
         fallback_class=map_classify(state, model) if decided is None else None,
     )
+    if _LOG.isEnabledFor(logging.DEBUG):
+        _LOG.debug(
+            "sht_run b=%d blocks=%d measurements=%d stop=%s class=%d margin=%.6g",
+            b, k, state.n_measurements, "budget" if decided is None else "decided",
+            outcome.final_class, margin,
+        )
+    return outcome

@@ -1,3 +1,4 @@
+import logging
 import tracemalloc
 
 import numpy as np
@@ -756,3 +757,74 @@ class TestShtRun:
                 wrong += outcome.decided_class != label
         assert decided >= 90
         assert wrong / decided <= p_e + 3.0 * np.sqrt(p_e * (1.0 - p_e) / decided)
+
+    @staticmethod
+    def pairwise_winner(scores, log_eta):
+        # The former rule, the reference: the first class whose log ratio
+        # to every other class exceeds log eta.
+        with np.errstate(invalid="ignore"):
+            ratios = scores[:, None] - scores[None, :]
+            margins = ratios + np.diag(np.full(scores.size, np.inf))
+            winners = np.flatnonzero(margins.min(axis=1) > log_eta)
+        return int(winners[0]) if winners.size else None
+
+    def test_leading_class_decides_as_the_pairwise_rule(self):
+        log_eta = float(np.log(0.99 / 0.01))
+        up, down = np.nextafter(log_eta, np.inf), np.nextafter(log_eta, -np.inf)
+        inf = np.inf
+        cases = [
+            [3.0, 3.0], [log_eta + 5, log_eta + 5, 0.0], [0.0, 9.0, 9.0],  # ties
+            [0.0, -inf], [-inf, 2.0, -inf], [-inf, 3.0, 3.0 - 2 * log_eta],  # zero priors
+            [-7.0],  # G = 1
+            [log_eta, 0.0], [up, 0.0], [down, 0.0],  # at log eta, one step on either side
+            [0.0, -log_eta], [0.0, -up], [0.0, -down],
+        ]
+        for runner_up in (-812.25, 1e3, 3.1e5):  # the difference rounds
+            cases += [[runner_up + t, runner_up] for t in (log_eta, up, down)]
+        rng = np.random.default_rng(0)
+        cases += list(rng.normal(scale=10.0, size=(500, 10)))
+        cases += list(np.round(rng.normal(scale=10.0, size=(500, 10))))  # ties among ten
+        decided = 0
+        for scores in map(np.array, cases):
+            leader, _ = inference._leading_class(scores, log_eta)
+            assert leader == self.pairwise_winner(scores, log_eta), scores
+            decided += leader is not None
+        assert decided > 100
+        at = [inference._leading_class(np.array([t, 0.0]), log_eta) for t in (down, log_eta, up)]
+        assert at == [(None, down), (None, log_eta), (0, up)]
+        assert inference._leading_class(np.array([3.0, 3.0]), log_eta) == (None, 0.0)
+        assert inference._leading_class(np.array([-7.0]), log_eta) == (0, np.inf)
+
+    @pytest.mark.parametrize("signal, stop", [(1, "decided"), (0, "budget")])
+    def test_logs_one_record_per_run_and_the_same_outcome_either_way(
+        self, signal, stop, caplog
+    ):
+        model, _ = synth_model_pair(16, 10.0, 20.0, seed=0)
+        sigma2 = sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
+        first = design_classification_block(AcquisitionState.initial(model, sigma2, 1), model, 1)
+        x = sample_signals(model, 2, seed=1).signals[signal]
+
+        def run():
+            return sht_run(lambda rows: rows @ x, model, 1, 3, 0.01, first, sigma2=sigma2)
+
+        assert not logging.getLogger("gmmsense").isEnabledFor(logging.DEBUG)
+        quiet = run()
+        with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+            logged = run()
+        (record,) = [r for r in caplog.records if r.getMessage().startswith("sht_run ")]
+        fields = dict(kv.split("=") for kv in record.getMessage().split()[1:])
+        scores = logged.state.class_log_likelihoods + np.log(model.priors)
+        assert fields == {
+            "b": "1",
+            "blocks": str(logged.state.n_measurements),
+            "measurements": str(logged.state.n_measurements),
+            "stop": stop,
+            "class": str(logged.final_class),
+            "margin": f"{inference._leading_class(scores, np.log(99.0))[1]:.6g}",
+        }
+        assert (logged.decided_class is None) == (stop == "budget")
+        assert (quiet.decided_class, quiet.fallback_class) == (
+            logged.decided_class, logged.fallback_class
+        )
+        for name in ("rows", "measurements", "class_log_likelihoods", "class_priors"):
+            assert np.array_equal(getattr(quiet.state, name), getattr(logged.state, name))

@@ -42,19 +42,18 @@ def test_every_package_name_is_exported_by_its_module():
 PUBLIC = [
     "AcquisitionState", "AscentOptions", "ExperimentReport", "GaussianComponent",
     "GmmModel", "ProjectedCovarianceError", "ProtocolConfig", "SensingMatrix",
-    "ShtOutcome", "SignalBatch", "bhattacharyya_distance",
-    "design_classification_block", "design_reconstruction_block", "eigen_sensing",
-    "init_gmm_by_orientation", "load_model", "m_step_update", "map_classify", "map_em",
-    "map_reconstruct", "patch_extract", "posterior_matrices", "random_orthonormal",
-    "read_matrix", "read_pgm", "rip_ab", "run_two_step", "sample_signals", "save_model",
-    "separability_measure", "sht_run", "sigma2_for_snr_db", "supervised_gmm",
-    "synth_covariance", "synth_covariance_pair", "synth_model_pair", "train_gmm",
+    "ShtOutcome", "SignalBatch", "design_classification_block",
+    "design_reconstruction_block", "eigen_sensing", "load_model", "m_step_update",
+    "map_classify", "map_em", "map_reconstruct", "patch_extract", "posterior_matrices",
+    "random_orthonormal", "read_matrix", "read_pgm", "rip_ab", "run_two_step",
+    "sample_signals", "save_model", "separability_measure", "sht_run",
+    "sigma2_for_snr_db", "supervised_gmm", "synth_model_pair", "train_gmm",
     "train_gmm_coadapt", "wiener_coefficients", "write_matrix",
 ]
 
 
 def test_package_exports_exactly_the_pinned_names():
-    assert len(PUBLIC) == 40
+    assert len(PUBLIC) == 36
     assert sorted(gmmsense.__all__) == PUBLIC
 
 

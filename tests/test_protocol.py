@@ -622,8 +622,11 @@ def test_cli_train_gmm_checks_iters_and_classes(flags, code, message, tmp_path, 
 
 @pytest.mark.parametrize(
     "flags",
-    [["--coadapt", "random", "--measurements", "1"], ["--measurements", "1"], ["--iters", "5"]],
-    ids=["coadapt", "measurements", "iters"],
+    [
+        ["--coadapt", "random", "--measurements", "1"], ["--measurements", "1"], ["--iters", "5"],
+        ["--patch", "4"], ["--overlap"], ["--classes", "3"], ["--seed", "1"],
+    ],
+    ids=["coadapt", "measurements", "iters", "patch", "overlap", "classes", "seed"],
 )
 def test_cli_train_gmm_csv_rejects_image_only_flags(flags, tmp_path, capsys):
     csv = tmp_path / "signals.csv"
@@ -738,7 +741,7 @@ def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):
     assert capsys.readouterr().err == "error: --sigma2 must be finite and >= 0, got -1.0\n"
     assert not (tmp_path / "m").exists()
     assert cli.main([
-        "design", "--model", str(data / "model"), "--method", "random", "--measurements", "3",
+        "design", "--model", str(data / "model"), "--method", "ida", "--measurements", "3",
         "--sigma2", "-1", "--out", str(tmp_path / "d.scsm"),
     ]) == 1
     assert capsys.readouterr().err == "error: --sigma2 must be finite and >= 0, got -1.0\n"
@@ -747,7 +750,8 @@ def test_cli_rejects_a_negative_sigma2(data, tmp_path, capsys):
 
 @pytest.mark.parametrize("method", ["random", "rip_ab", "eigen", "ida"])
 def test_cli_design_writes_the_library_rows(method, data, tmp_path, capsys):
-    # --seed reaches the library as given, with no protocol tag.
+    # --seed reaches the library as given, with no protocol tag. Each
+    # method gets only the flags it reads.
     model = load_model(data / "model")
     expected = {
         "random": lambda: random_orthonormal(5, N, seed=9).rows,
@@ -757,10 +761,16 @@ def test_cli_design_writes_the_library_rows(method, data, tmp_path, capsys):
             AcquisitionState.initial(model, 0.01, 5), model, 5, seed=9
         ),
     }[method]()
+    flags = {
+        "random": ["--seed", "9"],
+        "rip_ab": [],
+        "eigen": ["--component", "2"],
+        "ida": ["--sigma2", "0.01", "--seed", "9"],
+    }[method]
     out = tmp_path / "d.scsm"
     assert cli.main([
         "design", "--model", str(data / "model"), "--method", method, "--measurements", "5",
-        "--component", "2", "--sigma2", "0.01", "--seed", "9", "--out", str(out),
+        *flags, "--out", str(out),
     ]) == 0
     assert np.array_equal(read_matrix(out), expected)
     assert capsys.readouterr().out == f"wrote {method} design (5x{N}) to {out}\n"
@@ -808,14 +818,16 @@ def test_cli_run_protocol_on_images_reports_psnr(tmp_path, capsys):
          "provide either --signals or --images (exactly one)"),
         ([], "provide either --signals or --images (exactly one)"),
         (["--images", "image", "--labels", "labels"], "--images does not take --labels"),
+        (["--signals", "signals"], "--signals does not take --patch"),
     ],
-    ids=["signals-and-images", "neither", "images-with-labels"],
+    ids=["signals-and-images", "neither", "images-with-labels", "signals-with-patch"],
 )
 def test_cli_run_protocol_rejects_inputs_it_would_ignore(
     inputs, message, data, tmp_path, capsys
 ):
-    # Both used to exit 0: the images were dropped beside --signals, and
-    # the labels (one for 16 patches) were never read beside --images.
+    # Each used to exit 0: the images were dropped beside --signals, the
+    # labels (one for 16 patches) were never read beside --images, and
+    # --patch (given in every case) was dropped beside --signals.
     image = tmp_path / "img.pgm"
     write_pgm(image, make_image(2, size=16))
     labels = tmp_path / "labels.csv"
@@ -828,6 +840,53 @@ def test_cli_run_protocol_rejects_inputs_it_would_ignore(
     assert cli.main([
         "run-protocol", "--config", config, "--model", str(data / "model"),
         *(str(paths.get(arg, arg)) for arg in inputs), "--patch", "4", "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["design", "--method", "eigen", "--seed", "1"], "--method eigen does not take --seed"),
+        (["design", "--method", "eigen", "--sigma2", "0.1"],
+         "--method eigen does not take --sigma2"),
+        (["design", "--method", "random", "--component", "2"],
+         "--method random does not take --component"),
+        (["design", "--method", "rip_ab", "--component", "2"],
+         "--method rip_ab does not take --component"),
+        (["design", "--method", "ida", "--component", "2"],
+         "--method ida does not take --component"),
+        (["design", "--method", "random", "--sigma2", "0.1"],
+         "--method random does not take --sigma2"),
+        (["design", "--method", "rip_ab", "--sigma2", "0.1"],
+         "--method rip_ab does not take --sigma2"),
+        (["design", "--method", "rip_ab", "--seed", "1"], "--method rip_ab does not take --seed"),
+        (["train-gmm", "--images", "image", "--coadapt", "random", "--measurements", "2",
+          "--label-col", "0"], "--images does not take --label-col"),
+        (["train-gmm", "--images", "image", "--label-col", "0"],
+         "--images without --coadapt does not take --label-col"),
+        (["train-gmm", "--images", "image", "--measurements", "2"],
+         "--images without --coadapt does not take --measurements"),
+        (["train-gmm", "--images", "image", "--seed", "1"],
+         "--images without --coadapt does not take --seed"),
+    ],
+    ids=[
+        "eigen-seed", "eigen-sigma2", "random-component", "rip_ab-component", "ida-component",
+        "random-sigma2", "rip_ab-sigma2", "rip_ab-seed", "coadapt-label-col", "images-label-col",
+        "images-measurements", "images-seed",
+    ],
+)
+def test_cli_rejects_a_flag_its_mode_does_not_read(argv, message, data, tmp_path, capsys):
+    # Each of these used to exit 0 and drop the flag.
+    image = tmp_path / "img.pgm"
+    write_pgm(image, make_image(2, size=16))
+    verb, *flags = argv
+    if verb == "design":
+        flags += ["--model", str(data / "model"), "--measurements", "3"]
+    out = tmp_path / "out"
+    assert cli.main([
+        verb, *(str(image) if arg == "image" else arg for arg in flags), "--out", str(out),
     ]) == 1
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
