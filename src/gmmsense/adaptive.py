@@ -237,9 +237,9 @@ def _condition_in_place(covs: np.ndarray, rows: np.ndarray, sigma2: float) -> np
     result comes back in a second array. The inner inverse uses eigenvalue
     flooring. With empty history this is just cov + sigma2 I. The
     operations and their order are those of the out-of-place expression, so
-    the result is bitwise the same.
+    the result is bitwise the same, except that sigma2 is added to the
+    diagonal alone: an off-diagonal -0.0 stays -0.0 instead of becoming +0.0.
     """
-    n = covs.shape[-1]
     if rows.shape[0]:
         a = covs @ rows.T                        # (..., N, m)
         inner = np.swapaxes(a, -1, -2) @ rows.T  # R cov R^T, shape (..., m, m)
@@ -250,7 +250,8 @@ def _condition_in_place(covs: np.ndarray, rows: np.ndarray, sigma2: float) -> np
         np.subtract(covs, out, out=covs)
     else:
         out = np.empty_like(covs)
-    covs += sigma2 * np.eye(n)
+    diagonals = np.einsum("...ii->...i", covs)  # a writable view
+    diagonals += sigma2
     np.add(covs, np.swapaxes(covs, -1, -2), out=out)
     out *= 0.5
     return out

@@ -261,31 +261,47 @@ class SignalBatch:
         return self.signals.shape[1]
 
 
+# Stream tags of sample_signals, first in each seed list: numpy's seed
+# sequence ignores trailing zeros, so [seed, 0] would be the stream of
+# default_rng(seed) and of [seed, 0, 0].
+_TAG_CLASSES = 505
+_TAG_SHAPES = 606
+
+
 def sample_signals(model: GmmModel, n_signals: int, seed: int = 0) -> SignalBatch:
     """Draw labeled clean signals from the mixture.
 
-    Each signal picks its component with the prior probabilities, then draws
-    x ~ N(mean_g, cov_g). Per-signal generators are derived from (seed,
-    index), so the batch is reproducible and independent of evaluation
-    order. The signals are noise-free; noise is added at sensing time.
+    Two streams per call, both derived from seed: the class stream
+    [_TAG_CLASSES, seed] gives one uniform u_i per signal, and signal i
+    takes the first component whose cumulative prior (normalized to end at
+    1) exceeds u_i, so a zero-prior component is never drawn; the shape
+    stream [_TAG_SHAPES, seed] gives one (n_signals, N) standard-normal
+    draw z, and signal i is mean_g + basis_g @ (sqrt(eigenvalues_g) * z_i),
+    one matrix-vector product per signal. Signal i and its label therefore
+    depend only on (seed, i, model): a longer batch starts with the same
+    signals, bitwise. The signals are noise-free; noise is added at sensing
+    time.
     """
     if n_signals < 1:
         raise ValueError("n_signals must be >= 1")
-    n = model.dimension
-    priors = model.priors
-    sqrt_vals = [np.sqrt(c.eigenvalues) for c in model.components]
-    signals = np.empty((n_signals, n))
-    labels = np.empty(n_signals, dtype=int)
-    for i in range(n_signals):
-        rng = np.random.default_rng([seed, i])
-        g = int(rng.choice(model.n_components, p=priors))
-        comp = model.components[g]
-        z = rng.standard_normal(n)
-        signals[i] = comp.mean + comp.basis @ (sqrt_vals[g] * z)
-        labels[i] = g + 1
+    cdf = np.cumsum(model.priors)
+    cdf /= cdf[-1]
+    u = np.random.default_rng([_TAG_CLASSES, seed]).random(n_signals)
+    classes = np.searchsorted(cdf, u, side="right")
+    z = np.random.default_rng([_TAG_SHAPES, seed]).standard_normal(
+        (n_signals, model.dimension)
+    )
+    signals = np.empty_like(z)
+    for g, comp in enumerate(model.components):
+        rows = np.flatnonzero(classes == g)
+        # A stack of matrix-vector products, not one matrix product: BLAS
+        # rounds a row of a matrix product differently with the row count,
+        # which would break the prefix property.
+        shapes = (z[rows] * np.sqrt(comp.eigenvalues))[:, :, None]
+        signals[rows] = comp.mean + (comp.basis @ shapes)[:, :, 0]
     return SignalBatch(
         signals=signals,
-        labels=labels,
+        labels=classes + 1,
         provenance={"kind": "synthetic", "seed": seed},
     )
 

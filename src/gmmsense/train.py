@@ -49,6 +49,11 @@ def regularize_model(model: GmmModel, batch: SignalBatch) -> GmmModel:
     return GmmModel(components=comps)
 
 
+# Patches per chunk of orientation_labels' gradient sums: the gradients and
+# their products are formed a chunk at a time, never for the whole batch.
+_ORIENTATION_CHUNK = 2048
+
+
 def orientation_labels(batch: SignalBatch, orientation_bins: int = 18) -> np.ndarray:
     """Assign each square patch to a gradient-orientation bin.
 
@@ -64,10 +69,13 @@ def orientation_labels(batch: SignalBatch, orientation_bins: int = 18) -> np.nda
     if p * p != n:
         raise ValueError("orientation grouping requires square patches")
     imgs = batch.signals.reshape(-1, p, p)
-    gy, gx = np.gradient(imgs, axis=(1, 2))
-    sxx = np.sum(gx * gx, axis=(1, 2))
-    syy = np.sum(gy * gy, axis=(1, 2))
-    sxy = np.sum(gx * gy, axis=(1, 2))
+    sxx, syy, sxy = np.empty((3, imgs.shape[0]))
+    for start in range(0, imgs.shape[0], _ORIENTATION_CHUNK):
+        chunk = slice(start, start + _ORIENTATION_CHUNK)
+        gy, gx = np.gradient(imgs[chunk], axis=(1, 2))
+        sxx[chunk] = np.sum(gx * gx, axis=(1, 2))
+        syy[chunk] = np.sum(gy * gy, axis=(1, 2))
+        sxy[chunk] = np.sum(gx * gy, axis=(1, 2))
     energy = sxx + syy
     theta = 0.5 * np.arctan2(2.0 * sxy, sxx - syy)  # in (-pi/2, pi/2]
     theta = np.mod(theta, np.pi)

@@ -736,8 +736,8 @@ class TestShtRun:
         model, _ = synth_model_pair(16, 10.0, 20.0, seed=0)
         # 0 dB: sigma2 is the mean per-sample energy of the two equal classes.
         sigma2 = sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
-        batch = sample_signals(model, 200, seed=1)
-        noise = np.random.default_rng(2).standard_normal((200, 8))
+        batch = sample_signals(model, 400, seed=1)
+        noise = np.random.default_rng(2).standard_normal((400, 8))
         first = design_classification_block(AcquisitionState.initial(model, sigma2, 1), model, 1)
         decided = wrong = 0
         for i, (x, label) in enumerate(zip(batch.signals, batch.labels)):
@@ -795,7 +795,7 @@ class TestShtRun:
         assert inference._leading_class(np.array([3.0, 3.0]), log_eta) == (None, 0.0)
         assert inference._leading_class(np.array([-7.0]), log_eta) == (0, np.inf)
 
-    @pytest.mark.parametrize("signal, stop", [(1, "decided"), (0, "budget")])
+    @pytest.mark.parametrize("signal, stop", [(0, "decided"), (1, "budget")])
     def test_logs_one_record_per_run_and_the_same_outcome_either_way(
         self, signal, stop, caplog
     ):

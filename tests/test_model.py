@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
-from helpers import lowrank_component, random_spd
+from helpers import lowrank_component, random_model, random_spd
 from gmmsense._linalg import NonSymmetricMatrixError, NotPositiveSemidefiniteError
 from gmmsense.model import (
     GaussianComponent,
     GmmModel,
     SignalBatch,
+    _TAG_CLASSES,
+    _TAG_SHAPES,
     _spd_eigendecompose,
     m_step_update,
     sample_signals,
@@ -149,14 +151,37 @@ class TestSampleSignals:
         assert abs(frac - 0.3) < 0.01
 
     def test_deterministic_and_order_independent(self):
-        a = GaussianComponent.from_moments(np.zeros(2), np.eye(2), prior=1.0)
-        m = GmmModel(components=(a,))
-        b1 = sample_signals(m, 10, seed=3)
-        b2 = sample_signals(m, 10, seed=3)
-        assert np.array_equal(b1.signals, b2.signals)
-        # per-signal derivation: a longer batch starts with the same signals
-        b3 = sample_signals(m, 20, seed=3)
-        assert np.array_equal(b3.signals[:10], b1.signals)
+        # 64-d classes and prefixes whose row counts cross BLAS kernel sizes:
+        # one matrix product over the batch would round a signal differently
+        # with the batch size.
+        model = random_model(64, 3, seed=31)
+        full = sample_signals(model, 5000, seed=3)
+        assert np.array_equal(sample_signals(model, 5000, seed=3).signals, full.signals)
+        for n in (1, 2, 3, 7, 10, 33, 100, 257, 1000, 2049):
+            part = sample_signals(model, n, seed=3)
+            assert np.array_equal(part.signals, full.signals[:n]), n
+            assert np.array_equal(part.labels, full.labels[:n]), n
+
+    @pytest.mark.parametrize("n_signals", [1, 1000])
+    def test_draws_from_two_streams_whatever_the_batch_size(self, n_signals, monkeypatch):
+        model = random_model(4, 2, seed=5)
+        real_default_rng, seeds = np.random.default_rng, []
+
+        def recording_default_rng(seed=None):
+            seeds.append(seed)
+            return real_default_rng(seed)
+
+        monkeypatch.setattr(np.random, "default_rng", recording_default_rng)
+        sample_signals(model, n_signals, seed=7)
+        assert seeds == [[_TAG_CLASSES, 7], [_TAG_SHAPES, 7]]
+
+    def test_zero_prior_class_is_never_drawn(self):
+        comps = tuple(
+            GaussianComponent.from_moments(np.zeros(2), np.eye(2), prior)
+            for prior in (0.0, 0.5, 0.0, 0.5, 0.0)
+        )
+        batch = sample_signals(GmmModel(components=comps), 100000, seed=8)
+        assert set(np.unique(batch.labels)) == {2, 4}
 
 
 class TestMStepUpdate:

@@ -3,6 +3,7 @@ import pytest
 
 from helpers import make_image, random_model
 from gmmsense.model import SignalBatch
+from gmmsense import train
 from gmmsense.patches import patch_extract
 from gmmsense.train import (
     LOAD_REL,
@@ -22,6 +23,15 @@ def test_orientation_labels_flat_and_stripes():
     # flat -> 1; an x gradient has orientation 0 (first bin, label 2); a y
     # gradient has orientation pi/2 (third of four bins, label 4)
     assert labels.tolist() == [1, 2, 4]
+
+
+def test_orientation_labels_do_not_depend_on_the_chunk_size(monkeypatch):
+    batch = patch_extract(make_image(4), 8, overlap=True)
+    assert batch.n_signals > train._ORIENTATION_CHUNK
+    chunked = orientation_labels(batch)
+    assert len(np.unique(chunked)) > 10
+    monkeypatch.setattr(train, "_ORIENTATION_CHUNK", batch.n_signals)
+    assert np.array_equal(orientation_labels(batch), chunked)
 
 
 def test_supervised_gmm_is_per_class_moments():
