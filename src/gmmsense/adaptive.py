@@ -432,7 +432,12 @@ def design_classification_block(
     start. With empty history this is the non-adaptive design; a full K-row
     non-adaptive layout is produced by a single call with b = K.
 
-    With the "gmmsense" logger enabled at DEBUG, each call logs one record
+    A design on an empty history that does not depend on the seed is kept,
+    read-only, in the model's _design_memo under (b, sigma2, opts, the
+    state's priors); later such calls return that array without designing.
+    Rows from a seeded start are never kept.
+
+    With the "gmmsense" logger enabled at DEBUG, each design logs one record
     with b, the start ("closed_form", "spectral" or "seeded"), the ascent
     and Newton steps taken, the trial steps the line searches rejected
     (backtracks), the Levenberg raises of Newton (shifts; 0 for b > 1), the
@@ -443,21 +448,21 @@ def design_classification_block(
     "max_iters" or "flat" (gradient exactly zero, as for identical classes
     or a class already decided).
     """
-    return _classification_design(state, model, b, seed, opts)[0]
-
-
-def _classification_design(state, model, b, seed, opts):
-    """design_classification_block's (block, start): start is "closed_form",
-    "spectral" or "seeded", and only a seeded block depends on seed."""
     if opts is None:
         opts = AscentOptions()
     n = model.dimension
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= {n}, got b={b}")
+    empty = state.rows.shape == (0, n)
+    if empty:
+        key = (b, state.sigma2, opts, state.class_priors.tobytes())
+        kept = model._design_memo.get(key)
+        if kept is not None:
+            return kept
     posteriors = posterior_matrices(state, model)
     weights = state.class_priors
     closed = None
-    if state.n_measurements == 0 and weights.shape == (2,):
+    if empty and weights.shape == (2,):
         closed = _two_class_design(posteriors, weights, b)
     ascent_steps = newton_steps = backtracks = shifts = 0
     grad_norm = None
@@ -488,7 +493,9 @@ def _classification_design(state, model, b, seed, opts):
             "backtracks=%d shifts=%d score=%.12g grad_norm=%.3g stop=%s",
             b, start, ascent_steps, newton_steps, backtracks, shifts, score, grad_norm, reason,
         )
-    return block, start
+    if empty and start != "seeded":
+        block = model._design_memo[key] = _readonly(block)
+    return block
 
 
 def _two_class_design(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):

@@ -330,7 +330,6 @@ def sht_run(
     b: int,
     m_budget: int,
     p_e: float,
-    first_block: np.ndarray,
     sigma2: float = 0.0,
     seed=0,
     opts: AscentOptions | None = None,
@@ -343,12 +342,12 @@ def sht_run(
     (1 - p_e) / p_e, so every posterior ratio of the best class exceeds
     eta; tied leaders never stop it, and a lone class always does. Rounding
     is monotone, so this is bitwise the test over all pairs.
-    The first block, first_block of shape (b, N), is sensed as given
-    (run_two_step passes the ida design that protocol._step1_rows keeps on
-    the model) and never tested on its own, so the earliest decision uses
-    two blocks. Each later block re-optimizes the separability against the
-    history so far. If the budget is exhausted undecided, the outcome falls
-    back to measurement-space classification.
+    Block k, of b rows, is designed against the history so far by
+    design_classification_block with the seed (*seed, k); block 1, on the
+    empty history, is the non-adaptive ida design. It is never tested on
+    its own, so the earliest decision uses two blocks. If the budget is
+    exhausted undecided, the outcome falls back to measurement-space
+    classification.
 
     signal_oracle maps a block of rows to its (noisy) measurements. With
     the "gmmsense" logger enabled at DEBUG, each call logs one record: b,
@@ -359,12 +358,6 @@ def sht_run(
         raise ValueError(f"p_e must lie in (0, 0.5), got {p_e}")
     if b < 1 or b > m_budget:
         raise ValueError(f"need 1 <= b <= budget, got b={b}, budget={m_budget}")
-    first_block = np.asarray(first_block, dtype=float)
-    if first_block.shape != (b, model.dimension):
-        raise ValueError(
-            f"first_block must have shape ({b}, {model.dimension}), "
-            f"got {first_block.shape}"
-        )
     log_eta = float(np.log((1.0 - p_e) / p_e))
     with np.errstate(divide="ignore"):  # zero-prior classes can never win
         log_priors = np.log(model.priors)
@@ -375,12 +368,7 @@ def sht_run(
     k = 0
     while state.n_measurements + b <= m_budget and decided is None:
         k += 1
-        if k == 1:
-            block = first_block
-        else:
-            block = design_classification_block(
-                state, model, b, seed=seed_key + (k,), opts=opts
-            )
+        block = design_classification_block(state, model, b, seed=seed_key + (k,), opts=opts)
         y = np.asarray(signal_oracle(block), dtype=float).ravel()
         state = state.append_block(block, y, model)
         leader, margin = _leading_class(state.class_log_likelihoods + log_priors, log_eta)

@@ -50,9 +50,21 @@ def _check_sigma2(sigma2: float, what: str = "sigma2") -> None:
         raise ValueError(f"{what} must be finite and >= 0, got {sigma2}")
 
 
+_ENERGY_CHUNK = 2048  # signals per chunk of _mean_energy's squares
+
+
 def _mean_energy(batch: SignalBatch) -> float:
-    """Mean per-sample energy of a batch: mean over signals of ||x||^2 / N."""
-    return float(np.mean(np.sum(batch.signals**2, axis=1)) / batch.dimension)
+    """Mean per-sample energy of a batch: mean over signals of ||x||^2 / N.
+
+    The squares are formed _ENERGY_CHUNK signals at a time; a signal's sum
+    does not depend on its chunk, so the result is the whole batch's bitwise.
+    """
+    x = batch.signals
+    sums = np.empty(x.shape[0])
+    for start in range(0, x.shape[0], _ENERGY_CHUNK):
+        stop = start + _ENERGY_CHUNK
+        np.sum(np.square(x[start:stop]), axis=1, out=sums[start:stop])
+    return float(np.mean(sums) / batch.dimension)
 
 
 def _spd_eigendecompose(covariance: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -212,11 +224,11 @@ class GmmModel:
         return _readonly([c.basis for c in self.components])
 
     @cached_property
-    def _step1_memo(self) -> dict:
-        """Seed-free step-1 designs of this model, filled by
-        protocol._step1_rows: read-only k x N rows keyed by method and k,
-        plus sigma2 and the ascent options for ida. It lives and dies with
-        the model."""
+    def _design_memo(self) -> dict:
+        """Seed-free designs of this model as read-only rows, filled by
+        adaptive.design_classification_block (empty-history blocks, keyed
+        by b, sigma2, opts and the priors' bytes) and protocol._step1_rows
+        (rip_ab, keyed by ("rip_ab", k)). It lives and dies with the model."""
         return {}
 
 

@@ -12,15 +12,15 @@ STEP2_METHODS.
 
 Sensing rows are chosen here only. _step1_rows builds the non-adaptive
 detection rows (random, rip_ab, ida) by name: the K rows every signal of
-a batch shares, the b-row ida first block of aida_sht, and the rows of
-the CLI's design verb. A design that does not depend on the seed (rip_ab,
-and ida unless it starts from a seeded block) is made once per model and
-kept on it, so repeated runs on one model, such as one aida_sht call per
-chunk of signals, reuse its rows. A batch runs as batched linear algebra:
-one likelihood pass over all signals, then _step2_estimates (step-2 rows
-by name, their sensing and the Wiener solve) once per decided class.
-aida_sht designs its later rows per signal and runs signal by signal,
-calling _step2_estimates for one signal at a time.
+a batch shares, and the rows of the CLI's design verb. A design that does
+not depend on the seed (rip_ab, and every empty-history detection block
+unless it starts from a seeded block) is made once per model and kept on
+it, so repeated runs on one model, such as one aida_sht call per chunk of
+signals, reuse its rows. A batch runs as batched linear algebra: one
+likelihood pass over all signals, then _step2_estimates (step-2 rows by
+name, their sensing and the Wiener solve) once per decided class.
+aida_sht runs signal by signal: sht_run designs every block, the first
+included, and _step2_estimates runs for one signal at a time.
 
 All randomness derives from the seed and a purpose tag, so reports are
 reproducible and independent of evaluation order. The measurement noise
@@ -47,9 +47,8 @@ from .adaptive import (
     AcquisitionState,
     AscentOptions,
     _bayes_posteriors,
-    _classification_design,
     _is_int,
-    design_classification_block,  # noqa: F401  perfbench's tracer patches this binding
+    design_classification_block,
     design_reconstruction_block,
     measurement_log_likelihoods,
 )
@@ -287,28 +286,21 @@ def _step1_rows(
 
     ida is one classification block on an empty history; sigma2 and opts
     matter only to it. seed drives the random rows and ida's seeded start.
-    A design that does not depend on the seed (rip_ab, and ida from its
-    closed-form or spectral start) is made once per model: its read-only
-    rows are kept in the model's _step1_memo, keyed by method and k (and
-    sigma2 and opts for ida), and later calls return them. A seeded ida
-    design is never kept. The rows are checked orthonormal on every call.
+    Seed-free rows are made once per model: ida's are kept by
+    design_classification_block, rip_ab's here, in the model's _design_memo.
+    The rows are checked orthonormal on every call.
     """
     if method == "random":
         rows = random_orthonormal(k, model.dimension, seed=seed).rows
-    elif method not in ("rip_ab", "ida"):
-        raise ValueError(f"{method!r} is not a non-adaptive design")
-    else:
-        opts = AscentOptions() if opts is None else opts
-        key = (method, k) if method == "rip_ab" else (method, k, sigma2, opts)
-        rows = model._step1_memo.get(key)
+    elif method == "ida":
+        empty = AcquisitionState.initial(model, sigma2, block_size=k)
+        rows = design_classification_block(empty, model, k, seed, opts)
+    elif method == "rip_ab":
+        rows = model._design_memo.get(("rip_ab", k))
         if rows is None:
-            if method == "rip_ab":
-                rows, start = rip_ab(model, k).rows, None
-            else:
-                empty = AcquisitionState.initial(model, sigma2, block_size=k)
-                rows, start = _classification_design(empty, model, k, seed, opts)
-            if start != "seeded":
-                rows = model._step1_memo[key] = _readonly(rows)
+            rows = model._design_memo[("rip_ab", k)] = _readonly(rip_ab(model, k).rows)
+    else:
+        raise ValueError(f"{method!r} is not a non-adaptive design")
     require_orthonormal_rows(rows, "step-1")
     return rows
 
@@ -374,10 +366,7 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
 
 
 def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noise):
-    """aida_sht detection: a shared b-row ida first block, then each signal's own rows."""
-    first_block = _step1_rows(
-        "ida", model, config.b, config.sigma2, [_TAG_DESIGN, config.seed], config.ascent
-    )
+    """aida_sht detection: one sht_run per signal, which designs every block."""
     n = batch.n_signals
     classes = np.empty(n, dtype=int)
     k_used = np.empty(n, dtype=int)
@@ -391,7 +380,6 @@ def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel,
             config.P_e,
             sigma2=config.sigma2,
             seed=(_TAG_SHT, config.seed, i),
-            first_block=first_block,
             opts=config.ascent,
         )
         gamma, state = outcome.final_class, outcome.state

@@ -710,24 +710,21 @@ class TestEStepRejectsBadInputs:
 
 
 class TestShtRun:
-    def test_first_block_of_the_wrong_shape_is_rejected(self):
-        # A 6-row first block at b=1 used to be sensed whole, so 6
-        # measurements were reported against a budget of 4.
-        model = random_model(8, 2, seed=5)
-        x = np.ones(8)
-        block = random_orthonormal(6, 8, seed=1).rows
-        with pytest.raises(ValueError, match=r"first_block must have shape \(1, 8\)"):
-            sht_run(lambda rows: rows @ x, model, 1, 4, 0.01, sigma2=0.1, first_block=block)
-
     def test_first_block_is_sensed_first_and_budget_is_kept(self):
+        # Block 1 is the empty-history design the model keeps: a later
+        # direct call returns the very array that was sensed first.
         model = random_model(8, 2, seed=5)
         x = np.ones(8)
-        block = random_orthonormal(2, 8, seed=1).rows
-        outcome = sht_run(
-            lambda rows: rows @ x, model, 2, 4, 0.01, sigma2=0.1, first_block=block
-        )
-        assert outcome.state.n_measurements <= 4
-        assert np.array_equal(outcome.state.rows[:2], block)
+        sensed = []
+
+        def oracle(rows):
+            sensed.append(rows)
+            return rows @ x
+
+        outcome = sht_run(oracle, model, 2, 4, 0.01, sigma2=0.1)
+        assert outcome.state.n_measurements == sum(len(rows) for rows in sensed) <= 4
+        kept = design_classification_block(AcquisitionState.initial(model, 0.1, 2), model, 2)
+        assert sensed[0] is kept and not kept.flags.writeable
 
     @pytest.mark.parametrize("p_e", [0.05, 0.2])
     def test_decided_error_rate_stays_within_the_target(self, p_e):
@@ -738,7 +735,6 @@ class TestShtRun:
         sigma2 = sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
         batch = sample_signals(model, 400, seed=1)
         noise = np.random.default_rng(2).standard_normal((400, 8))
-        first = design_classification_block(AcquisitionState.initial(model, sigma2, 1), model, 1)
         decided = wrong = 0
         for i, (x, label) in enumerate(zip(batch.signals, batch.labels)):
             draws = iter(np.sqrt(sigma2) * noise[i])
@@ -750,7 +746,6 @@ class TestShtRun:
                 p_e,
                 sigma2=sigma2,
                 seed=i,
-                first_block=first,
             )
             if outcome.decided_class is not None:
                 decided += 1
@@ -801,11 +796,10 @@ class TestShtRun:
     ):
         model, _ = synth_model_pair(16, 10.0, 20.0, seed=0)
         sigma2 = sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
-        first = design_classification_block(AcquisitionState.initial(model, sigma2, 1), model, 1)
         x = sample_signals(model, 2, seed=1).signals[signal]
 
         def run():
-            return sht_run(lambda rows: rows @ x, model, 1, 3, 0.01, first, sigma2=sigma2)
+            return sht_run(lambda rows: rows @ x, model, 1, 3, 0.01, sigma2=sigma2)
 
         assert not logging.getLogger("gmmsense").isEnabledFor(logging.DEBUG)
         quiet = run()

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from gmmsense.model import (
     SignalBatch,
     _TAG_CLASSES,
     _TAG_SHAPES,
+    _mean_energy,
     _spd_eigendecompose,
     m_step_update,
     sample_signals,
@@ -279,3 +282,22 @@ class TestSignalBatch:
     def test_non_finite_dc_offsets_rejected(self):
         with pytest.raises(ValueError, match="dc_offsets must be finite, but signal 2 is not"):
             SignalBatch(signals=np.zeros((3, 4)), dc_offsets=np.array([0.0, 1.0, np.nan]))
+
+
+class TestMeanEnergy:
+    @pytest.mark.parametrize("rows", [1, 2047, 2048, 2049, 23763])
+    def test_chunked_squares_equal_the_whole_batch_bitwise(self, rows):
+        x = np.random.default_rng(rows).normal(scale=30.0, size=(rows, 64))
+        whole = float(np.mean(np.sum(x**2, axis=1)) / 64)
+        assert _mean_energy(SignalBatch(signals=x)) == whole
+
+    def test_no_batch_sized_temporary(self):
+        # 23,763 x 64, the size of the patch training set: 12.2 MB of squares at once
+        batch = SignalBatch(signals=np.random.default_rng(0).standard_normal((23763, 64)))
+        tracemalloc.start()
+        try:
+            _mean_energy(batch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2e6

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import itertools
 import json
+import logging
 import os
 import weakref
 
@@ -16,7 +17,7 @@ from helpers import (
     random_spd,
     write_pgm,
 )
-from gmmsense import adaptive, cli, protocol
+from gmmsense import adaptive, cli, inference, protocol
 from gmmsense.adaptive import (
     AcquisitionState,
     AscentOptions,
@@ -300,21 +301,37 @@ def test_every_step1_takes_a_seed_of_2_to_the_63(step1, model, batch):
     assert report.same_results(run_two_step(config, batch, model))
 
 
-class TestStep1Memo:
+def designed(caplog, state, model, b, **kw):
+    """(rows, start) of one design_classification_block call; start is read
+    from its DEBUG record, None when the call logged none (kept rows)."""
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+        rows = design_classification_block(state, model, b, **kw)
+    starts = [r.getMessage().split("start=")[1].split()[0] for r in caplog.records]
+    assert len(starts) <= 1
+    return rows, (starts[0] if starts else None)
+
+
+class TestDesignMemo:
     @pytest.mark.parametrize("k", [1, K])
     @pytest.mark.parametrize("start", ["closed_form", "spectral"])
-    def test_memoized_rows_equal_a_fresh_design(self, start, k):
+    def test_memoized_rows_equal_a_fresh_design(self, start, k, caplog):
         model = fresh_models()[start]
+        twin = GmmModel(components=model.components)  # its own, empty memo
         empty = AcquisitionState.initial(model, 0.01, k)
-        assert protocol._classification_design(empty, model, k, 0, FAST)[1] == start
+        fresh, logged = designed(caplog, empty, twin, k, opts=FAST)
+        assert logged == start
         for seed in (1, 2):  # the second call reads the memo
             rows = protocol._step1_rows("ida", model, k, 0.01, seed, FAST)
-            assert np.array_equal(rows, design_classification_block(empty, model, k, opts=FAST))
+            assert np.array_equal(rows, fresh)
             kept = protocol._step1_rows("rip_ab", model, k, 0.01, seed)
             assert np.array_equal(kept, rip_ab(model, k).rows)
-        assert set(model._step1_memo) == {("ida", k, 0.01, FAST), ("rip_ab", k)}
-        memo = model._step1_memo[("ida", k, 0.01, FAST)]
+        key = (k, 0.01, FAST, model.priors.tobytes())
+        assert set(model._design_memo) == {key, ("rip_ab", k)}
+        memo = model._design_memo[key]
         assert protocol._step1_rows("ida", model, k, 0.01, 3, FAST) is memo
+        again, logged = designed(caplog, empty, model, k, seed=4, opts=FAST)
+        assert again is memo and logged is None
         assert memo.shape == (k, N) and memo.base is None
 
     def test_memoized_rows_are_read_only(self):
@@ -323,50 +340,94 @@ class TestStep1Memo:
             rows = protocol._step1_rows(method, model, K, 0.01, 0)
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1.0
-        assert all(not rows.flags.writeable for rows in model._step1_memo.values())
+        assert all(not rows.flags.writeable for rows in model._design_memo.values())
 
-    def test_a_seeded_design_is_not_kept(self):
+    def test_a_seeded_design_is_not_kept(self, caplog):
         # sigma2 = 0 and a rank-3 most likely class: no pencil factor, so
         # the ida design starts from a seeded random block
         spd = GaussianComponent.from_moments(np.zeros(6), random_spd(6, seed=81), 0.4)
         model = GmmModel(components=(lowrank_component(82, 6, 3, prior=0.6), spd))
         empty = AcquisitionState.initial(model, 0.0, 2)
-        assert protocol._classification_design(empty, model, 2, 5, FAST)[1] == "seeded"
         first = protocol._step1_rows("ida", model, 2, 0.0, 5, FAST)
         second = protocol._step1_rows("ida", model, 2, 0.0, 6, FAST)
-        assert model._step1_memo == {}
         assert not np.array_equal(first, second)
         for rows, seed in ((first, 5), (second, 6)):
-            fresh = design_classification_block(empty, model, 2, seed=seed, opts=FAST)
-            assert np.array_equal(rows, fresh)
+            fresh, logged = designed(caplog, empty, model, 2, seed=seed, opts=FAST)
+            assert logged == "seeded" and np.array_equal(rows, fresh)
+        # sht_run's block 1 takes the run's seed, extended by the block number
+        x = np.ones(6)
+        outcome = inference.sht_run(lambda rows: rows @ x, model, 2, 2, 0.01, seed=(7, 8), opts=FAST)
+        fresh = design_classification_block(empty, model, 2, seed=(7, 8, 1), opts=FAST)
+        assert np.array_equal(outcome.state.rows, fresh)
+        assert model._design_memo == {}
+
+    def test_other_priors_design_afresh(self, caplog):
+        model = fresh_models()["spectral"]
+        kept, _ = designed(caplog, AcquisitionState.initial(model, 0.01, 1), model, 1, opts=FAST)
+        other = AcquisitionState(
+            rows=np.empty((0, N)),
+            measurements=np.empty(0),
+            sigma2=0.01,
+            block_size=1,
+            class_log_likelihoods=np.zeros(3),
+            class_priors=np.array([0.2, 0.5, 0.3]),
+        )
+        rows, logged = designed(caplog, other, model, 1, opts=FAST)
+        assert logged == "spectral" and not np.array_equal(rows, kept)
+        again, logged = designed(caplog, other, model, 1, opts=FAST)
+        assert again is rows and logged is None
+        assert len(model._design_memo) == 2
 
     def test_the_memo_dies_with_the_model(self, batch):
         model = synth_model_pair(N, 3.0, 30.0, seed=1)[0]
         for pair in (("rip_ab", "eigen_mse"), ("ida", "eigen_mse"), ("aida_sht", "mi_adaptive")):
             run_two_step(config_for(*pair), batch, model)
-        assert len(model._step1_memo) == 3
+        assert len(model._design_memo) == 3  # rip_ab, ida (b = K) and aida's block 1
         ref = weakref.ref(model)
         del model
         gc.collect()
         assert ref() is None
 
-    def test_a_second_aida_run_designs_one_block_fewer(self, batch, monkeypatch):
+    @pytest.mark.parametrize("step1", ["ida", "aida_sht"])
+    def test_runs_design_through_the_one_entry_point(self, step1, batch, monkeypatch):
+        # Every detection block goes through design_classification_block:
+        # ida's rows from protocol, each aida_sht block from inference. A
+        # second run gets the kept empty-history rows, the same array
+        # object, and designs one block fewer.
         model = synth_model_pair(N, 3.0, 30.0, seed=1)[0]
-        real, calls = adaptive._classification_design, []
+        real_design, real_posteriors = design_classification_block, adaptive.posterior_matrices
+        calls, designs = {"protocol": [], "inference": []}, []
 
-        def counting(*args):
-            calls.append(args[2])
-            return real(*args)
+        def counting(module):
+            def design(state, *args, **kw):
+                rows = real_design(state, *args, **kw)
+                calls[module].append((state.n_measurements, rows))
+                return rows
+            return design
 
-        # the public design_classification_block calls the core too
-        monkeypatch.setattr(adaptive, "_classification_design", counting)
-        monkeypatch.setattr(protocol, "_classification_design", counting)
-        config = config_for("aida_sht", "mi_adaptive", sigma2=sigma2_for_snr_db(batch, 5.0))
+        def posteriors(*args):
+            designs.append(args)
+            return real_posteriors(*args)
+
+        monkeypatch.setattr(protocol, "design_classification_block", counting("protocol"))
+        monkeypatch.setattr(inference, "design_classification_block", counting("inference"))
+        monkeypatch.setattr(adaptive, "posterior_matrices", posteriors)
+        config = config_for(step1, "mi_adaptive", sigma2=sigma2_for_snr_db(batch, 5.0))
         cold = run_two_step(config, batch, model)
-        n_cold = len(calls)
+        n_cold, n_designs = {m: len(c) for m, c in calls.items()}, len(designs)
         warm = run_two_step(config, batch, model)
-        assert len(calls) - n_cold == n_cold - 1
         assert warm.same_results(cold)
+        assert len(designs) - n_designs == n_designs - 1
+        module, other = ("protocol", "inference") if step1 == "ida" else ("inference", "protocol")
+        assert not calls[other]
+        assert len(calls[module]) == 2 * n_cold[module]
+        if step1 == "ida":
+            assert n_cold[module] == 1
+        else:  # one call per block
+            assert n_cold[module] == int(np.sum(cold.k_used)) // config.b
+        firsts = [rows for measured, rows in calls[module] if measured == 0]
+        assert len(firsts) == (2 if step1 == "ida" else 2 * batch.n_signals)
+        assert all(rows is firsts[0] for rows in firsts)
 
 
 PAPER_CASES = [
@@ -387,7 +448,7 @@ def test_reports_do_not_depend_on_the_memo():
         for pair, b, snr_db in PAPER_CASES
     ]
     cold = [run_two_step(config, batch, model) for config in configs]
-    assert len(model._step1_memo) == 5  # rip_ab; ida at b = 1 and 4 (= K), per SNR
+    assert len(model._design_memo) == 5  # rip_ab; ida at b = 1 and 4 (= K), per SNR
     for config, report in zip(configs, cold):
         assert report.same_results(run_two_step(config, batch, model))
         assert report.same_results(run_two_step(config, batch, twin))
