@@ -39,7 +39,7 @@ from ._linalg import (
     symmetrize,
 )
 from .design import as_rows, random_orthonormal, require_orthonormal_rows
-from .model import GmmModel, _check_sigma2, _readonly, _require_finite
+from .model import GmmModel, _check_sigma2, _freeze, _readonly, _require_finite
 
 __all__ = [
     "AcquisitionState",
@@ -78,7 +78,15 @@ class AcquisitionState:
     log-likelihood of all measurements so far under each class;
     class_priors are the Bayes-updated class probabilities (the model
     priors while no measurement has been made). sigma2 must be finite and
-    >= 0 and the measurements finite (ValueError).
+    >= 0, the measurements finite, and the priors >= 0 with a sum within
+    1e-12 of 1 (ValueError).
+
+    The arrays are kept read-only and shared when frozen (model._readonly
+    states when): the states of one batch hold the same rows object and
+    views of the batch's frozen measurements and statistics, and
+    append_block freezes the history it stacks. Re-enabling writes on an
+    array a state holds breaks that state, as it would the rows a model
+    keeps for its seed-free designs.
     """
 
     rows: np.ndarray
@@ -109,8 +117,15 @@ class AcquisitionState:
                 f"class log-likelihoods of shape {self.class_log_likelihoods.shape} "
                 f"do not match class priors of shape {self.class_priors.shape}"
             )
-        if not abs(float(self.class_priors.sum()) - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError("class priors must sum to 1")
+        priors = self.class_priors
+        if priors.ndim != 1:
+            raise ValueError(f"class_priors must be a 1-D array, got shape {priors.shape}")
+        # NaN fails the sum, which is checked first, so min sees a nonempty
+        # list; a Python min of the list costs a fifth of ndarray.min here
+        if not (abs(float(priors.sum()) - 1.0) <= 1e-12 and min(priors.tolist()) >= 0.0):
+            raise ValueError(
+                f"class priors must sum to 1 and be >= 0, got class_priors={priors.tolist()}"
+            )
 
     @classmethod
     def initial(
@@ -124,7 +139,7 @@ class AcquisitionState:
             sigma2=sigma2,
             block_size=block_size,
             class_log_likelihoods=np.zeros(model.n_components),
-            class_priors=model.priors.copy(),
+            class_priors=model.priors,
         )
 
     @property
@@ -136,7 +151,8 @@ class AcquisitionState:
 
         The incoming block must have orthonormal rows; the joint class
         log-likelihoods are recomputed exactly on the stacked history and
-        the priors Bayes-updated from the model priors.
+        the priors Bayes-updated from the model priors. The new state's
+        arrays are built here and frozen, so it shares them without a copy.
         """
         rows = as_rows(block)
         y = np.asarray(measurements, dtype=float).ravel()
@@ -148,13 +164,15 @@ class AcquisitionState:
         all_rows = np.vstack([self.rows, rows])
         all_y = np.concatenate([self.measurements, y])
         loglik = measurement_log_likelihoods(all_rows, all_y, model, self.sigma2)
+        priors = _bayes_posteriors(loglik, model.priors)
+        _freeze(all_rows, all_y, loglik, priors)
         return AcquisitionState(
             rows=all_rows,
             measurements=all_y,
             sigma2=self.sigma2,
             block_size=self.block_size,
             class_log_likelihoods=loglik,
-            class_priors=_bayes_posteriors(loglik, model.priors),
+            class_priors=priors,
         )
 
 

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .design import eigen_sensing
-from .model import SignalBatch, _check_sigma2, sample_signals
+from .model import SignalBatch, _check_sigma2, _freeze, sample_signals
 from .patches import patch_extract, read_pgm
 from .protocol import (
     ExperimentReport,
@@ -91,6 +91,7 @@ def _ingest_images(image_paths, patch: int, overlap: bool) -> SignalBatch:
     batches = [patch_extract(read_pgm(p), patch, overlap=overlap) for p in image_paths]
     signals = np.vstack([b.signals for b in batches])
     dc = np.concatenate([b.dc_offsets for b in batches])
+    _freeze(signals, dc)
     return SignalBatch(
         signals=signals,
         provenance={

@@ -238,7 +238,7 @@ def map_classify(state: AcquisitionState, model: GmmModel) -> int:
         raise ValueError("classification requires at least one measurement")
     if state.class_log_likelihoods.shape != (model.n_components,):
         raise ValueError("state likelihoods do not match the model's classes")
-    return int(np.argmax(state.class_log_likelihoods)) + 1
+    return int(state.class_log_likelihoods.argmax()) + 1
 
 
 def map_em(

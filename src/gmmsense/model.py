@@ -31,17 +31,43 @@ __all__ = [
 
 
 def _readonly(a: np.ndarray, dtype=float) -> np.ndarray:
+    """a as a read-only array of dtype, shared where that is safe, else copied.
+
+    a itself comes back when it is a read-only ndarray of dtype that no
+    writable array can reach: it has no base (it owns its data), or its
+    base is a read-only ndarray (a view of a frozen owner). Anything else,
+    a writable array, a read-only view of a writable array, another dtype,
+    a list or an array over a foreign buffer, is copied and the copy
+    frozen. Records call this on every array they keep, so arrays the
+    library builds and freezes once are shared by every record that holds
+    them. Re-enabling writes on an array already handed to a record (or
+    writing through a writable view made before it was frozen) changes
+    that record behind its checks, as it would the model's kept design
+    rows.
+    """
+    if (
+        type(a) is np.ndarray
+        and not a.flags.writeable
+        and a.dtype == dtype
+        and (a.base is None or (type(a.base) is np.ndarray and not a.base.flags.writeable))
+    ):
+        return a
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
 
+def _freeze(*arrays: np.ndarray) -> None:
+    """Make arrays the caller has just built read-only, so records share them."""
+    for a in arrays:
+        a.setflags(write=False)
+
+
 def _require_finite(a: np.ndarray, what: str) -> None:
     """ValueError naming the first signal whose entry of a is NaN or infinite."""
-    bad = ~np.isfinite(a)
-    if bad.any():
-        row = int(np.flatnonzero(bad.reshape(a.shape[0], -1).any(axis=1))[0])
-        raise ValueError(f"{what} must be finite, but signal {row} is not")
+    if not np.isfinite(a).all():
+        bad = ~np.isfinite(a.reshape(a.shape[0], -1)).all(axis=1)
+        raise ValueError(f"{what} must be finite, but signal {int(bad.argmax())} is not")
 
 
 def _check_sigma2(sigma2: float, what: str = "sigma2") -> None:
@@ -105,6 +131,11 @@ class GaussianComponent:
       * basis has orthonormal columns
       * eigenvalues nonincreasing and nonnegative
       * 0 <= prior <= 1
+
+    Each array is kept read-only; a frozen array is shared, not copied
+    (_readonly states when), so with_prior reuses the arrays of the
+    component it is built from. Re-enabling writes on an array a component
+    holds breaks that component.
     """
 
     mean: np.ndarray
@@ -237,7 +268,11 @@ class SignalBatch:
     """A batch of row signals with optional 1-based labels and metadata.
 
     dc_offsets holds per-signal means removed at ingestion (image patches);
-    provenance records how the batch was produced.
+    provenance records how the batch was produced. The arrays are kept
+    read-only and shared when frozen (_readonly states when):
+    sample_signals and the CLI's image ingestion freeze what they build,
+    so their batches, and batches of row slices of them, copy nothing. Re-enabling writes on an array a batch holds breaks
+    that batch.
     """
 
     signals: np.ndarray
@@ -311,9 +346,11 @@ def sample_signals(model: GmmModel, n_signals: int, seed: int = 0) -> SignalBatc
         # which would break the prefix property.
         shapes = (z[rows] * np.sqrt(comp.eigenvalues))[:, :, None]
         signals[rows] = comp.mean + (comp.basis @ shapes)[:, :, 0]
+    labels = classes + 1
+    _freeze(signals, labels)
     return SignalBatch(
         signals=signals,
-        labels=classes + 1,
+        labels=labels,
         provenance={"kind": "synthetic", "seed": seed},
     )
 

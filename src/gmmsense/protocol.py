@@ -54,7 +54,7 @@ from .adaptive import (
 )
 from .design import eigen_sensing, random_orthonormal, require_orthonormal_rows, rip_ab
 from .inference import map_classify, sht_run, wiener_coefficients
-from .model import GmmModel, SignalBatch, _check_sigma2, _mean_energy, _readonly
+from .model import GmmModel, SignalBatch, _check_sigma2, _freeze, _mean_energy, _readonly
 
 __all__ = [
     "ProtocolConfig",
@@ -335,15 +335,21 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     and each decided class gets one step-2 design and one Wiener solve
     for all of its signals. Each signal still gets its own acquisition
     state (likelihoods and Bayes-updated priors) and its own map_classify.
+    The rows, the (S, K) measurements and the (S, G) likelihoods and
+    priors are frozen once, after measurement_log_likelihoods has checked
+    them, so the states share the rows and hold row views of the rest
+    instead of copies (model._readonly states when an array is shared);
+    nothing may re-enable writes on them while the states live.
     """
-    rows1 = _step1_rows(
+    rows1 = _readonly(_step1_rows(
         config.step1, model, config.K, config.sigma2, [_TAG_DESIGN, config.seed], config.ascent
-    )
+    ))
     k, n = config.K, batch.n_signals
     x = batch.signals
     y1 = x @ rows1.T + noise[:, :k]
     loglik = measurement_log_likelihoods(rows1, y1, model, config.sigma2)
     priors = _bayes_posteriors(loglik, model.priors)
+    _freeze(y1, loglik, priors)
     states = [
         AcquisitionState(
             rows=rows1,

@@ -140,6 +140,33 @@ class TestAcquisitionState:
                 class_priors=np.array([np.nan, 1.0]),
             )
 
+    @pytest.mark.parametrize("priors", [[1.5, -0.5], [1.0 + 1e-13, -1e-13]])
+    def test_rejects_negative_priors_that_sum_to_1(self, priors):
+        # Accepted, [1.5, -0.5] made design_classification_block return a
+        # block scoring below zero without a word.
+        model = synth_model_pair(16, 3.0, 30.0, seed=1)[0]
+        with pytest.raises(ValueError, match=r"be >= 0, got class_priors=\["):
+            AcquisitionState(
+                rows=np.empty((0, 16)),
+                measurements=np.empty(0),
+                sigma2=0.1,
+                block_size=1,
+                class_log_likelihoods=np.zeros(2),
+                class_priors=np.array(priors),
+            )
+        AcquisitionState.initial(model, 0.1, 1)  # the model's own priors pass
+
+    def test_rejects_priors_that_are_not_a_vector(self):
+        with pytest.raises(ValueError, match=r"class_priors must be a 1-D array, got shape \(\)"):
+            AcquisitionState(
+                rows=np.empty((0, 2)),
+                measurements=np.empty(0),
+                sigma2=0.0,
+                block_size=1,
+                class_log_likelihoods=np.zeros(()),
+                class_priors=np.ones(()),
+            )
+
     def test_rejects_likelihoods_not_matching_priors(self):
         with pytest.raises(ValueError, match=r"shape \(3,\) do not match class priors of shape \(1,\)"):
             AcquisitionState(

@@ -5,6 +5,8 @@ import pytest
 
 from helpers import lowrank_component, random_model, random_spd
 from gmmsense._linalg import NonSymmetricMatrixError, NotPositiveSemidefiniteError
+from gmmsense.adaptive import AcquisitionState
+from gmmsense.design import SensingMatrix
 from gmmsense.model import (
     GaussianComponent,
     GmmModel,
@@ -12,6 +14,7 @@ from gmmsense.model import (
     _TAG_CLASSES,
     _TAG_SHAPES,
     _mean_energy,
+    _readonly,
     _spd_eigendecompose,
     m_step_update,
     sample_signals,
@@ -301,3 +304,103 @@ class TestMeanEnergy:
         finally:
             tracemalloc.stop()
         assert peak <= 2e6
+
+
+def frozen(a, dtype=float):
+    out = np.array(a, dtype=dtype)
+    out.setflags(write=False)
+    return out
+
+
+def frozen_view_of(owner):
+    view = owner[1:]
+    view.setflags(write=False)
+    return view
+
+
+def record_arrays(make):
+    """Inputs of one record of each kind, each record built by make from them."""
+    comp = GaussianComponent.from_moments(np.arange(3.0), random_spd(3, seed=4))
+    inputs = {
+        "state": dict(
+            rows=np.eye(3)[:2],
+            measurements=np.array([0.5, -1.0]),
+            sigma2=0.1,
+            block_size=1,
+            class_log_likelihoods=np.array([-2.0, -3.0]),
+            class_priors=np.array([0.25, 0.75]),
+        ),
+        "batch": dict(
+            signals=np.arange(6.0).reshape(3, 2),
+            labels=np.array([1, 2, 1]),
+            dc_offsets=np.array([0.5, 1.5, 2.5]),
+        ),
+        "component": dict(
+            mean=comp.mean, covariance=comp.covariance, basis=comp.basis,
+            eigenvalues=comp.eigenvalues, prior=0.5,
+        ),
+        "sensing": dict(rows=np.eye(3)[1:]),
+    }
+    kinds = {"state": AcquisitionState, "batch": SignalBatch,
+             "component": GaussianComponent, "sensing": SensingMatrix}
+    for kind, kw in inputs.items():
+        arrays = {k: make(v) for k, v in kw.items() if isinstance(v, np.ndarray)}
+        yield kind, arrays, kinds[kind](**{**kw, **arrays})
+
+
+class TestReadonly:
+    def test_a_frozen_owner_is_shared(self):
+        a = frozen([1.0, 2.0])
+        assert _readonly(a) is a
+        labels = frozen([1, 2], dtype=int)
+        assert _readonly(labels, dtype=int) is labels
+
+    def test_a_view_of_a_frozen_owner_is_shared(self):
+        owner = frozen(np.arange(6.0).reshape(3, 2))
+        row = owner[1]
+        assert _readonly(row) is row
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(4.0),  # writable
+        lambda: frozen_view_of(np.arange(4.0)),  # read-only view of a writable base
+        lambda: frozen([1, 2, 3], dtype=np.float32),  # another dtype
+        lambda: [1.0, 2.0, 3.0],  # not an array
+        lambda: np.frombuffer(np.arange(3.0).tobytes()),  # base is bytes, not an ndarray
+    ], ids=["writable", "view_of_writable", "dtype", "list", "frombuffer"])
+    def test_anything_else_is_copied_and_frozen(self, make):
+        a = make()
+        out = _readonly(a)
+        assert out is not a and not out.flags.writeable and out.dtype == float
+        assert np.array_equal(out, np.asarray(a, dtype=float))
+        if isinstance(a, np.ndarray):
+            assert not np.shares_memory(out, a)
+
+    def test_records_of_writable_inputs_keep_their_values(self):
+        for kind, arrays, record in record_arrays(np.array):
+            before = {k: getattr(record, k).copy() for k in arrays}
+            for a in arrays.values():
+                a += 1
+            for k, value in before.items():
+                assert np.array_equal(getattr(record, k), value), (kind, k)
+
+    def test_records_of_frozen_inputs_share_them(self):
+        for kind, arrays, record in record_arrays(lambda v: frozen(v, v.dtype)):
+            for k, a in arrays.items():
+                assert getattr(record, k) is a, (kind, k)
+                assert np.shares_memory(getattr(record, k), a)
+
+    def test_a_state_of_frozen_arrays_is_still_checked(self):
+        kw = dict(
+            rows=frozen(np.eye(2)),
+            measurements=frozen([0.5, np.nan]),
+            sigma2=0.1,
+            block_size=1,
+            class_log_likelihoods=frozen([0.0, 0.0]),
+            class_priors=frozen([0.5, 0.5]),
+        )
+        with pytest.raises(ValueError, match="measurements must be finite, but signal 0 is not"):
+            AcquisitionState(**kw)
+        kw["measurements"] = frozen([0.5, 1.0])
+        kw["class_priors"] = frozen([0.5, 0.6])
+        with pytest.raises(ValueError, match="class priors must sum to 1"):
+            AcquisitionState(**kw)

@@ -27,7 +27,7 @@ from gmmsense.adaptive import (
 )
 from gmmsense.design import eigen_sensing, random_orthonormal, rip_ab
 from gmmsense.inference import map_classify, wiener_coefficients
-from gmmsense.model import GaussianComponent, GmmModel, SignalBatch, sample_signals
+from gmmsense.model import GaussianComponent, GmmModel, SignalBatch, _require_finite, sample_signals
 from gmmsense.protocol import (
     _TAG_DESIGN,
     _TAG_NOISE,
@@ -96,6 +96,38 @@ class TestEveryPair:
         fields = row.split(",")
         assert len(fields) == len(ExperimentReport.CSV_HEADER.split(","))
         assert fields[0] == report.protocol
+
+
+@pytest.mark.parametrize("step1", ["random", "rip_ab", "ida"])
+def test_shared_detection_states_share_the_batch_arrays(step1, model, batch, monkeypatch):
+    # One state and one map_classify per signal, but no per-signal copies:
+    # every state holds the one rows object and a row view of one (S, K)
+    # array of measurements.
+    states = []
+
+    def spy(state, model):
+        states.append(state)
+        return map_classify(state, model)
+
+    monkeypatch.setattr(protocol, "map_classify", spy)
+    report = run_two_step(config_for(step1, "eigen_mse"), batch, model)
+    assert len(states) == batch.n_signals
+    assert all(state.rows is states[0].rows for state in states)
+    y1 = states[0].measurements.base
+    assert isinstance(y1, np.ndarray) and y1.shape == (batch.n_signals, K)
+    for i, state in enumerate(states):
+        assert state.measurements.base is y1 and np.shares_memory(state.measurements, y1[i])
+    assert report.classes.tolist() == [map_classify(state, model) for state in states]
+
+
+def test_require_finite_names_the_first_bad_signal_of_a_long_array():
+    y = np.zeros((5000, 3))
+    y[-1, 2] = np.nan
+    with pytest.raises(ValueError, match="measurements must be finite, but signal 4999 is not"):
+        _require_finite(y, "measurements")
+    y[1234, 0] = np.inf
+    with pytest.raises(ValueError, match="but signal 1234 is not"):
+        _require_finite(y, "measurements")
 
 
 def test_full_detection_budget_is_the_single_step_protocol(model, batch):
