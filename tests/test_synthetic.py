@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gmmsense import synthetic
-from gmmsense._linalg import SingularMatrixError
+from gmmsense._linalg import SingularMatrixError, sym_floored_eigh
 from gmmsense.model import GaussianComponent
 from gmmsense.synthetic import (
     bhattacharyya_distance,
@@ -129,3 +129,126 @@ class TestPairGeneration:
         monkeypatch.setattr(synthetic, "_MAX_ATTEMPTS", 20)
         with pytest.raises(RuntimeError, match="after 20 attempts"):
             synth_covariance_pair(4, 1000.0, 1001.0, seed=0)
+
+
+def unscreened_pair(n, bd_low, bd_high, seed):
+    """The sampler with no screen: every draw built in full and measured.
+
+    Log-determinants come from full eigendecompositions, as they did before
+    the distance switched to eigenvalues only. Returns the accepted attempt,
+    the two components and their distance.
+    """
+
+    def logdet(a):
+        return float(np.sum(np.log(sym_floored_eigh(a)[0])))
+
+    for attempt in range(synthetic._MAX_ATTEMPTS):
+        comps = []
+        for side in (0, 1):
+            rng = np.random.default_rng([seed, attempt, side])
+            r = 1.0 - rng.random()
+            beta = rng.uniform(4.0, 8.0)
+            omega = int(rng.choice([3, 4]))
+            comps.append(synth_covariance(n, r, beta, omega, seed=[seed, attempt, side, 1]))
+        s0, s1 = comps[0].covariance, comps[1].covariance
+        bd = 0.5 * (logdet(0.5 * (s0 + s1)) - 0.5 * (logdet(s0) + logdet(s1)))
+        if bd_low <= bd < bd_high:
+            return attempt, comps[0], comps[1], bd
+    raise AssertionError("the bucket is out of reach")
+
+
+def record_draws(monkeypatch):
+    """Attempts whose bases synth_covariance_pair draws, in order."""
+    attempts = []
+    draw = synthetic._draw_covariance
+
+    def recording(vals, seed):
+        attempts.append(seed[1])
+        return draw(vals, seed)
+
+    monkeypatch.setattr(synthetic, "_draw_covariance", recording)
+    return attempts
+
+
+def sampler_spectra(n, rng):
+    """Two spectra drawn from the sampler's parameter ranges."""
+    return [
+        power_law_eigenvalues(
+            n, 1.0 - rng.random(), rng.uniform(4.0, 8.0), int(rng.choice([3, 4]))
+        )
+        for _ in (0, 1)
+    ]
+
+
+class TestDistanceScreen:
+    @pytest.mark.parametrize(
+        "n, bd_low, bd_high, seed, attempt, screened",
+        [
+            (64, 30.0, 46.0, 0, 2, 1),
+            (64, 30.0, 46.0, 1, 7, 3),
+            (36, 30.0, 46.0, 5, 1, 0),
+            (16, 3.0, 30.0, 1, 1, 1),
+            (32, 3.0, 30.0, 2, 2, 2),
+        ],
+    )
+    def test_screen_returns_the_unscreened_pair(
+        self, n, bd_low, bd_high, seed, attempt, screened, monkeypatch
+    ):
+        ref_attempt, ref0, ref1, ref_bd = unscreened_pair(n, bd_low, bd_high, seed)
+        drawn = record_draws(monkeypatch)
+        c0, c1, bd = synth_covariance_pair(n, bd_low, bd_high, seed=seed)
+        assert ref_attempt == attempt and drawn[-1] == attempt
+        # both sides of each drawn attempt; the others were screened out
+        assert len(drawn) == 2 * (attempt + 1 - screened)
+        for got, ref in ((c0, ref0), (c1, ref1)):
+            for field in ("mean", "covariance", "basis", "eigenvalues"):
+                assert np.array_equal(getattr(got, field), getattr(ref, field))
+            assert got.prior == ref.prior
+        assert abs(bd - ref_bd) <= 1e-9
+
+    @pytest.mark.parametrize("n", [4, 16, 64, 128])
+    def test_distance_lies_in_its_spectral_interval(self, n):
+        rng = np.random.default_rng(n)
+        for i in range(150):
+            a, b = sampler_spectra(n, rng)
+            lo, hi = synthetic._distance_interval(a, b)
+            s0 = synthetic._draw_covariance(a, [n, i, 0])[1]
+            s1 = synthetic._draw_covariance(b, [n, i, 1])[1]
+            bd = synthetic._covariance_distance(s0, s1)
+            slack = synthetic._SCREEN_SLACK
+            assert lo - slack <= bd <= hi + slack
+
+    def test_interval_is_exact_for_aligned_bases(self):
+        # equal bases with matched or reversed spectra attain the two bounds
+        a = power_law_eigenvalues(6, 1.0, 4.0, 3)
+        b = power_law_eigenvalues(6, 0.5, 6.0, 4)
+        lo, hi = synthetic._distance_interval(a, b)
+        assert abs(synthetic._covariance_distance(np.diag(a), np.diag(b)) - lo) < 1e-12
+        assert abs(synthetic._covariance_distance(np.diag(a), np.diag(b[::-1])) - hi) < 1e-12
+
+    def test_a_spectrum_below_the_floor_guard_is_never_screened(self):
+        # 200^-4 = 6.25e-10 < 1e-9: the floor may bind, so no bucket rules it out
+        wide = power_law_eigenvalues(200, 1.0, 8.0, 4)
+        narrow = power_law_eigenvalues(200, 1.0, 4.0, 3)
+        assert synthetic._distance_interval(wide, narrow) is None
+        assert synthetic._distance_interval(narrow, wide) is None
+        assert not synthetic._ruled_out(wide, narrow, 1e6, 1e6 + 1.0)
+        # 128^-4 = 3.7e-9 passes the guard, and the same bucket is ruled out
+        wide = power_law_eigenvalues(128, 1.0, 8.0, 4)
+        narrow = power_law_eigenvalues(128, 1.0, 4.0, 3)
+        assert synthetic._distance_interval(wide, narrow) is not None
+        assert synthetic._ruled_out(wide, narrow, 1e6, 1e6 + 1.0)
+
+    def test_screened_draws_build_nothing(self, monkeypatch):
+        monkeypatch.setattr(synthetic, "_MAX_ATTEMPTS", 200)
+        drawn = record_draws(monkeypatch)
+        built = []
+        monkeypatch.setattr(synthetic, "synth_covariance", lambda *a, **k: built.append(a))
+        with pytest.raises(RuntimeError, match=r"\[30.0, 46.0\) after 200 attempts"):
+            synth_covariance_pair(8, 30.0, 46.0, seed=0)
+        assert drawn == [] and built == []
+
+    def test_parameters_are_checked_before_the_screen(self):
+        # a dimension-1 spectrum would be screened out of any bucket
+        with pytest.raises(ValueError, match="dimension must be >= 2"):
+            synth_covariance_pair(1, 30.0, 46.0, seed=0)
