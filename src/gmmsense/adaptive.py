@@ -79,7 +79,9 @@ class AcquisitionState:
     class_priors are the Bayes-updated class probabilities (the model
     priors while no measurement has been made). sigma2 must be finite and
     >= 0, the measurements finite, and the priors >= 0 with a sum within
-    1e-12 of 1 (ValueError).
+    1e-12 of 1 (ValueError). One check, _check_states, holds these
+    invariants, vectorized over stacked records: a state checks itself as
+    a batch of one, and _batch_states checks a whole batch's states once.
 
     The arrays are kept read-only and shared when frozen (model._readonly
     states when): the states of one batch hold the same rows object and
@@ -104,28 +106,14 @@ class AcquisitionState:
             self, "class_log_likelihoods", _readonly(self.class_log_likelihoods)
         )
         object.__setattr__(self, "class_priors", _readonly(self.class_priors))
-        if self.rows.ndim != 2:
-            raise ValueError("rows must be a 2-D array")
-        if self.measurements.shape != (self.rows.shape[0],):
-            raise ValueError("measurements length must match the row count")
-        _require_finite(self.measurements[None, :], "measurements")
-        _check_sigma2(self.sigma2)
-        if self.block_size < 1:
-            raise ValueError("block_size must be >= 1")
-        if self.class_log_likelihoods.shape != self.class_priors.shape:
-            raise ValueError(
-                f"class log-likelihoods of shape {self.class_log_likelihoods.shape} "
-                f"do not match class priors of shape {self.class_priors.shape}"
-            )
-        priors = self.class_priors
-        if priors.ndim != 1:
-            raise ValueError(f"class_priors must be a 1-D array, got shape {priors.shape}")
-        # NaN fails the sum, which is checked first, so min sees a nonempty
-        # list; a Python min of the list costs a fifth of ndarray.min here
-        if not (abs(float(priors.sum()) - 1.0) <= 1e-12 and min(priors.tolist()) >= 0.0):
-            raise ValueError(
-                f"class priors must sum to 1 and be >= 0, got class_priors={priors.tolist()}"
-            )
+        _check_states(
+            self.rows,
+            self.measurements[None],
+            self.sigma2,
+            self.block_size,
+            self.class_log_likelihoods[None],
+            self.class_priors[None],
+        )
 
     @classmethod
     def initial(
@@ -174,6 +162,77 @@ class AcquisitionState:
             class_log_likelihoods=loglik,
             class_priors=priors,
         )
+
+
+def _check_states(rows, measurements, sigma2, block_size, log_likelihoods, priors) -> None:
+    """ValueError unless stacked records satisfy AcquisitionState's invariants.
+
+    The S records share rows (m, N), sigma2 and block_size; row i of
+    measurements (S, m), log_likelihoods and priors (S, G) is record i's.
+    Each message is the one that record alone raises, and a non-finite
+    measurement names the first bad signal.
+    """
+    if rows.ndim != 2:
+        raise ValueError("rows must be a 2-D array")
+    s = measurements.shape[0]
+    if measurements.shape != (s, rows.shape[0]):
+        raise ValueError("measurements length must match the row count")
+    _require_finite(measurements, "measurements")
+    _check_sigma2(sigma2)
+    if block_size < 1:
+        raise ValueError("block_size must be >= 1")
+    if log_likelihoods.shape[:1] != (s,) or priors.shape[:1] != (s,):
+        raise ValueError(
+            f"{s} signals of measurements, but class log-likelihoods of shape "
+            f"{log_likelihoods.shape} and class priors of shape {priors.shape}"
+        )
+    if log_likelihoods.shape != priors.shape:
+        raise ValueError(
+            f"class log-likelihoods of shape {log_likelihoods.shape[1:]} "
+            f"do not match class priors of shape {priors.shape[1:]}"
+        )
+    if priors.ndim != 2:
+        raise ValueError(f"class_priors must be a 1-D array, got shape {priors.shape[1:]}")
+    # Two whole-array reductions, which a NaN fails; the bad record is
+    # looked for only once one has failed
+    off = np.abs(priors.sum(axis=1) - 1.0)
+    if not (off.max(initial=0.0) <= 1e-12 and priors.min(initial=0.0) >= 0.0):
+        bad = ~(off <= 1e-12) | ~(priors >= 0.0).all(axis=1)
+        raise ValueError(
+            "class priors must sum to 1 and be >= 0, "
+            f"got class_priors={priors[bad.argmax()].tolist()}"
+        )
+
+
+def _batch_states(rows, measurements, sigma2, block_size, log_likelihoods, priors):
+    """One AcquisitionState per signal of a batch sensed with the same rows.
+
+    The arguments are _check_states': row i of measurements (S, m),
+    log_likelihoods and priors (S, G) is signal i's. Each array goes
+    through model._readonly once, so a frozen one is shared and anything
+    else copied, and the batch is checked once, by the check a lone state
+    runs. The S states are then made without running __post_init__ each:
+    they hold the one rows object and row views of the batch arrays, and
+    equal the states the constructor builds from those rows.
+    """
+    rows, measurements, log_likelihoods, priors = (
+        _readonly(a) for a in (rows, measurements, log_likelihoods, priors)
+    )
+    sigma2 = float(sigma2)
+    _check_states(rows, measurements, sigma2, block_size, log_likelihoods, priors)
+    states = []
+    for y, loglik, prior in zip(measurements, log_likelihoods, priors):
+        state = object.__new__(AcquisitionState)
+        state.__dict__.update(
+            rows=rows,
+            measurements=y,
+            sigma2=sigma2,
+            block_size=block_size,
+            class_log_likelihoods=loglik,
+            class_priors=prior,
+        )
+        states.append(state)
+    return states
 
 
 def _bayes_posteriors(log_likelihoods: np.ndarray, priors: np.ndarray) -> np.ndarray:

@@ -24,9 +24,12 @@ __all__ = [
 
 
 def require_orthonormal_rows(rows: np.ndarray, what: str) -> None:
-    """Reject rows whose Gram matrix is further than 1e-8 from identity."""
+    """Reject non-finite rows, and rows whose Gram matrix is not within 1e-8
+    of identity (so a NaN residual fails as well)."""
+    if not np.isfinite(rows).all():
+        raise ValueError(f"{what} rows must be finite")
     resid = np.abs(rows @ rows.T - np.eye(rows.shape[0])).max()
-    if resid > 1e-8:
+    if not resid <= 1e-8:
         raise ValueError(f"{what} rows are not orthonormal (residual {resid:.3e})")
 
 

@@ -46,6 +46,7 @@ import numpy as np
 from .adaptive import (
     AcquisitionState,
     AscentOptions,
+    _batch_states,
     _bayes_posteriors,
     _is_int,
     design_classification_block,
@@ -340,6 +341,8 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     them, so the states share the rows and hold row views of the rest
     instead of copies (model._readonly states when an array is shared);
     nothing may re-enable writes on them while the states live.
+    adaptive._batch_states builds the states and checks the batch once,
+    by the same check a single state runs on itself.
     """
     rows1 = _readonly(_step1_rows(
         config.step1, model, config.K, config.sigma2, [_TAG_DESIGN, config.seed], config.ascent
@@ -350,17 +353,7 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     loglik = measurement_log_likelihoods(rows1, y1, model, config.sigma2)
     priors = _bayes_posteriors(loglik, model.priors)
     _freeze(y1, loglik, priors)
-    states = [
-        AcquisitionState(
-            rows=rows1,
-            measurements=y1[i],
-            sigma2=config.sigma2,
-            block_size=config.b,
-            class_log_likelihoods=loglik[i],
-            class_priors=priors[i],
-        )
-        for i in range(n)
-    ]
+    states = _batch_states(rows1, y1, config.sigma2, config.b, loglik, priors)
     classes = np.array([map_classify(state, model) for state in states], dtype=int)
     estimates = np.empty_like(x)
     for gamma in np.unique(classes).tolist():

@@ -1,3 +1,4 @@
+import dataclasses
 import logging
 
 import numpy as np
@@ -14,6 +15,7 @@ from gmmsense.adaptive import (
     PosteriorMatrices,
     ProjectedCovarianceError,
     _ascend,
+    _batch_states,
     _bayes_posteriors,
     _evaluate_row,
     _gradient,
@@ -31,7 +33,7 @@ from gmmsense.adaptive import (
     separability_measure,
 )
 from gmmsense.design import eigen_sensing, random_orthonormal
-from gmmsense.model import GaussianComponent, GmmModel
+from gmmsense.model import GaussianComponent, GmmModel, _freeze
 from gmmsense.synthetic import synth_model_pair
 
 
@@ -177,6 +179,141 @@ class TestAcquisitionState:
                 class_log_likelihoods=np.zeros(3),
                 class_priors=np.ones(1),
             )
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_append_rejects_a_non_finite_row_before_its_gram(self, value):
+        # A NaN row passed the orthonormality test and failed later as
+        # "class priors must sum to 1"; an inf row warned in the Gram.
+        model = random_model(4, 2, seed=1)
+        state = AcquisitionState.initial(model, 0.1, 1)
+        with pytest.raises(ValueError, match="^block rows must be finite$"):
+            state.append_block(np.array([[0.0, value, 0.0, 0.0]]), [0.5], model)
+
+
+def batch_fields(s=5, m=3, n=4, g=2, seed=0):
+    """Writable stacked fields of s states sharing m orthonormal rows."""
+    rng = np.random.default_rng(seed)
+    loglik = rng.standard_normal((s, g))
+    return {
+        "rows": random_orthonormal(m, n, seed=seed).rows.copy(),
+        "measurements": rng.standard_normal((s, m)),
+        "sigma2": 0.1,
+        "block_size": 2,
+        "class_log_likelihoods": loglik,
+        "class_priors": _bayes_posteriors(loglik, np.full(g, 1.0 / g)),
+    }
+
+
+def one_record(fields, i):
+    """Record i of stacked fields, as its own constructor arguments."""
+    stacked = ("measurements", "class_log_likelihoods", "class_priors")
+    return {k: v[i] if k in stacked else v for k, v in fields.items()}
+
+
+def constructor_error(fields, i):
+    with pytest.raises(ValueError) as info:
+        AcquisitionState(**one_record(fields, i))
+    return str(info.value)
+
+
+def set_field(name, value, row=None):
+    def bad(fields):
+        if row is None:
+            fields[name] = value
+        else:
+            fields[name][row] = value
+    return bad
+
+
+class TestBatchStates:
+    BAD_ROW = 2
+
+    @pytest.mark.parametrize(
+        "spoil",
+        [
+            set_field("class_priors", [1.5, -0.5], BAD_ROW),
+            set_field("class_priors", [0.5 + 1e-9, 0.5], BAD_ROW),
+            set_field("class_priors", [np.nan, 1.0], BAD_ROW),
+            set_field("class_log_likelihoods", np.zeros((5, 3))),
+            set_field("rows", np.zeros((1, 3, 4))),
+            set_field("sigma2", -1.0),
+            set_field("sigma2", np.nan),
+            set_field("block_size", 0),
+        ],
+        ids=[
+            "negative-prior", "prior-sum-off-1e-9", "nan-prior", "mismatched-G",
+            "rows-not-2d", "sigma2-negative", "sigma2-nan", "block-size-0",
+        ],
+    )
+    def test_a_bad_record_raises_what_its_constructor_raises(self, spoil):
+        fields = batch_fields()
+        spoil(fields)
+        with pytest.raises(ValueError) as info:
+            _batch_states(*fields.values())
+        assert str(info.value) == constructor_error(fields, self.BAD_ROW)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_measurement_names_its_signal(self, value):
+        fields = batch_fields()
+        fields["measurements"][self.BAD_ROW, 1] = value
+        with pytest.raises(ValueError) as info:
+            _batch_states(*fields.values())
+        alone = constructor_error(fields, self.BAD_ROW)
+        assert alone == "measurements must be finite, but signal 0 is not"
+        assert str(info.value) == alone.replace("signal 0", f"signal {self.BAD_ROW}")
+
+    @pytest.mark.parametrize("name", ["class_log_likelihoods", "class_priors"])
+    def test_rejects_statistics_for_another_signal_count(self, name):
+        fields = batch_fields()
+        fields[name] = fields[name][:-1]
+        with pytest.raises(ValueError, match=r"^5 signals of measurements, but class log-likeli"):
+            _batch_states(*fields.values())
+
+    def test_records_equal_constructor_built_ones(self):
+        fields = batch_fields()
+        _freeze(*(v for v in fields.values() if isinstance(v, np.ndarray)))
+        states = _batch_states(*fields.values())
+        assert len(states) == 5
+        for i, state in enumerate(states):
+            alone = AcquisitionState(**one_record(fields, i))
+            assert type(state) is AcquisitionState
+            for field in dataclasses.fields(AcquisitionState):
+                got, want = getattr(state, field.name), getattr(alone, field.name)
+                assert type(got) is type(want)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want) and got.dtype == want.dtype
+                    assert not got.flags.writeable
+                else:
+                    assert got == want
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                state.sigma2 = 0.0
+
+    def test_records_share_the_rows_and_view_frozen_batch_arrays(self):
+        fields = batch_fields()
+        _freeze(*(v for v in fields.values() if isinstance(v, np.ndarray)))
+        states = _batch_states(*fields.values())
+        for i, state in enumerate(states):
+            assert state.rows is fields["rows"]
+            for name in ("measurements", "class_log_likelihoods", "class_priors"):
+                assert getattr(state, name).base is fields[name]
+                assert np.shares_memory(getattr(state, name), fields[name][i])
+
+    def test_writable_inputs_are_copied_once(self):
+        fields = batch_fields()
+        kept = {k: np.copy(v) for k, v in fields.items()}
+        states = _batch_states(*fields.values())
+        for name in ("measurements", "class_log_likelihoods", "class_priors"):
+            copy = getattr(states[0], name).base
+            assert copy is not fields[name] and not copy.flags.writeable
+            assert all(getattr(state, name).base is copy for state in states)
+        assert all(state.rows is states[0].rows for state in states)
+        assert states[0].rows is not fields["rows"]
+        for name in ("rows", "measurements", "class_log_likelihoods", "class_priors"):
+            fields[name][...] = -7.0
+        for i, state in enumerate(states):
+            for name, want in one_record(kept, i).items():
+                assert np.array_equal(getattr(state, name), want)
 
 
 class TestMeasurementLogLikelihoods:

@@ -3,7 +3,13 @@ import pytest
 
 from helpers import principal_angles, random_model, random_spd
 from gmmsense._linalg import orthonormalize_rows
-from gmmsense.design import SensingMatrix, eigen_sensing, random_orthonormal, rip_ab
+from gmmsense.design import (
+    SensingMatrix,
+    eigen_sensing,
+    random_orthonormal,
+    require_orthonormal_rows,
+    rip_ab,
+)
 from gmmsense.model import GaussianComponent, GmmModel
 
 
@@ -19,6 +25,18 @@ class TestSensingMatrix:
     def test_rejects_wide(self):
         with pytest.raises(ValueError):
             SensingMatrix(rows=np.eye(3)[:, :2].T @ np.eye(2))  # 3x2 rows
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_rejects_a_non_finite_row_before_its_gram(self, value):
+        # A NaN residual passed "resid > 1e-8", and an inf row warned in
+        # the Gram product.
+        rows = np.eye(3, 4)
+        rows[1, 2] = value
+        with pytest.raises(ValueError, match="^step-1 rows must be finite$"):
+            require_orthonormal_rows(rows, "step-1")
+        with pytest.raises(ValueError, match="^sensing rows must be finite$"):
+            SensingMatrix(rows=rows)
 
 
 class TestRandomOrthonormal:
