@@ -5,12 +5,13 @@ maximize a separability measure: half the gap between the log-volume of the
 projected mixture covariance and the prior-weighted log-volumes of the
 projected class covariances. The measure upper-bounds the mutual
 information between the new measurements and the class label given the
-measurement history. For two classes and an empty history its optimum is
-closed form: the top generalized eigenvectors of the two class covariances
-(plus noise), ranked by their share of the measure. Otherwise a block starts
-from the spectral start: the generalized eigenvectors of the mixture
-posterior and the posterior of the most likely class, scored as single rows
-in one pass. A single row has a cheap closed-form Hessian, so it is then
+measurement history. A block starts from the spectral start: the
+generalized eigenvectors of the mixture posterior and the posterior of the
+most likely class, scored as single rows in one pass. For two classes and an
+empty history these are the generalized eigenvectors of the two class
+covariances (plus noise), scored by their share of the measure, so the
+spectral start is the closed-form optimum and is returned as it is.
+Otherwise a single row, which has a cheap closed-form Hessian, is
 polished by Riemannian Newton on the unit sphere: each iterate and trial
 row x is evaluated from one product of the posterior stack with x, whose
 rows P_k x give the projections, the score and both gradients, and the
@@ -456,8 +457,9 @@ class AscentOptions:
     max_iters caps the accepted steps of the search that follows the
     starting block: Riemannian Newton for a single-row block (b = 1),
     steepest ascent with Barzilai-Borwein steps for b > 1. 0 returns the
-    starting block itself: the two-class closed form, the spectral start
-    or, where no pencil factor exists, the seeded random block.
+    starting block itself: the spectral start or, where no pencil factor
+    exists, the seeded random block. The two-class closed form takes no
+    steps whatever max_iters is.
     """
 
     max_iters: int = 200
@@ -481,33 +483,35 @@ def design_classification_block(
 ) -> np.ndarray:
     """Design b orthonormal rows maximizing class separability.
 
+    The design starts from the spectral start (_spectral_start): the best
+    of the generalized eigenvectors of the mixture posterior and the
+    posterior of the most likely class, scored as single rows. Only where
+    that pencil has no factor does it start from a seeded random
+    orthonormal block; the seed matters nowhere else.
+
     With an empty history, exactly two classes and both priors positive,
     the optimum is closed form (Fukunaga 1990, ch. 10): with P_g = Sigma_g
     + sigma2 I, the measure splits over the generalized eigenvectors of
     (P_1, P_2) into sum f(lambda_i), f(lambda) = 1/2 [log(w_1 lambda +
     w_2) - w_1 log lambda], and the b eigenvectors with the largest f,
-    orthonormalized, are returned. The closed form is skipped when P_1 and
-    P_2 are bitwise equal, when P_2 has no Cholesky factor or some lambda
-    <= 0, or when a projected eigenvalue of the result sits at its floor.
-
-    Otherwise the design starts from the spectral start (_spectral_start):
-    the best of the generalized eigenvectors of the mixture posterior and
-    the posterior of the most likely class, scored as single rows. Only
-    where that pencil has no factor does it start from a seeded random
-    orthonormal block; the seed matters nowhere else. From the start, a
-    single-row block (b = 1) is polished by Riemannian Newton on the unit
-    sphere until the norm of its gradient there is at most _GRAD_TOL; a
-    Newton step whose gain is below the score's rounding is ranked by the
-    gradient norm instead. Each Newton iterate and trial row x is
-    evaluated from the one product P_k x of the posterior stack with x
-    (_evaluate_row), not from the general block projection. A block of b >
-    1 rows takes steepest ascent with re-orthonormalization (row-space
-    preserving), whose line searches after the first start from
-    Barzilai-Borwein lengths (Barzilai & Borwein 1988; Wen & Yin 2013),
-    alternating the long and the short one. Every accepted step strictly
-    raises the score, so the returned block scores at least as high as its
-    start. With empty history this is the non-adaptive design; a full K-row
-    non-adaptive layout is produced by a single call with b = K.
+    orthonormalized, are the optimum. They are the spectral start's
+    candidates, scored f(lambda), so the start is returned unpolished where
+    P_1 and P_2 are not bitwise equal, the start factored P_gamma directly
+    (not on the range of Pavg) and no projected eigenvalue of it sits at
+    its floor. Otherwise a single-row block (b = 1) is polished by
+    Riemannian Newton on the unit sphere until the norm of its gradient
+    there is at most _GRAD_TOL; a Newton step whose gain is below the
+    score's rounding is ranked by the gradient norm instead. Each Newton
+    iterate and trial row x is evaluated from the one product P_k x of the
+    posterior stack with x (_evaluate_row), not from the general block
+    projection. A block of b > 1 rows takes steepest ascent with
+    re-orthonormalization (row-space preserving), whose line searches after
+    the first start from Barzilai-Borwein lengths (Barzilai & Borwein 1988;
+    Wen & Yin 2013), alternating the long and the short one. Every accepted
+    step strictly raises the score, so the returned block scores at least
+    as high as its start. With empty history this is the non-adaptive
+    design; a full K-row non-adaptive layout is produced by a single call
+    with b = K.
 
     A design on an empty history that does not depend on the seed is kept,
     read-only, in the model's _design_memo under (b, sigma2, opts, the
@@ -538,29 +542,27 @@ def design_classification_block(
             return kept
     posteriors = posterior_matrices(state, model)
     weights = state.class_priors
-    closed = None
-    if empty and weights.shape == (2,):
-        closed = _two_class_design(posteriors, weights, b)
     ascent_steps = newton_steps = backtracks = shifts = 0
     grad_norm = None
-    if closed is not None:
-        block, projection = closed
+    block, start = _spectral_start(posteriors, weights, b), "spectral"
+    if block is None:
+        block, start = random_orthonormal(b, n, seed=seed).rows, "seeded"
+    elif empty and _two_class_pencil(posteriors, weights):
+        projection = _project(block, posteriors)
+        if projection[3].all():
+            start = reason = "closed_form"
+    if start == "closed_form":
         score = _score(projection, weights)
-        start = reason = "closed_form"
+    elif b == 1:
+        block, score, grad_norm, newton_steps, backtracks, shifts, reason = (
+            _newton_on_sphere(block, posteriors, weights, opts.max_iters)
+        )
     else:
-        block, start = _spectral_start(posteriors, weights, b), "spectral"
-        if block is None:
-            block, start = random_orthonormal(b, n, seed=seed).rows, "seeded"
-        if b == 1:
-            block, score, grad_norm, newton_steps, backtracks, shifts, reason = (
-                _newton_on_sphere(block, posteriors, weights, opts.max_iters)
-            )
-        else:
-            projection = _project(block, posteriors)
-            block, projection, score, ascent_steps, backtracks, reason = _ascend(
-                block, projection, _score(projection, weights), posteriors, weights,
-                opts.max_iters,
-            )
+        projection = _project(block, posteriors)
+        block, projection, score, ascent_steps, backtracks, reason = _ascend(
+            block, projection, _score(projection, weights), posteriors, weights,
+            opts.max_iters,
+        )
     if _LOG.isEnabledFor(logging.DEBUG):
         if grad_norm is None:
             grad = _gradient(projection, weights)
@@ -575,35 +577,14 @@ def design_classification_block(
     return block
 
 
-def _two_class_design(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
-    """Closed-form optimal b rows for two classes with an empty history.
-
-    Cholesky of P_2 = L L^T, then eigh of L^-1 P_1 L^-T gives the
-    generalized eigenpairs of (P_1, P_2); the b eigenvectors with the
-    largest f(lambda) (stable sort), orthonormalized, are the optimum.
-    Returns (block, its _project result), or None where the closed form
-    does not apply: a zero prior, bitwise equal P_1 and P_2, no Cholesky
-    factor, some lambda <= 0, or a projected eigenvalue at its floor.
-    """
-    w1, w2 = weights
-    p1, p2 = posteriors.stack[0], posteriors.stack[1]
-    if w1 <= 0.0 or w2 <= 0.0 or np.array_equal(p1, p2):
-        return None
-    try:
-        chol = np.linalg.cholesky(p2)
-    except np.linalg.LinAlgError:
-        return None
-    half = np.linalg.solve(chol, p1)
-    lam, vecs = np.linalg.eigh(symmetrize(np.linalg.solve(chol, half.T)))
-    if lam[0] <= 0.0:
-        return None
-    f = 0.5 * (np.log(w1 * lam + w2) - w1 * np.log(lam))
-    top = np.argsort(f, kind="stable")[::-1][:b]
-    block = orthonormalize_rows(np.linalg.solve(chol.T, vecs[:, top]).T)
-    projection = _project(block, posteriors)
-    if not projection[3].all():
-        return None
-    return block, projection
+def _two_class_pencil(posteriors: PosteriorMatrices, weights: np.ndarray) -> bool:
+    """True for two classes with positive priors, P_1 and P_2 not bitwise
+    equal, and a P_gamma that _spectral_start factors directly."""
+    stack, gamma = posteriors.stack, int(np.argmax(weights))
+    return (
+        weights.shape == (2,) and weights.min() > 0.0 and not np.array_equal(stack[0], stack[1])
+        and _factor(stack[gamma], posteriors.scales[gamma]) is not None
+    )
 
 
 def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
@@ -613,10 +594,13 @@ def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
     Pavg the mixture posterior. Cholesky of P_gamma = L L^T, one inverse
     of L and one eigh of L^-1 Pavg L^-T give N candidate rows L^-T v, each
     normalized. A single row's measure is a weighted sum of log generalized
-    Rayleigh quotients, so these are natural candidates; with an empty
-    history and two classes they span the closed-form optimum. All candidates are scored as single
-    rows in one pass, from their floored projections and _score's formula;
-    the best one (b = 1), or the best b orthonormalized, are returned.
+    Rayleigh quotients, so these are natural candidates. All candidates
+    are scored as single rows in one pass, from their floored projections
+    and _score's formula; the best one (b = 1), or the best b
+    orthonormalized, are returned. With an empty history and two classes
+    the candidates are the generalized eigenvectors of (P_1, P_2) and their
+    scores are f(lambda), so the start is the closed-form optimum that
+    design_classification_block returns unpolished.
 
     Where P_gamma has no factor (no Cholesky, or a pivot at the eigenvalue
     floor; sigma2 = 0 with a history leaves the measured directions without

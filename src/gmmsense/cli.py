@@ -233,7 +233,7 @@ def _cmd_report(args) -> int:
             d = json.load(fh)
         try:
             rows.append(ExperimentReport.csv_row(d))
-        except (KeyError, TypeError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed report, bad or missing field {exc}") from exc
     out = "\n".join(rows) + "\n"
     if args.out:

@@ -24,10 +24,13 @@ __all__ = [
 
 
 def require_orthonormal_rows(rows: np.ndarray, what: str) -> None:
-    """Reject non-finite rows, and rows whose Gram matrix is not within 1e-8
-    of identity (so a NaN residual fails as well)."""
+    """Reject non-finite rows, rows with an entry above 2 in magnitude
+    (before their Gram, which it may overflow), and rows whose Gram matrix
+    is not within 1e-8 of identity (so a NaN residual fails as well)."""
     if not np.isfinite(rows).all():
         raise ValueError(f"{what} rows must be finite")
+    if np.abs(rows).max(initial=0.0) > 2.0:
+        raise ValueError(f"{what} rows are not orthonormal (an entry exceeds 2 in magnitude)")
     resid = np.abs(rows @ rows.T - np.eye(rows.shape[0])).max()
     if not resid <= 1e-8:
         raise ValueError(f"{what} rows are not orthonormal (residual {resid:.3e})")

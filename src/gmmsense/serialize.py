@@ -121,7 +121,8 @@ def save_model(directory, model: GmmModel, sigma2: float | None = None) -> None:
 def load_model(directory) -> GmmModel:
     """Load a model directory written by save_model.
 
-    The manifest's training sigma2 is recorded for the reader and not read.
+    The manifest's dimension must be the loaded components'. Its training
+    sigma2 is recorded for the reader and not read.
     """
     d = Path(directory)
     with open(d / _MANIFEST_NAME) as fh:
@@ -149,4 +150,7 @@ def load_model(directory) -> GmmModel:
                 prior=float(priors[g - 1]),
             )
         )
+    dimension, n = manifest.get("dimension"), comps[0].dimension
+    if type(dimension) is not int or dimension != n:
+        raise ValueError(f"{d}: manifest dimension must be the components' {n}, got {dimension!r}")
     return GmmModel(components=tuple(comps))

@@ -25,7 +25,6 @@ from gmmsense.adaptive import (
     _row_newton_matrix,
     _score,
     _spectral_start,
-    _two_class_design,
     design_classification_block,
     design_reconstruction_block,
     measurement_log_likelihoods,
@@ -64,6 +63,18 @@ def floored_class_model():
         )
     )
     return model, q
+
+
+def two_class_optimum(model, sigma2, b):
+    """scipy's top-b generalized eigenvectors of (P_1, P_2) by f(lambda),
+    as rows, and the sum of their f: the two-class empty-history optimum."""
+    w1, w2 = model.priors
+    n = model.dimension
+    p1, p2 = (c.covariance + sigma2 * np.eye(n) for c in model.components)
+    lam, vecs = scipy.linalg.eigh(p1, p2)
+    f = 0.5 * (np.log(w1 * lam + w2) - w1 * np.log(lam))
+    top = np.argsort(f)[::-1][:b]
+    return vecs[:, top].T, f[top].sum()
 
 
 def diag_model(*diags, priors=None):
@@ -951,15 +962,47 @@ class TestMultiRowDesign:
     def test_spectral_start_spans_the_closed_form_with_empty_history(self, b, sigma2):
         # with an empty history the mixture posterior is w_1 P_1 + w_2 P_2,
         # so the pencil (Pavg, P_gamma) has the generalized eigenvectors of
-        # (P_1, P_2), and single-row scores rank them by f(lambda)
+        # (P_1, P_2), and single-row scores rank them by f(lambda): the
+        # design returns the spectral start itself
         for seed in (70, 72, 73):
             model = random_model(10, 2, seed=seed)
             state = AcquisitionState.initial(model, sigma2, b)
             post = posterior_matrices(state, model)
-            closed, _ = _two_class_design(post, state.class_priors, b)
             start = _spectral_start(post, state.class_priors, b)
             assert np.abs(start @ start.T - np.eye(b)).max() <= 1e-12
-            assert principal_angles(start, closed).max() <= 1e-8
+            assert principal_angles(start, two_class_optimum(model, sigma2, b)[0]).max() <= 1e-8
+            assert np.array_equal(design_classification_block(state, model, b), start)
+
+    @pytest.mark.parametrize("sigma2", [0.01, 10.0])
+    @pytest.mark.parametrize("b", [1, 3, 8])
+    @pytest.mark.parametrize("priors", [(0.5, 0.5), (0.3, 0.7)], ids=["equal", "gamma_2"])
+    def test_two_class_design_scores_the_top_f_sum(self, priors, b, sigma2, caplog):
+        # equal priors factor class 1's pencil, 0.3/0.7 class 2's
+        for seed in (70, 72, 73):
+            comps = random_model(10, 2, seed=seed).components
+            model = GmmModel(components=tuple(c.with_prior(w) for c, w in zip(comps, priors)))
+            state = AcquisitionState.initial(model, sigma2, b)
+            with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+                block = design_classification_block(state, model, b)
+            assert "start=closed_form" in caplog.records[-1].getMessage()
+            expected = two_class_optimum(model, sigma2, b)[1]
+            score = separability_measure(block, state, model)
+            assert abs(score - expected) <= 1e-10 * abs(expected)
+
+    def test_two_classes_with_a_measured_row_are_polished(self, caplog):
+        model = random_model(10, 2, seed=70)
+        state = state_with_rows(model, random_orthonormal(1, 10, seed=71).rows, 0.01, [0.3])
+        post = posterior_matrices(state, model)
+        for b in (1, 3):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+                block = design_classification_block(state, model, b)
+            fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
+            assert fields["start"] == "spectral" and fields["stop"] in ("grad", "tol")
+            start = _spectral_start(post, state.class_priors, b)
+            assert separability_measure(block, state, model) > separability_measure(
+                start, state, model
+            )
 
     @pytest.mark.parametrize("b", [1, 4])
     def test_zero_noise_history_designs_on_the_unmeasured_directions(self, b, caplog):
@@ -982,13 +1025,17 @@ class TestMultiRowDesign:
 
     @pytest.mark.parametrize(
         "case",
-        ["low_rank_class_1", "low_rank_class_2", "floored", "identical", "zero_prior", "max_iters_0"],
+        [
+            "low_rank_class_1", "low_rank_class_2", "shared_null", "floored", "identical",
+            "zero_prior", "max_iters_0",
+        ],
     )
     def test_two_classes_fall_back_to_the_seeded_ascent(self, case, caplog):
         # Where the closed form does not apply, the ascent starts from the
         # spectral start, or from the seeded block where the pencil of the
-        # more likely class (class 1 on a tie) has no factor. max_iters 0
-        # returns the starting block, here the closed form.
+        # more likely class (class 1 on a tie) has no factor, not even on
+        # the range of the mixture posterior. max_iters 0 returns the
+        # starting block, here the closed form.
         n, b, sigma2, opts = 6, 2, 0.0, AscentOptions()
         spd = GaussianComponent.from_moments(np.zeros(n), random_spd(n, seed=75), 0.5)
         if case.startswith("low_rank"):
@@ -996,6 +1043,12 @@ class TestMultiRowDesign:
             # or some lambda at rounding level (class 1)
             pair = (lowrank_component(76, n, 3), spd)
             comps = pair if case.endswith("1") else pair[::-1]
+        elif case == "shared_null":
+            # sigma2 = 0 and both classes on one 5-d subspace: the pencil is
+            # built on the range of the mixture posterior
+            basis = np.linalg.qr(np.random.default_rng(76).standard_normal((n, n)))[0][:, :5]
+            covs = (symmetrize(basis @ random_spd(5, s) @ basis.T) for s in (76, 77))
+            comps = tuple(GaussianComponent.from_moments(np.zeros(n), c, 0.5) for c in covs)
         elif case == "floored":
             # every lambda is positive, but the top rows project class 1
             # onto its eigenvalue floor
@@ -1128,8 +1181,8 @@ class TestDesignLogging:
         assert (fields["start"], fields["ascent_steps"], fields["newton_steps"]) == (start, "0", "0")
         post = posterior_matrices(state, model)
         if start == "closed_form":
-            expected = _two_class_design(post, state.class_priors, b)[0]
-        elif start == "spectral":
+            assert principal_angles(block, two_class_optimum(model, 0.1, b)[0]).max() <= 1e-8
+        if start in ("closed_form", "spectral"):
             expected = _spectral_start(post, state.class_priors, b)
         else:
             expected = random_orthonormal(b, n, seed=83).rows

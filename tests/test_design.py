@@ -27,15 +27,24 @@ class TestSensingMatrix:
             SensingMatrix(rows=np.eye(3)[:, :2].T @ np.eye(2))  # 3x2 rows
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_rejects_a_non_finite_row_before_its_gram(self, value):
-        # A NaN residual passed "resid > 1e-8", and an inf row warned in
-        # the Gram product.
+    @pytest.mark.parametrize(
+        "value, message",
+        [
+            (np.nan, "must be finite$"),
+            (np.inf, "must be finite$"),
+            (-np.inf, "must be finite$"),
+            (1e200, r"are not orthonormal \(an entry exceeds 2 in magnitude\)$"),
+        ],
+        ids=["nan", "inf", "-inf", "huge"],
+    )
+    def test_rejects_a_non_finite_row_before_its_gram(self, value, message):
+        # A NaN residual passed "resid > 1e-8", and an inf row, or a finite
+        # one far from unit length, warned in the Gram product.
         rows = np.eye(3, 4)
         rows[1, 2] = value
-        with pytest.raises(ValueError, match="^step-1 rows must be finite$"):
+        with pytest.raises(ValueError, match=f"^step-1 rows {message}"):
             require_orthonormal_rows(rows, "step-1")
-        with pytest.raises(ValueError, match="^sensing rows must be finite$"):
+        with pytest.raises(ValueError, match=f"^sensing rows {message}"):
             SensingMatrix(rows=rows)
 
 

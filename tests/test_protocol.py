@@ -748,10 +748,19 @@ def test_cli_gen_synthetic_writes_nothing_when_no_model_is_drawn(flags, message,
 
 
 def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):
-    bad = write_json(tmp_path / "bad.json", {"protocol": "rip_ab+eigen_mse", "seed": 0})
-    assert cli.main(["report", "--inputs", bad]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and "bad.json" in err
+    config = {"step1": "rip_ab", "step2": "eigen_mse", "M": 8, "K": 4, "b": 1, "P_e": 0.01,
+              "sigma2": 0.0}
+    good = {"protocol": "rip_ab+eigen_mse", "config": config, "seed": 0, "n_signals": 2,
+            "accuracy": 1.0, "mse": 1.0, "psnr": None, "mean_k": 4, "wall_time_s": 0.1}
+    assert cli.main(["report", "--inputs", write_json(tmp_path / "good.json", good)]) == 0
+    capsys.readouterr()
+    # a missing field, then fields of the wrong type
+    for report in ({"protocol": "rip_ab+eigen_mse", "seed": 0},
+                   {**good, "accuracy": "x"}, {**good, "mse": "1.0"}):
+        bad = write_json(tmp_path / "bad.json", report)
+        assert cli.main(["report", "--inputs", bad]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {bad}: malformed report, bad or missing field ")
 
 
 @pytest.mark.parametrize(

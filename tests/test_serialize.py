@@ -153,9 +153,11 @@ def test_fifo_huge_header_reads_only_what_arrives(tmp_path, rows, cols, payload)
         (lambda m: {**m, "priors": m["priors"][:1]}, "priors"),
         (lambda m: {**m, "priors": m["priors"] + [0.5]}, "priors"),
         (lambda m: {**m, "priors": [None, 0.5]}, "priors"),
+        (lambda m: {**m, "dimension": 5}, "dimension must be the components' 3, got 5"),
+        (lambda m: {**m, "dimension": "3"}, "dimension must be the components' 3, got '3'"),
     ],
     ids=["list", "format", "no-count", "zero-count", "string-count", "few-priors",
-         "many-priors", "null-prior"],
+         "many-priors", "null-prior", "wrong-dimension", "string-dimension"],
 )
 def test_load_rejects_malformed_manifest(tmp_path, edit, message):
     model_dir = tmp_path / "model"
