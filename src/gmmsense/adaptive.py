@@ -71,22 +71,21 @@ class ProjectedCovarianceError(ValueError):
 
 @dataclass(frozen=True)
 class AcquisitionState:
-    """Measurement history of one signal plus running class statistics.
+    """Measurement history of one signal plus its class log-likelihoods.
 
     rows stacks the acquired measurement blocks (possibly empty); each block
     had orthonormal rows when appended, but different blocks need not be
     mutually orthogonal. class_log_likelihoods holds the joint Gaussian
-    log-likelihood of all measurements so far under each class;
-    class_priors are the Bayes-updated class probabilities (the model
-    priors while no measurement has been made). sigma2 must be finite and
-    >= 0, the measurements finite, and the priors >= 0 with a sum within
-    1e-12 of 1 (ValueError). One check, _check_states, holds these
-    invariants, vectorized over stacked records: a state checks itself as
-    a batch of one, and _batch_states checks a whole batch's states once.
+    log-likelihood of all measurements so far under each class (zeros for
+    an empty history); _class_weights derives the class weights from them.
+    sigma2 must be finite and >= 0, the measurements and log-likelihoods
+    finite (ValueError). One check, _check_states, holds these invariants,
+    vectorized over stacked records: a state checks itself as a batch of
+    one, and _batch_states checks a whole batch's states once.
 
     The arrays are kept read-only and shared when frozen (model._readonly
     states when): the states of one batch hold the same rows object and
-    views of the batch's frozen measurements and statistics, and
+    views of the batch's frozen measurements and log-likelihoods, and
     append_block freezes the history it stacks. Re-enabling writes on an
     array a state holds breaks that state, as it would the rows a model
     keeps for its seed-free designs.
@@ -97,7 +96,6 @@ class AcquisitionState:
     sigma2: float
     block_size: int
     class_log_likelihoods: np.ndarray
-    class_priors: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "rows", _readonly(self.rows))
@@ -106,21 +104,14 @@ class AcquisitionState:
         object.__setattr__(
             self, "class_log_likelihoods", _readonly(self.class_log_likelihoods)
         )
-        object.__setattr__(self, "class_priors", _readonly(self.class_priors))
-        _check_states(
-            self.rows,
-            self.measurements[None],
-            self.sigma2,
-            self.block_size,
-            self.class_log_likelihoods[None],
-            self.class_priors[None],
-        )
+        _check_states(self.rows, self.measurements[None], self.sigma2, self.block_size,
+                      self.class_log_likelihoods[None])
 
     @classmethod
     def initial(
         cls, model: GmmModel, sigma2: float, block_size: int = 1
     ) -> "AcquisitionState":
-        """Empty history: no rows, zero log-likelihoods, model priors."""
+        """Empty history: no rows, zero log-likelihoods."""
         n = model.dimension
         return cls(
             rows=np.empty((0, n)),
@@ -128,7 +119,6 @@ class AcquisitionState:
             sigma2=sigma2,
             block_size=block_size,
             class_log_likelihoods=np.zeros(model.n_components),
-            class_priors=model.priors,
         )
 
     @property
@@ -139,9 +129,9 @@ class AcquisitionState:
         """Return a new state with one more measured block.
 
         The incoming block must have orthonormal rows; the joint class
-        log-likelihoods are recomputed exactly on the stacked history and
-        the priors Bayes-updated from the model priors. The new state's
-        arrays are built here and frozen, so it shares them without a copy.
+        log-likelihoods are recomputed exactly on the stacked history. The
+        new state's arrays are built here and frozen, so it shares them
+        without a copy.
         """
         rows = as_rows(block)
         y = np.asarray(measurements, dtype=float).ravel()
@@ -153,25 +143,23 @@ class AcquisitionState:
         all_rows = np.vstack([self.rows, rows])
         all_y = np.concatenate([self.measurements, y])
         loglik = measurement_log_likelihoods(all_rows, all_y, model, self.sigma2)
-        priors = _bayes_posteriors(loglik, model.priors)
-        _freeze(all_rows, all_y, loglik, priors)
+        _freeze(all_rows, all_y, loglik)
         return AcquisitionState(
             rows=all_rows,
             measurements=all_y,
             sigma2=self.sigma2,
             block_size=self.block_size,
             class_log_likelihoods=loglik,
-            class_priors=priors,
         )
 
 
-def _check_states(rows, measurements, sigma2, block_size, log_likelihoods, priors) -> None:
+def _check_states(rows, measurements, sigma2, block_size, log_likelihoods) -> None:
     """ValueError unless stacked records satisfy AcquisitionState's invariants.
 
     The S records share rows (m, N), sigma2 and block_size; row i of
-    measurements (S, m), log_likelihoods and priors (S, G) is record i's.
-    Each message is the one that record alone raises, and a non-finite
-    measurement names the first bad signal.
+    measurements (S, m) and log_likelihoods (S, G) is record i's. Each
+    message is the one that record alone raises, and a non-finite
+    measurement or log-likelihood names the first bad signal.
     """
     if rows.ndim != 2:
         raise ValueError("rows must be a 2-D array")
@@ -182,58 +170,52 @@ def _check_states(rows, measurements, sigma2, block_size, log_likelihoods, prior
     _check_sigma2(sigma2)
     if block_size < 1:
         raise ValueError("block_size must be >= 1")
-    if log_likelihoods.shape[:1] != (s,) or priors.shape[:1] != (s,):
+    if log_likelihoods.shape[:1] != (s,):
         raise ValueError(
             f"{s} signals of measurements, but class log-likelihoods of shape "
-            f"{log_likelihoods.shape} and class priors of shape {priors.shape}"
+            f"{log_likelihoods.shape}"
         )
-    if log_likelihoods.shape != priors.shape:
-        raise ValueError(
-            f"class log-likelihoods of shape {log_likelihoods.shape[1:]} "
-            f"do not match class priors of shape {priors.shape[1:]}"
-        )
-    if priors.ndim != 2:
-        raise ValueError(f"class_priors must be a 1-D array, got shape {priors.shape[1:]}")
-    # Two whole-array reductions, which a NaN fails; the bad record is
-    # looked for only once one has failed
-    off = np.abs(priors.sum(axis=1) - 1.0)
-    if not (off.max(initial=0.0) <= 1e-12 and priors.min(initial=0.0) >= 0.0):
-        bad = ~(off <= 1e-12) | ~(priors >= 0.0).all(axis=1)
-        raise ValueError(
-            "class priors must sum to 1 and be >= 0, "
-            f"got class_priors={priors[bad.argmax()].tolist()}"
-        )
+    _require_finite(log_likelihoods, "class log-likelihoods")
+    if rows.shape[0] == 0 and log_likelihoods.any():
+        raise ValueError("class log-likelihoods of an empty history must be 0")
 
 
-def _batch_states(rows, measurements, sigma2, block_size, log_likelihoods, priors):
+def _batch_states(rows, measurements, sigma2, block_size, log_likelihoods):
     """One AcquisitionState per signal of a batch sensed with the same rows.
 
-    The arguments are _check_states': row i of measurements (S, m),
-    log_likelihoods and priors (S, G) is signal i's. Each array goes
-    through model._readonly once, so a frozen one is shared and anything
-    else copied, and the batch is checked once, by the check a lone state
-    runs. The S states are then made without running __post_init__ each:
-    they hold the one rows object and row views of the batch arrays, and
-    equal the states the constructor builds from those rows.
+    The arguments are _check_states': row i of measurements (S, m) and
+    log_likelihoods (S, G) is signal i's. Each array goes through
+    model._readonly once, so a frozen one is shared and anything else
+    copied, and the batch is checked once, by the check a lone state runs.
+    The S states are then made without running __post_init__ each: they
+    hold the one rows object and row views of the batch arrays, and equal
+    the states the constructor builds from those rows.
     """
-    rows, measurements, log_likelihoods, priors = (
-        _readonly(a) for a in (rows, measurements, log_likelihoods, priors)
-    )
+    rows, measurements, log_likelihoods = map(_readonly, (rows, measurements, log_likelihoods))
     sigma2 = float(sigma2)
-    _check_states(rows, measurements, sigma2, block_size, log_likelihoods, priors)
+    _check_states(rows, measurements, sigma2, block_size, log_likelihoods)
     states = []
-    for y, loglik, prior in zip(measurements, log_likelihoods, priors):
+    for y, loglik in zip(measurements, log_likelihoods):
         state = object.__new__(AcquisitionState)
-        state.__dict__.update(
-            rows=rows,
-            measurements=y,
-            sigma2=sigma2,
-            block_size=block_size,
-            class_log_likelihoods=loglik,
-            class_priors=prior,
-        )
+        state.__dict__.update(rows=rows, measurements=y, sigma2=sigma2, block_size=block_size,
+                              class_log_likelihoods=loglik)
         states.append(state)
     return states
+
+
+def _check_classes(state: AcquisitionState, model: GmmModel) -> None:
+    """ValueError unless the state holds one log-likelihood per model class."""
+    if state.class_log_likelihoods.shape != (model.n_components,):
+        raise ValueError("state likelihoods do not match the model's classes")
+
+
+def _class_weights(state: AcquisitionState, model: GmmModel) -> np.ndarray:
+    """p(C | history): model.priors itself for an empty history, which
+    _bayes_posteriors of zero log-likelihoods may miss by an ulp."""
+    _check_classes(state, model)
+    if state.n_measurements == 0:
+        return model.priors
+    return _bayes_posteriors(state.class_log_likelihoods, model.priors)
 
 
 def _bayes_posteriors(log_likelihoods: np.ndarray, priors: np.ndarray) -> np.ndarray:
@@ -293,12 +275,13 @@ class PosteriorMatrices(NamedTuple):
     covariance (plus sigma2), in the same order. Projected eigenvalues are
     floored at EIG_FLOOR_REL times the matching scale, which keeps the
     separability measure finite for classes whose posterior has collapsed
-    (history spans their support at zero noise). Built by
-    posterior_matrices only.
+    (history spans their support at zero noise). weights are the class
+    weights of the average (_class_weights). Built by posterior_matrices only.
     """
 
     stack: np.ndarray
     scales: np.ndarray
+    weights: np.ndarray
 
 
 def _reject_first(bad: np.ndarray) -> None:
@@ -339,12 +322,13 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
     """Posterior (innovation) covariances given the measurement history.
 
     Stacks the class covariances and their mixture average under the
-    state's current class priors (so during a sequential acquisition the
-    average tracks the Bayes-updated posterior) and conditions all G + 1
-    on the history at once. The stack is built once: the G + 1 covariances
-    are written into one array, conditioned there and symmetrized into a
-    second one. Returns a PosteriorMatrices whose stack and scales (see
-    there) are fresh read-only arrays. Determinant floors are anchored at
+    history's class weights (_class_weights, so during a sequential
+    acquisition the average tracks the Bayes-updated posterior) and
+    conditions all G + 1 on the history at once. The stack is built once:
+    the G + 1 covariances are written into one array, conditioned there and
+    symmetrized into a second one. Returns a PosteriorMatrices whose
+    arrays (see there) are read-only; a state without one log-likelihood
+    per model class is a ValueError. Determinant floors are anchored at
     the unconditioned covariance scales. A matrix with zero scale has no
     variance at all and an undefined log-determinant, so it is rejected
     with ProjectedCovarianceError naming the first such class (None for
@@ -352,11 +336,12 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
     """
     if state.rows.shape[1:] and state.rows.shape[1] != model.dimension:
         raise ValueError("state dimension does not match the model")
+    weights = _class_weights(state, model)
     cov_stack = model.covariance_stack
     g = cov_stack.shape[0]
     covs = np.empty((g + 1,) + cov_stack.shape[1:])
     covs[:g] = cov_stack
-    np.einsum("g,gij->ij", state.class_priors, cov_stack, out=covs[g])
+    np.einsum("g,gij->ij", weights, cov_stack, out=covs[g])
     scales = np.diagonal(covs, axis1=-2, axis2=-1).max(axis=-1) + state.sigma2
     try:
         stack = _condition_in_place(covs, state.rows, state.sigma2)
@@ -365,9 +350,8 @@ def posterior_matrices(state: AcquisitionState, model: GmmModel) -> PosteriorMat
             f"singular measurement covariance in a posterior: {exc}"
         ) from exc
     _reject_first(scales <= 0.0)
-    stack.setflags(write=False)
-    scales.setflags(write=False)
-    return PosteriorMatrices(stack, scales)
+    _freeze(stack, scales, weights)
+    return PosteriorMatrices(stack, scales, weights)
 
 
 # Most negative projected value accepted as numerical noise, relative to the
@@ -430,7 +414,8 @@ def separability_measure(block, state: AcquisitionState, model: GmmModel) -> flo
     """
     rows = as_rows(block)
     require_orthonormal_rows(rows, "candidate")
-    return _score(_project(rows, posterior_matrices(state, model)), state.class_priors)
+    posteriors = posterior_matrices(state, model)
+    return _score(_project(rows, posteriors), posteriors.weights)
 
 
 # Steepest-ascent constants of the block design: the first trial step,
@@ -514,9 +499,10 @@ def design_classification_block(
     with b = K.
 
     A design on an empty history that does not depend on the seed is kept,
-    read-only, in the model's _design_memo under (b, sigma2, opts, the
-    state's priors); later such calls return that array without designing.
-    Rows from a seeded start are never kept.
+    read-only, in the model's _design_memo under (b, sigma2, opts), after
+    the state's classes are checked against the model; later such calls
+    return that array without designing. Rows from a seeded start are
+    never kept.
 
     With the "gmmsense" logger enabled at DEBUG, each design logs one record
     with b, the start ("closed_form", "spectral" or "seeded"), the ascent
@@ -534,14 +520,15 @@ def design_classification_block(
     n = model.dimension
     if not 1 <= b <= n:
         raise ValueError(f"need 1 <= b <= {n}, got b={b}")
+    _check_classes(state, model)
     empty = state.rows.shape == (0, n)
     if empty:
-        key = (b, state.sigma2, opts, state.class_priors.tobytes())
+        key = (b, state.sigma2, opts)
         kept = model._design_memo.get(key)
         if kept is not None:
             return kept
     posteriors = posterior_matrices(state, model)
-    weights = state.class_priors
+    weights = posteriors.weights
     ascent_steps = newton_steps = backtracks = shifts = 0
     grad_norm = None
     block, start = _spectral_start(posteriors, weights, b), "spectral"

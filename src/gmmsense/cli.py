@@ -32,6 +32,7 @@ from .protocol import (
     sigma2_for_snr_db,
 )
 from .serialize import (
+    _read_json,
     load_model,
     read_matrix,
     save_model,
@@ -106,7 +107,7 @@ def _ingest_images(image_paths, patch: int, overlap: bool) -> SignalBatch:
 
 
 def _ingest_csv(path, label_col: int) -> SignalBatch:
-    data = np.atleast_2d(np.loadtxt(path, delimiter=","))
+    data = np.loadtxt(path, delimiter=",", ndmin=2)
     n_cols = data.shape[1]
     if not -n_cols <= label_col < n_cols:
         raise ValueError(
@@ -195,9 +196,7 @@ def _cmd_run_protocol(args) -> int:
         _mode_flags(args, "--signals", ("--patch",))
     else:
         _mode_flags(args, "--images", ("--labels",), patch=8)
-    with open(args.config) as fh:
-        d = json.load(fh)
-    config = ProtocolConfig.from_dict(d)
+    config = ProtocolConfig.from_dict(_read_json(args.config))
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
     model = load_model(args.model)
@@ -229,8 +228,7 @@ def _cmd_run_protocol(args) -> int:
 def _cmd_report(args) -> int:
     rows = [ExperimentReport.CSV_HEADER]
     for path in args.inputs:
-        with open(path) as fh:
-            d = json.load(fh)
+        d = _read_json(path)
         try:
             rows.append(ExperimentReport.csv_row(d))
         except (KeyError, TypeError, ValueError) as exc:

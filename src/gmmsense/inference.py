@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import floor_eigenvalues, symmetrize
-from .adaptive import AcquisitionState, AscentOptions, design_classification_block
+from .adaptive import AcquisitionState, AscentOptions, _check_classes, design_classification_block
 from .design import as_rows
 from .model import (
     GaussianComponent,
@@ -236,8 +236,7 @@ def map_classify(state: AcquisitionState, model: GmmModel) -> int:
     """
     if state.n_measurements < 1:
         raise ValueError("classification requires at least one measurement")
-    if state.class_log_likelihoods.shape != (model.n_components,):
-        raise ValueError("state likelihoods do not match the model's classes")
+    _check_classes(state, model)
     return int(state.class_log_likelihoods.argmax()) + 1
 
 
@@ -304,8 +303,8 @@ class ShtOutcome:
     inside the budget; fallback_class then holds the measurement-space
     classification of everything acquired. final_class merges the two.
     state is the final acquisition history: its n_measurements is the
-    number of measurements used and its class_priors the final
-    Bayes-updated priors.
+    number of measurements used, and its class_log_likelihoods with the
+    model priors give the final class posterior.
     """
 
     decided_class: int | None

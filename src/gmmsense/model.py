@@ -258,8 +258,8 @@ class GmmModel:
     def _design_memo(self) -> dict:
         """Seed-free designs of this model as read-only rows, filled by
         adaptive.design_classification_block (empty-history blocks, keyed
-        by b, sigma2, opts and the priors' bytes) and protocol._step1_rows
-        (rip_ab, keyed by ("rip_ab", k)). It lives and dies with the model."""
+        by b, sigma2 and opts) and protocol._step1_rows (rip_ab, keyed by
+        ("rip_ab", k)). It lives and dies with the model."""
         return {}
 
 
@@ -282,8 +282,8 @@ class SignalBatch:
 
     def __post_init__(self):
         object.__setattr__(self, "signals", _readonly(self.signals))
-        if self.signals.ndim != 2 or self.signals.shape[0] < 1:
-            raise ValueError("signals must be a nonempty (S, N) array")
+        if self.signals.ndim != 2 or 0 in self.signals.shape:
+            raise ValueError(f"signals must be a nonempty (S, N) array, got {self.signals.shape}")
         _require_finite(self.signals, "signals")
         if self.labels is not None:
             labels = _readonly(self.labels, dtype=int)

@@ -11,20 +11,22 @@ __all__ = ["read_pgm", "patch_extract"]
 I_MAX_8BIT = 255.0
 
 
-def _read_pgm_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Parse `count` ASCII integer tokens, skipping whitespace and comments."""
+def _read_pgm_tokens(data: bytes, count: int, path) -> tuple[list[int], int]:
+    """Parse `count` ASCII integer tokens of path's data, skipping whitespace and comments."""
     tokens: list[int] = []
     pos = 0
     current = b""
     while len(tokens) < count:
         if pos >= len(data):
-            raise ValueError("truncated PGM header")
+            raise ValueError(f"{path}: truncated PGM header")
         ch = data[pos : pos + 1]
         if ch == b"#":
             while pos < len(data) and data[pos : pos + 1] not in (b"\n", b"\r"):
                 pos += 1
         elif ch.isspace():
             if current:
+                if not current.isdigit():
+                    raise ValueError(f"{path}: PGM header token {current!r} is not a number")
                 tokens.append(int(current))
                 current = b""
             pos += 1
@@ -45,7 +47,7 @@ def read_pgm(path) -> np.ndarray:
         data = fh.read()
     if not data.startswith(b"P5"):
         raise ValueError(f"{path}: not a binary PGM (P5) file")
-    tokens, pos = _read_pgm_tokens(data[2:], 3)
+    tokens, pos = _read_pgm_tokens(data[2:], 3, path)
     width, height, maxval = tokens
     if maxval <= 0 or maxval > 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")

@@ -47,7 +47,6 @@ from .adaptive import (
     AcquisitionState,
     AscentOptions,
     _batch_states,
-    _bayes_posteriors,
     _is_int,
     design_classification_block,
     design_reconstruction_block,
@@ -335,12 +334,13 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     come from one factorization of the G class measurement covariances,
     and each decided class gets one step-2 design and one Wiener solve
     for all of its signals. Each signal still gets its own acquisition
-    state (likelihoods and Bayes-updated priors) and its own map_classify.
-    The rows, the (S, K) measurements and the (S, G) likelihoods and
-    priors are frozen once, after measurement_log_likelihoods has checked
-    them, so the states share the rows and hold row views of the rest
-    instead of copies (model._readonly states when an array is shared);
-    nothing may re-enable writes on them while the states live.
+    state (rows, measurements and likelihoods) and its own map_classify;
+    no class weights are computed, as nothing here reads them. The rows,
+    the (S, K) measurements and the (S, G) likelihoods are frozen once,
+    after measurement_log_likelihoods has checked them, so the states
+    share the rows and hold row views of the rest instead of copies
+    (model._readonly states when an array is shared); nothing may
+    re-enable writes on them while the states live.
     adaptive._batch_states builds the states and checks the batch once,
     by the same check a single state runs on itself.
     """
@@ -351,9 +351,8 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     x = batch.signals
     y1 = x @ rows1.T + noise[:, :k]
     loglik = measurement_log_likelihoods(rows1, y1, model, config.sigma2)
-    priors = _bayes_posteriors(loglik, model.priors)
-    _freeze(y1, loglik, priors)
-    states = _batch_states(rows1, y1, config.sigma2, config.b, loglik, priors)
+    _freeze(y1, loglik)
+    states = _batch_states(rows1, y1, config.sigma2, config.b, loglik)
     classes = np.array([map_classify(state, model) for state in states], dtype=int)
     estimates = np.empty_like(x)
     for gamma in np.unique(classes).tolist():

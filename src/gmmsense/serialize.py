@@ -92,6 +92,14 @@ def _read_at_most(fh, n: int) -> bytes:
     return b"".join(pieces)
 
 
+def _read_json(path):
+    """The JSON value in a file; a file that is not JSON is a ValueError naming it."""
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from exc
+
+
 def write_matrix_csv(path, matrix: np.ndarray) -> None:
     np.savetxt(path, np.atleast_2d(matrix), delimiter=",", fmt="%.17g")
 
@@ -125,8 +133,7 @@ def load_model(directory) -> GmmModel:
     sigma2 is recorded for the reader and not read.
     """
     d = Path(directory)
-    with open(d / _MANIFEST_NAME) as fh:
-        manifest = json.load(fh)
+    manifest = _read_json(d / _MANIFEST_NAME)
     if not isinstance(manifest, dict) or manifest.get("format") != "gmmsense-model":
         raise ValueError(f"{d}: not a model directory")
     g_total = manifest.get("n_components")

@@ -12,11 +12,11 @@ from gmmsense.adaptive import (
     _GRAD_TOL,
     AcquisitionState,
     AscentOptions,
-    PosteriorMatrices,
     ProjectedCovarianceError,
     _ascend,
     _batch_states,
     _bayes_posteriors,
+    _class_weights,
     _evaluate_row,
     _gradient,
     _newton_on_sphere,
@@ -38,7 +38,8 @@ from gmmsense.synthetic import synth_model_pair
 
 def gradient_at(block, state, model):
     """The ascent's separability gradient at an orthonormal block."""
-    return _gradient(_project(block, posterior_matrices(state, model)), state.class_priors)
+    post = posterior_matrices(state, model)
+    return _gradient(_project(block, post), post.weights)
 
 
 def state_with_rows(model, rows, sigma2=0.0, measurements=None):
@@ -94,7 +95,7 @@ class TestAcquisitionState:
         model = random_model(5, 2, seed=0)
         state = AcquisitionState.initial(model, 0.1, block_size=2)
         assert state.n_measurements == 0
-        assert np.array_equal(state.class_priors, model.priors)
+        assert np.array_equal(_class_weights(state, model), model.priors)
         assert np.array_equal(state.class_log_likelihoods, np.zeros(2))
 
     def test_append_requires_orthonormal_block(self):
@@ -108,7 +109,7 @@ class TestAcquisitionState:
         rows = np.array([[1.0, 0.0]])
         state = state_with_rows(model, rows, sigma2=0.0, measurements=[9.0])
         # |y| = 9 is typical under class 1 (var 100), extreme under class 2
-        assert state.class_priors[0] > 0.99
+        assert _class_weights(state, model)[0] > 0.99
 
     def test_stacked_blocks_need_not_be_mutually_orthogonal(self):
         model = random_model(4, 2, seed=2)
@@ -139,57 +140,41 @@ class TestAcquisitionState:
                 sigma2=0.1,
                 block_size=1,
                 class_log_likelihoods=np.zeros(2),
-                class_priors=np.full(2, 0.5),
             )
 
-    def test_rejects_priors_holding_a_nan(self):
-        with pytest.raises(ValueError, match="class priors must sum to 1"):
-            AcquisitionState(
-                rows=np.empty((0, 2)),
-                measurements=np.empty(0),
-                sigma2=0.0,
-                block_size=1,
-                class_log_likelihoods=np.zeros(2),
-                class_priors=np.array([np.nan, 1.0]),
-            )
-
-    @pytest.mark.parametrize("priors", [[1.5, -0.5], [1.0 + 1e-13, -1e-13]])
-    def test_rejects_negative_priors_that_sum_to_1(self, priors):
-        # Accepted, [1.5, -0.5] made design_classification_block return a
-        # block scoring below zero without a word.
-        model = synth_model_pair(16, 3.0, 30.0, seed=1)[0]
-        with pytest.raises(ValueError, match=r"be >= 0, got class_priors=\["):
-            AcquisitionState(
-                rows=np.empty((0, 16)),
-                measurements=np.empty(0),
-                sigma2=0.1,
-                block_size=1,
-                class_log_likelihoods=np.zeros(2),
-                class_priors=np.array(priors),
-            )
-        AcquisitionState.initial(model, 0.1, 1)  # the model's own priors pass
-
-    def test_rejects_priors_that_are_not_a_vector(self):
-        with pytest.raises(ValueError, match=r"class_priors must be a 1-D array, got shape \(\)"):
-            AcquisitionState(
-                rows=np.empty((0, 2)),
-                measurements=np.empty(0),
-                sigma2=0.0,
-                block_size=1,
-                class_log_likelihoods=np.zeros(()),
-                class_priors=np.ones(()),
-            )
+    def test_class_weights_are_the_priors_then_the_bayes_posteriors(self):
+        model = random_model(4, 3, seed=1)
+        state = AcquisitionState.initial(model, 0.1, 1)
+        assert _class_weights(state, model) is model.priors
+        assert posterior_matrices(state, model).weights is model.priors
+        state = state.append_block(np.eye(4)[:1], [0.7], model)
+        expected = _bayes_posteriors(state.class_log_likelihoods, model.priors).tobytes()
+        assert _class_weights(state, model).tobytes() == expected
+        weights = posterior_matrices(state, model).weights
+        assert weights.tobytes() == expected and not weights.flags.writeable
 
     def test_rejects_likelihoods_not_matching_priors(self):
-        with pytest.raises(ValueError, match=r"shape \(3,\) do not match class priors of shape \(1,\)"):
-            AcquisitionState(
-                rows=np.empty((0, 2)),
-                measurements=np.empty(0),
-                sigma2=0.0,
-                block_size=1,
-                class_log_likelihoods=np.zeros(3),
-                class_priors=np.ones(1),
-            )
+        # likelihoods of one class against the priors of a 3-class model
+        # would broadcast silently; an empty history is rejected before the
+        # design memo, which holds a design for the model's own state
+        model = random_model(4, 3, seed=1)
+        design_classification_block(AcquisitionState.initial(model, 0.1, 1), model, 1)
+        empty = AcquisitionState(
+            rows=np.empty((0, 4)),
+            measurements=np.empty(0),
+            sigma2=0.1,
+            block_size=1,
+            class_log_likelihoods=np.zeros(1),
+        )
+        measured = dataclasses.replace(
+            empty, rows=np.eye(4)[:1], measurements=np.ones(1), class_log_likelihoods=[-1.0]
+        )
+        message = "^state likelihoods do not match the model's classes$"
+        for state in (empty, measured):
+            with pytest.raises(ValueError, match=message):
+                posterior_matrices(state, model)
+            with pytest.raises(ValueError, match=message):
+                design_classification_block(state, model, 1)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("value", [np.nan, np.inf])
@@ -212,13 +197,12 @@ def batch_fields(s=5, m=3, n=4, g=2, seed=0):
         "sigma2": 0.1,
         "block_size": 2,
         "class_log_likelihoods": loglik,
-        "class_priors": _bayes_posteriors(loglik, np.full(g, 1.0 / g)),
     }
 
 
 def one_record(fields, i):
     """Record i of stacked fields, as its own constructor arguments."""
-    stacked = ("measurements", "class_log_likelihoods", "class_priors")
+    stacked = ("measurements", "class_log_likelihoods")
     return {k: v[i] if k in stacked else v for k, v in fields.items()}
 
 
@@ -237,32 +221,42 @@ def set_field(name, value, row=None):
     return bad
 
 
+def empty_history_with_likelihood(row):
+    def bad(fields):
+        fields["rows"] = fields["rows"][:0]
+        fields["measurements"] = fields["measurements"][:, :0]
+        fields["class_log_likelihoods"][...] = 0.0
+        fields["class_log_likelihoods"][row, 1] = -1.0
+    return bad
+
+
 class TestBatchStates:
     BAD_ROW = 2
 
     @pytest.mark.parametrize(
         "spoil",
         [
-            set_field("class_priors", [1.5, -0.5], BAD_ROW),
-            set_field("class_priors", [0.5 + 1e-9, 0.5], BAD_ROW),
-            set_field("class_priors", [np.nan, 1.0], BAD_ROW),
-            set_field("class_log_likelihoods", np.zeros((5, 3))),
+            set_field("class_log_likelihoods", [np.nan, -1.0], BAD_ROW),
+            set_field("class_log_likelihoods", [np.inf, -1.0], BAD_ROW),
+            empty_history_with_likelihood(BAD_ROW),
             set_field("rows", np.zeros((1, 3, 4))),
             set_field("sigma2", -1.0),
             set_field("sigma2", np.nan),
             set_field("block_size", 0),
         ],
         ids=[
-            "negative-prior", "prior-sum-off-1e-9", "nan-prior", "mismatched-G",
+            "nan-loglik", "inf-loglik", "empty-history-loglik",
             "rows-not-2d", "sigma2-negative", "sigma2-nan", "block-size-0",
         ],
     )
     def test_a_bad_record_raises_what_its_constructor_raises(self, spoil):
+        # a lone record is signal 0; the batch names its bad signal
         fields = batch_fields()
         spoil(fields)
         with pytest.raises(ValueError) as info:
             _batch_states(*fields.values())
-        assert str(info.value) == constructor_error(fields, self.BAD_ROW)
+        alone = constructor_error(fields, self.BAD_ROW)
+        assert str(info.value) == alone.replace("signal 0", f"signal {self.BAD_ROW}")
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_measurement_names_its_signal(self, value):
@@ -274,7 +268,7 @@ class TestBatchStates:
         assert alone == "measurements must be finite, but signal 0 is not"
         assert str(info.value) == alone.replace("signal 0", f"signal {self.BAD_ROW}")
 
-    @pytest.mark.parametrize("name", ["class_log_likelihoods", "class_priors"])
+    @pytest.mark.parametrize("name", ["class_log_likelihoods"])
     def test_rejects_statistics_for_another_signal_count(self, name):
         fields = batch_fields()
         fields[name] = fields[name][:-1]
@@ -306,7 +300,7 @@ class TestBatchStates:
         states = _batch_states(*fields.values())
         for i, state in enumerate(states):
             assert state.rows is fields["rows"]
-            for name in ("measurements", "class_log_likelihoods", "class_priors"):
+            for name in ("measurements", "class_log_likelihoods"):
                 assert getattr(state, name).base is fields[name]
                 assert np.shares_memory(getattr(state, name), fields[name][i])
 
@@ -314,13 +308,13 @@ class TestBatchStates:
         fields = batch_fields()
         kept = {k: np.copy(v) for k, v in fields.items()}
         states = _batch_states(*fields.values())
-        for name in ("measurements", "class_log_likelihoods", "class_priors"):
+        for name in ("measurements", "class_log_likelihoods"):
             copy = getattr(states[0], name).base
             assert copy is not fields[name] and not copy.flags.writeable
             assert all(getattr(state, name).base is copy for state in states)
         assert all(state.rows is states[0].rows for state in states)
         assert states[0].rows is not fields["rows"]
-        for name in ("rows", "measurements", "class_log_likelihoods", "class_priors"):
+        for name in ("rows", "measurements", "class_log_likelihoods"):
             fields[name][...] = -7.0
         for i, state in enumerate(states):
             for name, want in one_record(kept, i).items():
@@ -438,7 +432,7 @@ class TestPosteriorMatrices:
             state = state.append_block(rows, [0.4, -1.3, 2.2], model)
         post = posterior_matrices(state, model)
         covs = model.covariance_stack
-        avg = np.einsum("g,gij->ij", state.class_priors, covs)
+        avg = np.einsum("g,gij->ij", _class_weights(state, model), covs)
         covs = np.concatenate([covs, avg[None]])
         if n_rows:
             a = covs @ rows.T
@@ -538,8 +532,8 @@ class TestSeparabilityGradient:
                 plus[i, j] += step
                 minus = block.copy()
                 minus[i, j] -= step
-                f_plus = _score(_project(plus, post), state.class_priors)
-                f_minus = _score(_project(minus, post), state.class_priors)
+                f_plus = _score(_project(plus, post), post.weights)
+                f_minus = _score(_project(minus, post), post.weights)
                 g[i, j] = (f_plus - f_minus) / (2.0 * step)
         return g
 
@@ -621,15 +615,15 @@ class TestEntropySurrogateAssembly:
 
         stacked = np.vstack([hist, block])
         oracle = surrogate_gap(stacked) - surrogate_gap(hist)
-        # identity holds for a fixed weighting; build the state directly so
-        # the priors are not Bayes-updated by the measurements
+        # identity holds for a fixed weighting; build the state directly with
+        # zero log-likelihoods, so the weights stay at the priors (to rounding)
+        # instead of being Bayes-updated by the measurements
         state = AcquisitionState(
             rows=hist,
             measurements=np.zeros(hist.shape[0]),
             sigma2=sigma2,
             block_size=b,
             class_log_likelihoods=np.zeros(model.n_components),
-            class_priors=model.priors,
         )
         value = separability_measure(block, state, model)
         assert abs(value - oracle) <= 1e-8
@@ -646,7 +640,7 @@ class TestDesignClassificationBlock:
         post = posterior_matrices(state, model)
         for b in (1, 2):
             block = design_classification_block(state, model, b, seed=30)
-            init = _spectral_start(post, state.class_priors, b)
+            init = _spectral_start(post, post.weights, b)
             assert np.array_equal(block, init)
             assert separability_measure(block, state, model) == 0.0
 
@@ -690,7 +684,7 @@ def steepest_ascent_score(state, model, seed):
     200 accepted steps at most, each from twice the last accepted step and
     halved up to 40 times, stopping on a relative improvement below 1e-6."""
     post = posterior_matrices(state, model)
-    w = state.class_priors
+    w = post.weights
     row = random_orthonormal(1, model.dimension, seed=seed).rows
     proj = _project(row, post)
     score = _score(proj, w)
@@ -730,7 +724,7 @@ class TestSingleRowKernel:
         model = GmmModel(components=tuple(comps))
         hist = random_orthonormal(3, n, seed=97).rows
         state = state_with_rows(model, hist, sigma2=sigma2, measurements=[0.5, -0.2, 0.3])
-        w = state.class_priors
+        w = _class_weights(state, model)
         assert w[1] == 0.0 and np.all(np.delete(w, 1) > 0.0)
         post = posterior_matrices(state, model)
         _, vecs = np.linalg.eigh(low.covariance)
@@ -757,7 +751,7 @@ class TestSingleRowKernel:
         model = GmmModel(components=(a, a.with_prior(0.5)))
         state = AcquisitionState.initial(model, 0.1, 1)
         post = posterior_matrices(state, model)
-        w = state.class_priors
+        w = post.weights
         for s in range(5):
             row = random_orthonormal(1, n, seed=[100, s]).rows
             _, egrad, grad, slope = _row_gradients(_evaluate_row(row[0], post, w), w)
@@ -771,9 +765,9 @@ class TestSingleRowKernel:
         row = random_orthonormal(1, 5, seed=102).rows
         stack = post.stack.copy()
         stack[1] -= 2.0 * post.scales[1] * np.outer(row[0], row[0])  # class 2 indefinite
-        bad = PosteriorMatrices(stack=stack, scales=post.scales)
+        bad = post._replace(stack=stack)
         with pytest.raises(ProjectedCovarianceError) as err:
-            _newton_on_sphere(row, bad, state.class_priors, 200)
+            _newton_on_sphere(row, bad, bad.weights, 200)
         assert err.value.class_index == 2
 
 
@@ -787,7 +781,7 @@ class TestSingleRowNewton:
         hist = random_orthonormal(2, 8, seed=51).rows
         state = state_with_rows(model, hist, sigma2=0.2, measurements=[0.3, -1.1])
         post = posterior_matrices(state, model)
-        w = state.class_priors
+        w = post.weights
         row = random_orthonormal(1, 8, seed=52).rows[0]
         point = _evaluate_row(row, post, w)
         u, egrad, _, slope = _row_gradients(point, w)
@@ -813,7 +807,7 @@ class TestSingleRowNewton:
         model, q = floored_class_model()
         state = AcquisitionState.initial(model, 0.0, 1)
         post = posterior_matrices(state, model)
-        w = state.class_priors
+        w = post.weights
         pick = (3, 4) if floored else (0, 4)
         row = orthonormalize_rows((q[:, pick[0]] + 0.5 * q[:, pick[1]])[None, :])[0]
         point = _evaluate_row(row, post, w)
@@ -853,7 +847,7 @@ class TestSingleRowNewton:
         hist = random_orthonormal(2, 8, seed=55).rows
         state = state_with_rows(model, hist, sigma2=0.05, measurements=[0.4, -0.2])
         post = posterior_matrices(state, model)
-        w = state.class_priors
+        w = post.weights
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             row = design_classification_block(state, model, 1, seed=56)
         fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
@@ -885,7 +879,7 @@ class TestSingleRowNewton:
         best = vecs[:, np.argmax(f)] / np.linalg.norm(vecs[:, np.argmax(f)])
         state = AcquisitionState.initial(model, 0.0, 1)
         post = posterior_matrices(state, model)
-        w = state.class_priors
+        w = post.weights
         closed = design_classification_block(state, model, 1)[0]
         assert 1.0 - abs(closed @ best) <= 1e-9
         assert 1.0 - abs(_spectral_start(post, w, 1)[0] @ best) <= 1e-9
@@ -904,7 +898,7 @@ def doubling_ascent(state, model, b, seed):
     improvement below 1e-6. Returns the accepted steps and the final
     gradient norm tangent to the row space."""
     post = posterior_matrices(state, model)
-    w = state.class_priors
+    w = post.weights
     block = random_orthonormal(b, model.dimension, seed=seed).rows
     proj = _project(block, post)
     score = _score(proj, w)
@@ -968,7 +962,7 @@ class TestMultiRowDesign:
             model = random_model(10, 2, seed=seed)
             state = AcquisitionState.initial(model, sigma2, b)
             post = posterior_matrices(state, model)
-            start = _spectral_start(post, state.class_priors, b)
+            start = _spectral_start(post, post.weights, b)
             assert np.abs(start @ start.T - np.eye(b)).max() <= 1e-12
             assert principal_angles(start, two_class_optimum(model, sigma2, b)[0]).max() <= 1e-8
             assert np.array_equal(design_classification_block(state, model, b), start)
@@ -999,7 +993,7 @@ class TestMultiRowDesign:
                 block = design_classification_block(state, model, b)
             fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
             assert fields["start"] == "spectral" and fields["stop"] in ("grad", "tol")
-            start = _spectral_start(post, state.class_priors, b)
+            start = _spectral_start(post, post.weights, b)
             assert separability_measure(block, state, model) > separability_measure(
                 start, state, model
             )
@@ -1074,15 +1068,15 @@ class TestMultiRowDesign:
             assert np.array_equal(block, design_classification_block(state, model, b, seed=0))
             return
         post = posterior_matrices(state, model)
-        start = _spectral_start(post, state.class_priors, b)
+        start = _spectral_start(post, post.weights, b)
         if case in ("low_rank_class_1", "floored"):
             assert start is None and kind == "seeded"
             start = random_orthonormal(b, n, seed=78).rows
         else:
             assert kind == "spectral"
         proj = _project(start, post)
-        ascent = _ascend(start, proj, _score(proj, state.class_priors), post,
-                         state.class_priors, opts.max_iters)
+        ascent = _ascend(start, proj, _score(proj, post.weights), post,
+                         post.weights, opts.max_iters)
         assert np.array_equal(block, ascent[0]) and stop == ascent[-1]
         if case in ("identical", "zero_prior"):
             assert stop == "flat" and np.array_equal(block, start)
@@ -1154,7 +1148,8 @@ class TestDesignLogging:
             row = design_classification_block(
                 state, model, 1, seed=66, opts=AscentOptions(max_iters)
             )
-        start = _spectral_start(posterior_matrices(state, model), state.class_priors, 1)
+        post = posterior_matrices(state, model)
+        start = _spectral_start(post, post.weights, 1)
         assert np.array_equal(row, start)
         fields = self.logged(caplog)
         assert (fields["start"], fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
@@ -1183,7 +1178,7 @@ class TestDesignLogging:
         if start == "closed_form":
             assert principal_angles(block, two_class_optimum(model, 0.1, b)[0]).max() <= 1e-8
         if start in ("closed_form", "spectral"):
-            expected = _spectral_start(post, state.class_priors, b)
+            expected = _spectral_start(post, post.weights, b)
         else:
             expected = random_orthonormal(b, n, seed=83).rows
         assert np.array_equal(block, expected)
@@ -1195,7 +1190,7 @@ class TestDesignLogging:
         # mixture posterior is bitwise class 1's and every row scores 0
         model = diag_model([100.0, 1.0, 2.0, 3.0], [1.0, 1.0, 2.0, 3.0])
         state = state_with_rows(model, np.eye(4)[:1], sigma2=0.01, measurements=[1e3])
-        assert tuple(state.class_priors) == (1.0, 0.0)
+        assert tuple(_class_weights(state, model)) == (1.0, 0.0)
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             block = design_classification_block(state, model, b, seed=84)
         fields = self.logged(caplog)
@@ -1203,7 +1198,7 @@ class TestDesignLogging:
             "spectral", "0", "0", "flat"
         )
         post = posterior_matrices(state, model)
-        assert np.array_equal(block, _spectral_start(post, state.class_priors, b))
+        assert np.array_equal(block, _spectral_start(post, post.weights, b))
         assert separability_measure(block, state, model) == 0.0
 
     def test_closed_form_logs_no_steps(self, caplog):

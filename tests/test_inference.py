@@ -820,5 +820,5 @@ class TestShtRun:
         assert (quiet.decided_class, quiet.fallback_class) == (
             logged.decided_class, logged.fallback_class
         )
-        for name in ("rows", "measurements", "class_log_likelihoods", "class_priors"):
+        for name in ("rows", "measurements", "class_log_likelihoods"):
             assert np.array_equal(getattr(quiet.state, name), getattr(logged.state, name))

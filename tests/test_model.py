@@ -282,6 +282,13 @@ class TestSignalBatch:
         with pytest.raises(ValueError, match="signals must be finite, but signal 1 is not"):
             SignalBatch(signals=signals)
 
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (3,)], ids=["no-signal", "no-sample", "1-d"])
+    def test_empty_signals_rejected(self, shape):
+        # (3, 0) was accepted, and sigma2_for_snr_db on it warned and returned NaN
+        with pytest.raises(ValueError) as err:
+            SignalBatch(signals=np.zeros(shape))
+        assert str(err.value) == f"signals must be a nonempty (S, N) array, got {shape}"
+
     def test_non_finite_dc_offsets_rejected(self):
         with pytest.raises(ValueError, match="dc_offsets must be finite, but signal 2 is not"):
             SignalBatch(signals=np.zeros((3, 4)), dc_offsets=np.array([0.0, 1.0, np.nan]))
@@ -328,7 +335,6 @@ def record_arrays(make):
             sigma2=0.1,
             block_size=1,
             class_log_likelihoods=np.array([-2.0, -3.0]),
-            class_priors=np.array([0.25, 0.75]),
         ),
         "batch": dict(
             signals=np.arange(6.0).reshape(3, 2),
@@ -396,11 +402,10 @@ class TestReadonly:
             sigma2=0.1,
             block_size=1,
             class_log_likelihoods=frozen([0.0, 0.0]),
-            class_priors=frozen([0.5, 0.5]),
         )
         with pytest.raises(ValueError, match="measurements must be finite, but signal 0 is not"):
             AcquisitionState(**kw)
         kw["measurements"] = frozen([0.5, 1.0])
-        kw["class_priors"] = frozen([0.5, 0.6])
-        with pytest.raises(ValueError, match="class priors must sum to 1"):
+        kw["class_log_likelihoods"] = frozen([0.0, np.nan])
+        with pytest.raises(ValueError, match="class log-likelihoods must be finite, but signal 0"):
             AcquisitionState(**kw)

@@ -28,14 +28,17 @@ def test_pgm_header_comment_is_skipped(tmp_path):
         (b"P5\n3 2\n65535\n" + bytes(12), "only 8-bit"),
         (b"P2\n3 2\n255\n0 0 0 0 0 0\n", "not a binary PGM"),
         (b"P5\n3 2\n100\n" + bytes([0, 0, 200, 0, 0, 0]), "pixel value 200 above maxval 100"),
+        (b"P5\n3 x\n255\n" + bytes(6), "PGM header token b'x' is not a number"),
+        (b"P5\n3 2", "truncated PGM header"),
     ],
-    ids=["truncated", "16-bit", "ascii", "above-maxval"],
+    ids=["truncated", "16-bit", "ascii", "above-maxval", "non-numeric-token", "truncated-header"],
 )
 def test_pgm_rejects_malformed_files(tmp_path, raw, message):
     path = tmp_path / "bad.pgm"
     path.write_bytes(raw)
-    with pytest.raises(ValueError, match=message):
+    with pytest.raises(ValueError) as err:
         read_pgm(path)
+    assert str(err.value).startswith(f"{path}: ") and message in str(err.value)
 
 
 def test_pgm_below_8_bit_is_scaled_to_the_8_bit_peak(tmp_path):

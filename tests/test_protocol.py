@@ -358,7 +358,7 @@ class TestDesignMemo:
             assert np.array_equal(rows, fresh)
             kept = protocol._step1_rows("rip_ab", model, k, 0.01, seed)
             assert np.array_equal(kept, rip_ab(model, k).rows)
-        key = (k, 0.01, FAST, model.priors.tobytes())
+        key = (k, 0.01, FAST)
         assert set(model._design_memo) == {key, ("rip_ab", k)}
         memo = model._design_memo[key]
         assert protocol._step1_rows("ida", model, k, 0.01, 3, FAST) is memo
@@ -394,21 +394,19 @@ class TestDesignMemo:
         assert model._design_memo == {}
 
     def test_other_priors_design_afresh(self, caplog):
+        # a model with other priors has its own memo and its own design
         model = fresh_models()["spectral"]
         kept, _ = designed(caplog, AcquisitionState.initial(model, 0.01, 1), model, 1, opts=FAST)
-        other = AcquisitionState(
-            rows=np.empty((0, N)),
-            measurements=np.empty(0),
-            sigma2=0.01,
-            block_size=1,
-            class_log_likelihoods=np.zeros(3),
-            class_priors=np.array([0.2, 0.5, 0.3]),
-        )
-        rows, logged = designed(caplog, other, model, 1, opts=FAST)
+        other = GmmModel(components=tuple(
+            c.with_prior(p) for c, p in zip(model.components, (0.2, 0.5, 0.3))
+        ))
+        empty = AcquisitionState.initial(other, 0.01, 1)
+        rows, logged = designed(caplog, empty, other, 1, opts=FAST)
         assert logged == "spectral" and not np.array_equal(rows, kept)
-        again, logged = designed(caplog, other, model, 1, opts=FAST)
+        again, logged = designed(caplog, empty, other, 1, opts=FAST)
         assert again is rows and logged is None
-        assert len(model._design_memo) == 2
+        assert len(model._design_memo) == len(other._design_memo) == 1
+        assert model._design_memo[(1, 0.01, FAST)] is kept
 
     def test_the_memo_dies_with_the_model(self, batch):
         model = synth_model_pair(N, 3.0, 30.0, seed=1)[0]
@@ -587,7 +585,11 @@ def test_ascent_max_iters_must_be_a_nonnegative_integer(value):
 
 
 def write_json(path, obj):
-    path.write_text(json.dumps(obj))
+    """obj as JSON; bytes are written as they are, for a file that is not JSON."""
+    if isinstance(obj, bytes):
+        path.write_bytes(obj)
+    else:
+        path.write_text(json.dumps(obj))
     return str(path)
 
 
@@ -690,6 +692,13 @@ def test_cli_train_gmm_rejects_a_label_column_out_of_range(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "3 columns" in err
+    # a file of labels alone once trained a model from one signal
+    labels = tmp_path / "labels.csv"
+    labels.write_text("1\n2\n1\n")
+    assert cli.main(["train-gmm", "--csv", str(labels), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: signals must be a nonempty (S, N) array, got (3, 0)\n"
+    assert not any(tmp_path.glob("m*"))
 
 
 @pytest.mark.parametrize(
@@ -754,13 +763,16 @@ def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):
             "accuracy": 1.0, "mse": 1.0, "psnr": None, "mean_k": 4, "wall_time_s": 0.1}
     assert cli.main(["report", "--inputs", write_json(tmp_path / "good.json", good)]) == 0
     capsys.readouterr()
-    # a missing field, then fields of the wrong type
-    for report in ({"protocol": "rip_ab+eigen_mse", "seed": 0},
-                   {**good, "accuracy": "x"}, {**good, "mse": "1.0"}):
+    # a missing field, fields of the wrong type, then a file that is not JSON
+    malformed = "malformed report, bad or missing field "
+    for report, problem in (({"protocol": "rip_ab+eigen_mse", "seed": 0}, malformed),
+                            ({**good, "accuracy": "x"}, malformed),
+                            ({**good, "mse": "1.0"}, malformed),
+                            (b'{"protocol": }', "not JSON: Expecting value")):
         bad = write_json(tmp_path / "bad.json", report)
         assert cli.main(["report", "--inputs", bad]) == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {bad}: malformed report, bad or missing field ")
+        assert err.startswith(f"error: {bad}: {problem}") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(
@@ -769,8 +781,9 @@ def test_cli_report_rejects_a_report_missing_a_field(tmp_path, capsys):
         ({**BASE, "step1": "rip_ab", "M": "8"}, "M must be an integer, got '8'"),
         ({**BASE, "ascent": {"step0": 0.1}}, "unknown ascent key(s): step0"),
         (5, "protocol config must be a mapping, got 5"),
+        (b"{'M': 8}", "c.json: not JSON: Expecting property name"),
     ],
-    ids=["string-M", "removed-ascent-key", "not-a-mapping"],
+    ids=["string-M", "removed-ascent-key", "not-a-mapping", "not-json"],
 )
 def test_cli_rejects_a_malformed_config(config, message, data, tmp_path, capsys):
     path = write_json(tmp_path / "c.json", config)

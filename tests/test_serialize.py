@@ -155,15 +155,18 @@ def test_fifo_huge_header_reads_only_what_arrives(tmp_path, rows, cols, payload)
         (lambda m: {**m, "priors": [None, 0.5]}, "priors"),
         (lambda m: {**m, "dimension": 5}, "dimension must be the components' 3, got 5"),
         (lambda m: {**m, "dimension": "3"}, "dimension must be the components' 3, got '3'"),
+        (lambda m: json.dumps(m)[:-1], "manifest.json: not JSON: Expecting ',' delimiter"),
     ],
     ids=["list", "format", "no-count", "zero-count", "string-count", "few-priors",
-         "many-priors", "null-prior", "wrong-dimension", "string-dimension"],
+         "many-priors", "null-prior", "wrong-dimension", "string-dimension", "not-json"],
 )
 def test_load_rejects_malformed_manifest(tmp_path, edit, message):
+    # an edit returning a string is the manifest's text, anything else its value
     model_dir = tmp_path / "model"
     save_model(model_dir, random_model(3, 2, seed=3))
     manifest = model_dir / "manifest.json"
-    manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+    edited = edit(json.loads(manifest.read_text()))
+    manifest.write_text(edited if isinstance(edited, str) else json.dumps(edited))
     with pytest.raises(ValueError, match=message) as err:
         load_model(model_dir)
     assert str(model_dir) in str(err.value)
