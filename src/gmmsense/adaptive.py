@@ -425,11 +425,9 @@ _STEP0 = 0.1
 _MAX_BACKTRACKS = 40
 _TOL = 1e-6
 
-# Single-row blocks: Riemannian Newton polishes until the norm of the
-# gradient on the sphere is at most _GRAD_TOL.
-_GRAD_TOL = 1e-9
-# Predicted gain, relative to max(1, |score|), below which the score's
-# rounding (a few ulps of the summed log-determinants) hides a step's gain.
+# Single-row blocks: Riemannian Newton stops where the gain its step
+# predicts, relative to max(1, |score|), is at most _PLATEAU: there the
+# score's rounding (a few ulps of the summed log-determinants) hides it.
 _PLATEAU = 1e-12
 
 _LOG = logging.getLogger("gmmsense")
@@ -484,19 +482,18 @@ def design_classification_block(
     P_1 and P_2 are not bitwise equal, the start factored P_gamma directly
     (not on the range of Pavg) and no projected eigenvalue of it sits at
     its floor. Otherwise a single-row block (b = 1) is polished by
-    Riemannian Newton on the unit sphere until the norm of its gradient
-    there is at most _GRAD_TOL; a Newton step whose gain is below the
-    score's rounding is ranked by the gradient norm instead. Each Newton
-    iterate and trial row x is evaluated from the one product P_k x of the
-    posterior stack with x (_evaluate_row), not from the general block
-    projection. A block of b > 1 rows takes steepest ascent with
-    re-orthonormalization (row-space preserving), whose line searches after
-    the first start from Barzilai-Borwein lengths (Barzilai & Borwein 1988;
-    Wen & Yin 2013), alternating the long and the short one. Every accepted
-    step strictly raises the score, so the returned block scores at least
-    as high as its start. With empty history this is the non-adaptive
-    design; a full K-row non-adaptive layout is produced by a single call
-    with b = K.
+    Riemannian Newton on the unit sphere until the gain its next step
+    predicts is within the score's rounding (_PLATEAU), where the score can
+    no longer rank that step. Each Newton iterate and trial row x is
+    evaluated from the one product P_k x of the posterior stack with x
+    (_evaluate_row), not from the general block projection. A block of b >
+    1 rows takes steepest ascent with re-orthonormalization (row-space
+    preserving), whose line searches after the first start from
+    Barzilai-Borwein lengths (Barzilai & Borwein 1988; Wen & Yin 2013),
+    alternating the long and the short one. Every accepted step strictly
+    raises the score, so the returned block scores at least as high as its
+    start. With empty history this is the non-adaptive design; a full K-row
+    non-adaptive layout is produced by a single call with b = K.
 
     A design on an empty history that does not depend on the seed is kept,
     read-only, in the model's _design_memo under (b, sigma2, opts), after
@@ -505,12 +502,13 @@ def design_classification_block(
     never kept.
 
     With the "gmmsense" logger enabled at DEBUG, each design logs one record
-    with b, the start ("closed_form", "spectral" or "seeded"), the ascent
-    and Newton steps taken, the trial steps the line searches rejected
-    (backtracks), the Levenberg raises of Newton (shifts; 0 for b > 1), the
-    final score, the final gradient norm (tangent to the row space) and
-    the stop reason: "closed_form" (two-class optimum, no steps), "grad"
-    (gradient norm reached, b = 1), "tol" (relative improvement below
+    with b, the start ("closed_form", "spectral" or "seeded"), the steps
+    taken (Newton's for b = 1, the ascent's for b > 1), the trial steps the
+    line searches rejected (backtracks), the Levenberg raises of Newton
+    (shifts; 0 for b > 1), the final score, the final gradient norm
+    (tangent to the row space) and the stop reason: "closed_form"
+    (two-class optimum, no steps), "gain" (the Newton step's predicted gain
+    within the score's rounding, b = 1), "tol" (relative improvement below
     _TOL, b > 1), "no_ascent" (no trial step improved the score),
     "max_iters" or "flat" (gradient exactly zero, as for identical classes
     or a class already decided).
@@ -529,24 +527,27 @@ def design_classification_block(
             return kept
     posteriors = posterior_matrices(state, model)
     weights = posteriors.weights
-    ascent_steps = newton_steps = backtracks = shifts = 0
+    steps = backtracks = shifts = 0
     grad_norm = None
-    block, start = _spectral_start(posteriors, weights, b), "spectral"
+    (block, direct), start = _spectral_start(posteriors, weights, b), "spectral"
     if block is None:
         block, start = random_orthonormal(b, n, seed=seed).rows, "seeded"
-    elif empty and _two_class_pencil(posteriors, weights):
+    elif (
+        empty and direct and weights.shape == (2,) and weights.min() > 0.0
+        and not np.array_equal(posteriors.stack[0], posteriors.stack[1])
+    ):
         projection = _project(block, posteriors)
         if projection[3].all():
             start = reason = "closed_form"
     if start == "closed_form":
         score = _score(projection, weights)
     elif b == 1:
-        block, score, grad_norm, newton_steps, backtracks, shifts, reason = (
+        block, score, grad_norm, steps, backtracks, shifts, reason = (
             _newton_on_sphere(block, posteriors, weights, opts.max_iters)
         )
     else:
         projection = _project(block, posteriors)
-        block, projection, score, ascent_steps, backtracks, reason = _ascend(
+        block, projection, score, steps, backtracks, reason = _ascend(
             block, projection, _score(projection, weights), posteriors, weights,
             opts.max_iters,
         )
@@ -555,23 +556,13 @@ def design_classification_block(
             grad = _gradient(projection, weights)
             grad_norm = float(np.linalg.norm(grad - grad @ block.T @ block))
         _LOG.debug(
-            "design_classification_block b=%d start=%s ascent_steps=%d newton_steps=%d "
-            "backtracks=%d shifts=%d score=%.12g grad_norm=%.3g stop=%s",
-            b, start, ascent_steps, newton_steps, backtracks, shifts, score, grad_norm, reason,
+            "design_classification_block b=%d start=%s steps=%d backtracks=%d shifts=%d "
+            "score=%.12g grad_norm=%.3g stop=%s",
+            b, start, steps, backtracks, shifts, score, grad_norm, reason,
         )
     if empty and start != "seeded":
         block = model._design_memo[key] = _readonly(block)
     return block
-
-
-def _two_class_pencil(posteriors: PosteriorMatrices, weights: np.ndarray) -> bool:
-    """True for two classes with positive priors, P_1 and P_2 not bitwise
-    equal, and a P_gamma that _spectral_start factors directly."""
-    stack, gamma = posteriors.stack, int(np.argmax(weights))
-    return (
-        weights.shape == (2,) and weights.min() > 0.0 and not np.array_equal(stack[0], stack[1])
-        and _factor(stack[gamma], posteriors.scales[gamma]) is not None
-    )
 
 
 def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
@@ -583,8 +574,9 @@ def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
     normalized. A single row's measure is a weighted sum of log generalized
     Rayleigh quotients, so these are natural candidates. All candidates
     are scored as single rows in one pass, from their floored projections
-    and _score's formula; the best one (b = 1), or the best b
-    orthonormalized, are returned. With an empty history and two classes
+    and _score's formula. Returns (block, direct): the best one (b = 1), or
+    the best b orthonormalized, and whether P_gamma itself was factored
+    (not on the range below). With an empty history and two classes
     the candidates are the generalized eigenvectors of (P_1, P_2) and their
     scores are f(lambda), so the start is the closed-form optimum that
     design_classification_block returns unpolished.
@@ -592,9 +584,10 @@ def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
     Where P_gamma has no factor (no Cholesky, or a pivot at the eigenvalue
     floor; sigma2 = 0 with a history leaves the measured directions without
     variance), the pencil is built on the range of Pavg: its eigenvectors
-    above EIG_FLOOR_REL times its scale. Returns None, and the design falls
-    back to a seeded random block, where that range is the whole space or
-    holds fewer than b directions, or P_gamma has no factor on it either.
+    above EIG_FLOOR_REL times its scale. Returns (None, False), and the
+    design falls back to a seeded random block, where that range is the
+    whole space or holds fewer than b directions, or P_gamma has no factor
+    on it either.
     """
     stack, scales = posteriors.stack, posteriors.scales
     gamma = int(np.argmax(weights))
@@ -606,10 +599,10 @@ def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
         keep = vals > EIG_FLOOR_REL * scales[-1]
         basis = vecs[:, keep]
         if not b <= basis.shape[1] < p_avg.shape[0]:
-            return None
+            return None, False
         chol = _factor(basis.T @ p_gamma @ basis, scales[gamma])
         if chol is None:
-            return None
+            return None, False
         p_avg = np.diag(vals[keep])
     inv = np.linalg.inv(chol)
     _, vecs = np.linalg.eigh(symmetrize(inv @ p_avg @ inv.T))
@@ -621,7 +614,7 @@ def _spectral_start(posteriors: PosteriorMatrices, weights: np.ndarray, b: int):
     logs = np.log(np.maximum(proj, EIG_FLOOR_REL * scales[:, None]))
     scores = 0.5 * np.sum(weights[:, None] * (logs[-1] - logs[:-1]), axis=0)
     top = np.argsort(scores, kind="stable")[::-1][:b]
-    return _orthonormalize_block(cand[top])
+    return _orthonormalize_block(cand[top]), basis is None
 
 
 def _factor(p: np.ndarray, scale: float):
@@ -639,10 +632,10 @@ def _factor(p: np.ndarray, scale: float):
 def _ascend(block, projection, score, posteriors, weights, max_steps):
     """Backtracking steepest ascent with re-orthonormalization.
 
-    The first line search starts at _STEP0, each later one from a
-    Barzilai-Borwein length (_bb_step), or from twice the last accepted
-    step where that is undefined. Returns (block, projection, score,
-    accepted steps, rejected trial steps, stop reason).
+    The first line search (_line_search) starts at _STEP0, each later one
+    from a Barzilai-Borwein length (_bb_step), or from twice the last
+    accepted step where that is undefined. Returns (block, projection,
+    score, accepted steps, rejected trial steps, stop reason).
     """
     step = _STEP0
     backtracks = 0
@@ -650,18 +643,13 @@ def _ascend(block, projection, score, posteriors, weights, max_steps):
     for steps in range(max_steps):
         if float(np.abs(grad).max()) == 0.0:
             return block, projection, score, steps, backtracks, "flat"
-        accepted = None
-        trial_step = step
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _trial(block + trial_step * grad, posteriors, weights)
-            if trial[2] > score:
-                accepted = trial
-                break
-            backtracks += 1
-            trial_step *= 0.5
+        accepted, trial_step, rejected = _line_search(
+            lambda t: _trial(block + t * grad, posteriors, weights), score, step
+        )
+        backtracks += rejected
         if accepted is None:
             return block, projection, score, steps, backtracks, "no_ascent"
-        improvement = accepted[2] - score
+        improvement = accepted.score - score
         previous, previous_grad = block, grad
         block, projection, score = accepted
         if improvement < _TOL * max(abs(score), 1e-12):
@@ -691,15 +679,35 @@ def _bb_step(block: np.ndarray, s: np.ndarray, y: np.ndarray, step_index: int) -
     return float(np.sum(s * s)) / sy if step_index % 2 == 0 else sy / yy
 
 
+def _line_search(trial_at, score: float, t: float):
+    """The first of trial_at(t), trial_at(t / 2), ..., at most
+    _MAX_BACKTRACKS trials, to score strictly above score (trial_at returns
+    None where its step fails): (that trial or None, its step, rejected
+    trials)."""
+    for rejected in range(_MAX_BACKTRACKS):
+        trial = trial_at(t)
+        if trial is not None and trial.score > score:
+            return trial, t, rejected
+        t *= 0.5
+    return None, t, _MAX_BACKTRACKS
+
+
+class _Trial(NamedTuple):
+    """A re-orthonormalized block with its _project result and score."""
+
+    block: np.ndarray
+    projection: tuple
+    score: float
+
+
 def _trial(candidate: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray):
-    """(block, projection, score) of the re-orthonormalized candidate; score
-    -inf, block and projection None where either step fails."""
+    """_Trial of the re-orthonormalized candidate; None where a step fails."""
     try:
         block = _orthonormalize_block(candidate)
         projection = _project(block, posteriors)
-        return block, projection, _score(projection, weights)
+        return _Trial(block, projection, _score(projection, weights))
     except (ValueError, np.linalg.LinAlgError):
-        return None, None, -np.inf
+        return None
 
 
 def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:
@@ -806,13 +814,14 @@ def _newton_on_sphere(v, posteriors, weights, max_steps):
     positive definite (checked by Cholesky), the step solving (A + mu I)
     xi = grad stays tangent and ascends. mu starts at 0, is divided by 10
     after each accepted step and raised to max(10 mu, 1e-3 max|A|) while
-    the Cholesky fails. The step is retracted onto the sphere and halved
-    until the score strictly increases. Once the gain the step predicts,
-    grad^T xi, is below the rounding of the score, the score cannot rank
-    the full step, and it is taken if it shrinks the gradient norm instead.
-    Raises ProjectedCovarianceError where the start has a negative
-    projection. Returns (v, score, final tangent gradient norm, accepted
-    steps, rejected trial steps, Levenberg raises, stop reason).
+    the Cholesky fails. Newton stops ("gain") where the gain the step
+    predicts, grad^T xi, is within the rounding of the score, which can
+    then no longer rank the step (Boyd & Vandenberghe 2004, 9.5.1, stop on
+    the Newton decrement). Otherwise the step is retracted onto the sphere
+    and halved (_line_search) until the score strictly increases. Raises
+    ProjectedCovarianceError where the start has a negative projection.
+    Returns (v, score, final tangent gradient norm, accepted steps,
+    rejected trial steps, Levenberg raises, stop reason).
     """
     stack = posteriors.stack
     signs = np.append(-weights, 1.0)
@@ -824,14 +833,9 @@ def _newton_on_sphere(v, posteriors, weights, max_steps):
         u, egrad, grad, slope = _row_gradients(row, weights)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
-            reason = "flat"
-            break
-        if norm <= _GRAD_TOL:
-            reason = "grad"
-            break
+            return row.x[None], row.score, norm, steps, backtracks, shifts, "flat"
         if steps == max_steps:
-            reason = "max_iters"
-            break
+            return row.x[None], row.score, norm, steps, backtracks, shifts, "max_iters"
         a = _row_newton_matrix(row, u, egrad, slope, stack, signs)
         for _ in range(_MAX_BACKTRACKS):
             shifted = a + mu * eye if mu else a
@@ -842,35 +846,19 @@ def _newton_on_sphere(v, posteriors, weights, max_steps):
                 mu = max(10.0 * mu, 1e-3 * float(np.abs(a).max()))
                 shifts += 1
         else:
-            reason = "no_ascent"
-            break
+            return row.x[None], row.score, norm, steps, backtracks, shifts, "no_ascent"
         xi = np.linalg.solve(shifted, grad)
-        plateau = float(grad @ xi) <= _PLATEAU * max(1.0, abs(row.score))
-        accepted = None
-        t = 1.0
-        for _ in range(_MAX_BACKTRACKS):
-            trial = _row_trial(row.x + t * xi, posteriors, weights)
-            if trial is not None and trial.score > row.score:
-                accepted = trial
-                break
-            if (
-                plateau
-                and trial is not None
-                and np.linalg.norm(_row_gradients(trial, weights)[2]) < norm
-            ):
-                accepted = trial
-                break
-            backtracks += 1
-            if plateau:
-                break
-            t *= 0.5
+        if float(grad @ xi) <= _PLATEAU * max(1.0, abs(row.score)):
+            return row.x[None], row.score, norm, steps, backtracks, shifts, "gain"
+        accepted, _, rejected = _line_search(
+            lambda t: _row_trial(row.x + t * xi, posteriors, weights), row.score, 1.0
+        )
+        backtracks += rejected
         if accepted is None:
-            reason = "no_ascent"
-            break
+            return row.x[None], row.score, norm, steps, backtracks, shifts, "no_ascent"
         row = accepted
         mu /= 10.0
         steps += 1
-    return row.x[None], row.score, norm, steps, backtracks, shifts, reason
 
 
 def design_reconstruction_block(

@@ -14,6 +14,7 @@ does not read) exits nonzero.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import sys
@@ -55,6 +56,15 @@ def _mode_flags(args, mode: str, unread, **defaults) -> None:
     for dest, value in defaults.items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
+
+
+@contextlib.contextmanager
+def _about(path):
+    """Prefix a ValueError raised in the block with path, the file it is about."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _cmd_gen_synthetic(args) -> int:
@@ -107,26 +117,27 @@ def _ingest_images(image_paths, patch: int, overlap: bool) -> SignalBatch:
 
 
 def _ingest_csv(path, label_col: int) -> SignalBatch:
-    data = np.loadtxt(path, delimiter=",", ndmin=2)
-    n_cols = data.shape[1]
-    if not -n_cols <= label_col < n_cols:
-        raise ValueError(
-            f"--label-col {label_col} is out of range: {path} has {n_cols} columns"
+    with _about(path):
+        data = np.loadtxt(path, delimiter=",", ndmin=2)
+        n_cols = data.shape[1]
+        if not -n_cols <= label_col < n_cols:
+            raise ValueError(
+                f"--label-col {label_col} is out of range: the file has {n_cols} columns"
+            )
+        raw_labels = data[:, label_col]
+        signals = np.delete(data, label_col, axis=1)
+        values = np.unique(raw_labels)
+        remapped = np.searchsorted(values, raw_labels) + 1
+        return SignalBatch(
+            signals=signals,
+            labels=remapped,
+            provenance={
+                "kind": "csv",
+                "path": str(path),
+                "label_col": label_col,
+                "label_values": values.tolist(),
+            },
         )
-    raw_labels = data[:, label_col]
-    signals = np.delete(data, label_col, axis=1)
-    values = np.unique(raw_labels)
-    remapped = np.searchsorted(values, raw_labels) + 1
-    return SignalBatch(
-        signals=signals,
-        labels=remapped,
-        provenance={
-            "kind": "csv",
-            "path": str(path),
-            "label_col": label_col,
-            "label_values": values.tolist(),
-        },
-    )
 
 
 def _cmd_train_gmm(args) -> int:
@@ -202,12 +213,12 @@ def _cmd_run_protocol(args) -> int:
     model = load_model(args.model)
     if args.signals:
         signals = read_matrix(args.signals)
-        labels = None
+        with _about(args.signals):
+            batch = SignalBatch(signals=signals, provenance={"kind": "signals"})
         if args.labels:
-            labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
-        batch = SignalBatch(
-            signals=signals, labels=labels, provenance={"kind": "signals"}
-        )
+            with _about(args.labels):
+                labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
+                batch = dataclasses.replace(batch, labels=labels)
     else:
         batch = _ingest_images(args.images, args.patch, overlap=False)
     if args.snr_db is not None:

@@ -9,7 +9,6 @@ from helpers import lowrank_component, principal_angles, random_model, random_sp
 from gmmsense import adaptive
 from gmmsense._linalg import EIG_FLOOR_REL, orthonormalize_rows, sym_floored_eigh, symmetrize
 from gmmsense.adaptive import (
-    _GRAD_TOL,
     AcquisitionState,
     AscentOptions,
     ProjectedCovarianceError,
@@ -640,7 +639,7 @@ class TestDesignClassificationBlock:
         post = posterior_matrices(state, model)
         for b in (1, 2):
             block = design_classification_block(state, model, b, seed=30)
-            init = _spectral_start(post, post.weights, b)
+            init = _spectral_start(post, post.weights, b)[0]
             assert np.array_equal(block, init)
             assert separability_measure(block, state, model) == 0.0
 
@@ -830,15 +829,21 @@ class TestSingleRowNewton:
             fd -= (fd @ row) * row
             assert np.abs(-a @ d - fd).max() <= 1e-6 * np.abs(fd).max()
 
-    def test_ten_classes_reach_a_stationary_row_at_least_as_good_as_the_ascent(self):
+    def test_ten_classes_reach_a_stationary_row_at_least_as_good_as_the_ascent(self, caplog):
+        # the design stops where its next Newton step predicts no gain the
+        # score can see, so polishing the row again takes no step
         model = random_model(8, 10, seed=54)
         hist = random_orthonormal(2, 8, seed=55).rows
         state = state_with_rows(model, hist, sigma2=0.05, measurements=[0.4, -0.2])
+        post = posterior_matrices(state, model)
         for s in range(5):
-            row = design_classification_block(state, model, 1, seed=[56, s])
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="gmmsense"):
+                row = design_classification_block(state, model, 1, seed=[56, s])
+            assert "stop=gain" in caplog.records[0].getMessage()
             assert abs(np.linalg.norm(row) - 1.0) <= 1e-15
-            grad = gradient_at(row, state, model)
-            assert np.linalg.norm(grad - (grad @ row.T) @ row) <= _GRAD_TOL
+            again, _, _, steps, *_, reason = _newton_on_sphere(row, post, post.weights, 200)
+            assert np.array_equal(again, row) and (steps, reason) == (0, "gain")
             score = separability_measure(row, state, model)
             assert score >= steepest_ascent_score(state, model, [56, s])
 
@@ -851,12 +856,13 @@ class TestSingleRowNewton:
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             row = design_classification_block(state, model, 1, seed=56)
         fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
-        assert (fields["start"], fields["ascent_steps"], fields["stop"]) == ("spectral", "0", "grad")
-        start = _spectral_start(post, w, 1)
+        assert (fields["start"], fields["stop"]) == ("spectral", "gain")
+        assert int(fields["steps"]) > 0
+        start = _spectral_start(post, w, 1)[0]
         polished = _newton_on_sphere(start, post, w, 200)
-        assert np.array_equal(row, polished[0]) and polished[-1] == "grad"
-        grad = gradient_at(row, state, model)
-        assert np.linalg.norm(grad - (grad @ row.T) @ row) <= _GRAD_TOL
+        assert np.array_equal(row, polished[0]) and polished[-1] == "gain"
+        again = _newton_on_sphere(row, post, w, 200)
+        assert np.array_equal(again[0], row) and (again[3], again[-1]) == (0, "gain")
 
     def test_two_classes_reach_the_closed_form(self):
         # P_1 = P_2 + Q with Q positive definite puts every generalized
@@ -882,11 +888,13 @@ class TestSingleRowNewton:
         w = post.weights
         closed = design_classification_block(state, model, 1)[0]
         assert 1.0 - abs(closed @ best) <= 1e-9
-        assert 1.0 - abs(_spectral_start(post, w, 1)[0] @ best) <= 1e-9
+        assert 1.0 - abs(_spectral_start(post, w, 1)[0][0] @ best) <= 1e-9
         for s in range(5):
             row = random_orthonormal(1, n, seed=[59, s]).rows
             row, *_, reason = _newton_on_sphere(row, post, w, 200)
-            assert reason == "grad"
+            assert reason == "gain"
+            again = _newton_on_sphere(row, post, w, 200)
+            assert np.array_equal(again[0], row) and (again[3], again[-1]) == (0, "gain")
             assert 1.0 - abs(row[0] @ best) <= 1e-9
             assert abs(separability_measure(row, state, model) - f.max()) <= 1e-9
 
@@ -962,7 +970,7 @@ class TestMultiRowDesign:
             model = random_model(10, 2, seed=seed)
             state = AcquisitionState.initial(model, sigma2, b)
             post = posterior_matrices(state, model)
-            start = _spectral_start(post, post.weights, b)
+            start = _spectral_start(post, post.weights, b)[0]
             assert np.abs(start @ start.T - np.eye(b)).max() <= 1e-12
             assert principal_angles(start, two_class_optimum(model, sigma2, b)[0]).max() <= 1e-8
             assert np.array_equal(design_classification_block(state, model, b), start)
@@ -992,8 +1000,8 @@ class TestMultiRowDesign:
             with caplog.at_level(logging.DEBUG, logger="gmmsense"):
                 block = design_classification_block(state, model, b)
             fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
-            assert fields["start"] == "spectral" and fields["stop"] in ("grad", "tol")
-            start = _spectral_start(post, post.weights, b)
+            assert fields["start"] == "spectral" and fields["stop"] == ("gain" if b == 1 else "tol")
+            start = _spectral_start(post, post.weights, b)[0]
             assert separability_measure(block, state, model) > separability_measure(
                 start, state, model
             )
@@ -1012,7 +1020,7 @@ class TestMultiRowDesign:
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             block = design_classification_block(state, model, b)
         fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
-        assert fields["start"] == "spectral" and fields["stop"] in ("grad", "tol")
+        assert fields["start"] == "spectral" and fields["stop"] == ("gain" if b == 1 else "tol")
         assert np.abs(block @ first.T).max() <= 1e-8
         score = separability_measure(block, state, model)
         assert score >= {1: 0.00179867523824, 4: 2.58265482456}[b]
@@ -1068,12 +1076,13 @@ class TestMultiRowDesign:
             assert np.array_equal(block, design_classification_block(state, model, b, seed=0))
             return
         post = posterior_matrices(state, model)
-        start = _spectral_start(post, post.weights, b)
+        start, direct = _spectral_start(post, post.weights, b)
         if case in ("low_rank_class_1", "floored"):
             assert start is None and kind == "seeded"
             start = random_orthonormal(b, n, seed=78).rows
         else:
-            assert kind == "spectral"
+            # only the shared null space keeps P_gamma from a direct factor
+            assert kind == "spectral" and direct == (case != "shared_null")
         proj = _project(start, post)
         ascent = _ascend(start, proj, _score(proj, post.weights), post,
                          post.weights, opts.max_iters)
@@ -1092,7 +1101,7 @@ class TestMultiRowDesign:
             with caplog.at_level(logging.DEBUG, logger="gmmsense"):
                 block = design_classification_block(state, model, b, seed=[74, s])
             fields = dict(kv.split("=") for kv in caplog.records[0].getMessage().split()[1:])
-            steps.append(int(fields["ascent_steps"]))
+            steps.append(int(fields["steps"]))
             grad = gradient_at(block, state, model)
             norms.append(np.linalg.norm(grad - grad @ block.T @ block))
             old = doubling_ascent(state, model, b, [74, s])
@@ -1125,11 +1134,8 @@ class TestDesignLogging:
             separability_measure(logged, state, model), rel=1e-11
         )
         assert fields["start"] == "spectral"
-        if b == 1:
-            assert int(fields["ascent_steps"]) == 0 and int(fields["newton_steps"]) > 0
-            assert fields["stop"] == "grad" and float(fields["grad_norm"]) <= _GRAD_TOL
-        else:
-            assert int(fields["newton_steps"]) == 0 and fields["stop"] == "tol"
+        assert int(fields["steps"]) > 0
+        assert fields["stop"] == ("gain" if b == 1 else "tol")
 
     @pytest.mark.parametrize(
         "identical, max_iters, stop",
@@ -1149,12 +1155,10 @@ class TestDesignLogging:
                 state, model, 1, seed=66, opts=AscentOptions(max_iters)
             )
         post = posterior_matrices(state, model)
-        start = _spectral_start(post, post.weights, 1)
+        start = _spectral_start(post, post.weights, 1)[0]
         assert np.array_equal(row, start)
         fields = self.logged(caplog)
-        assert (fields["start"], fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
-            "spectral", "0", "0", stop
-        )
+        assert (fields["start"], fields["steps"], fields["stop"]) == ("spectral", "0", stop)
 
     @pytest.mark.parametrize("start", ["closed_form", "spectral", "seeded"])
     def test_each_start_is_logged_and_returned_at_max_iters_0(self, start, caplog):
@@ -1173,12 +1177,12 @@ class TestDesignLogging:
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             block = design_classification_block(state, model, b, seed=83, opts=AscentOptions(0))
         fields = self.logged(caplog)
-        assert (fields["start"], fields["ascent_steps"], fields["newton_steps"]) == (start, "0", "0")
+        assert (fields["start"], fields["steps"]) == (start, "0")
         post = posterior_matrices(state, model)
         if start == "closed_form":
             assert principal_angles(block, two_class_optimum(model, 0.1, b)[0]).max() <= 1e-8
         if start in ("closed_form", "spectral"):
-            expected = _spectral_start(post, post.weights, b)
+            expected = _spectral_start(post, post.weights, b)[0]
         else:
             expected = random_orthonormal(b, n, seed=83).rows
         assert np.array_equal(block, expected)
@@ -1194,11 +1198,9 @@ class TestDesignLogging:
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             block = design_classification_block(state, model, b, seed=84)
         fields = self.logged(caplog)
-        assert (fields["start"], fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
-            "spectral", "0", "0", "flat"
-        )
+        assert (fields["start"], fields["steps"], fields["stop"]) == ("spectral", "0", "flat")
         post = posterior_matrices(state, model)
-        assert np.array_equal(block, _spectral_start(post, post.weights, b))
+        assert np.array_equal(block, _spectral_start(post, post.weights, b)[0])
         assert separability_measure(block, state, model) == 0.0
 
     def test_closed_form_logs_no_steps(self, caplog):
@@ -1207,9 +1209,7 @@ class TestDesignLogging:
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             block = design_classification_block(state, model, 3, seed=80)
         fields = self.logged(caplog)
-        assert (fields["ascent_steps"], fields["newton_steps"], fields["stop"]) == (
-            "0", "0", "closed_form"
-        )
+        assert (fields["steps"], fields["stop"]) == ("0", "closed_form")
         assert float(fields["score"]) == pytest.approx(
             separability_measure(block, state, model), rel=1e-11
         )
@@ -1257,7 +1257,7 @@ class TestDesignLogging:
             design_classification_block(state, model, b, seed=0)
         fields = self.logged(caplog)
         assert fields["start"] == "seeded"
-        steps = int(fields["newton_steps" if b == 1 else "ascent_steps"])
+        steps = int(fields["steps"])
         backtracks, shifts = int(fields["backtracks"]), int(fields["shifts"])
         assert backtracks > 0 and calls["trials"] == steps + backtracks
         assert calls["failed"] == shifts and (shifts > 0) == (b == 1)

@@ -691,13 +691,18 @@ def test_cli_train_gmm_rejects_a_label_column_out_of_range(tmp_path, capsys):
     ])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "3 columns" in err
-    # a file of labels alone once trained a model from one signal
+    assert err.startswith(f"error: {csv}: ") and "3 columns" in err
+    # a file of labels alone once trained a model from one signal; it and a
+    # cell that is no number are errors that name the file
     labels = tmp_path / "labels.csv"
     labels.write_text("1\n2\n1\n")
     assert cli.main(["train-gmm", "--csv", str(labels), "--out", str(tmp_path / "m")]) == 1
     err = capsys.readouterr().err
-    assert err == "error: signals must be a nonempty (S, N) array, got (3, 0)\n"
+    assert err == f"error: {labels}: signals must be a nonempty (S, N) array, got (3, 0)\n"
+    csv.write_text("1,0.5,x\n")
+    assert cli.main(["train-gmm", "--csv", str(csv), "--out", str(tmp_path / "m")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {csv}: could not convert string 'x' to float64 at row 0, column 3.\n"
     assert not any(tmp_path.glob("m*"))
 
 
@@ -802,6 +807,16 @@ def test_cli_rejects_labels_above_the_class_count(data, tmp_path, capsys):
     assert run_protocol(data, config, tmp_path / "r.json", "--labels", str(labels)) == 1
     assert capsys.readouterr().err == "error: labels go up to 7, but the model has 2 classes\n"
     assert not (tmp_path / "r.json").exists()
+    # a label that is no integer, or fewer labels than signals: the error
+    # names the labels file
+    for text, message in [
+        ("1\nx\n", "could not convert string 'x' to int64 at row 1, column 1."),
+        ("1\n2\n", "labels length must match the signal count"),
+    ]:
+        labels.write_text(text)
+        assert run_protocol(data, config, tmp_path / "r.json", "--labels", str(labels)) == 1
+        assert capsys.readouterr().err == f"error: {labels}: {message}\n"
+        assert not (tmp_path / "r.json").exists()
 
 
 def test_cli_rejects_signals_holding_a_nan(data, tmp_path, capsys):
@@ -817,7 +832,7 @@ def test_cli_rejects_signals_holding_a_nan(data, tmp_path, capsys):
         "run-protocol", "--config", config, "--model", str(data / "model"),
         "--signals", str(path), "--out", str(out),
     ]) == 1
-    assert capsys.readouterr().err == "error: signals must be finite, but signal 3 is not\n"
+    assert capsys.readouterr().err == f"error: {path}: signals must be finite, but signal 3 is not\n"
     assert not out.exists()
 
 
