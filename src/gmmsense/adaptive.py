@@ -794,14 +794,11 @@ def _row_newton_matrix(row: _Row, u, egrad, slope: float, stack, signs) -> np.nd
 
 
 def _row_trial(candidate: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray):
-    """_evaluate_row at the normalized candidate; None where its norm is 0
-    or a projection is negative."""
-    norm = float(np.linalg.norm(candidate))
-    if norm == 0.0:
-        return None
+    """_evaluate_row at the candidate normalized by _orthonormalize_block;
+    None where its norm is 0 or a projection is negative."""
     try:
-        return _evaluate_row(candidate / norm, posteriors, weights)
-    except ProjectedCovarianceError:
+        return _evaluate_row(_orthonormalize_block(candidate[None])[0], posteriors, weights)
+    except (SingularMatrixError, ProjectedCovarianceError):
         return None
 
 

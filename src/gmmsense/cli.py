@@ -28,6 +28,7 @@ from .patches import patch_extract, read_pgm
 from .protocol import (
     ExperimentReport,
     ProtocolConfig,
+    _check_labels,
     _step1_rows,
     run_two_step,
     sigma2_for_snr_db,
@@ -219,6 +220,7 @@ def _cmd_run_protocol(args) -> int:
             with _about(args.labels):
                 labels = np.loadtxt(args.labels, dtype=int, ndmin=1)
                 batch = dataclasses.replace(batch, labels=labels)
+                _check_labels(batch, model)
     else:
         batch = _ingest_images(args.images, args.patch, overlap=False)
     if args.snr_db is not None:

@@ -299,21 +299,22 @@ def map_em(
 class ShtOutcome:
     """Result of a sequential acquisition for class detection.
 
-    decided_class is None when the posterior-ratio threshold never fired
-    inside the budget; fallback_class then holds the measurement-space
-    classification of everything acquired. final_class merges the two.
-    state is the final acquisition history: its n_measurements is the
-    number of measurements used, and its class_log_likelihoods with the
-    model priors give the final class posterior.
+    final_class is the 1-based detected class: the leading class when the
+    posterior-ratio threshold fired inside the budget (decided), else the
+    measurement-space classification of everything acquired. state is the
+    final acquisition history: its n_measurements is the number of
+    measurements used, and its class_log_likelihoods with the model priors
+    give the final class posterior.
     """
 
-    decided_class: int | None
+    final_class: int
+    decided: bool
     state: AcquisitionState
-    fallback_class: int | None = None
 
     @property
-    def final_class(self) -> int:
-        return self.decided_class if self.decided_class is not None else self.fallback_class
+    def decided_class(self) -> int | None:
+        """final_class if the test decided, else None (read by perfbench's tracer)."""
+        return self.final_class if self.decided else None
 
 
 def _leading_class(scores: np.ndarray, log_eta: float) -> tuple[int | None, float]:
@@ -343,10 +344,9 @@ def sht_run(
     is monotone, so this is bitwise the test over all pairs.
     Block k, of b rows, is designed against the history so far by
     design_classification_block with the seed (*seed, k); block 1, on the
-    empty history, is the non-adaptive ida design. It is never tested on
-    its own, so the earliest decision uses two blocks. If the budget is
-    exhausted undecided, the outcome falls back to measurement-space
-    classification.
+    empty history, is the non-adaptive ida design. The test runs after
+    every block, the first included; if the budget is exhausted undecided,
+    the outcome falls back to measurement-space classification.
 
     signal_oracle maps a block of rows to its (noisy) measurements. With
     the "gmmsense" logger enabled at DEBUG, each call logs one record: b,
@@ -363,25 +363,22 @@ def sht_run(
     # Python ints, not int64: protocol seeds may reach 2**63 and above.
     seed_key = tuple(int(s) for s in np.atleast_1d(np.array(seed, dtype=object)))
     state = AcquisitionState.initial(model, sigma2, block_size=b)
-    decided = None
-    k = 0
-    while state.n_measurements + b <= m_budget and decided is None:
-        k += 1
+    leader = None
+    while state.n_measurements + b <= m_budget and leader is None:
+        k = state.n_measurements // b + 1
         block = design_classification_block(state, model, b, seed=seed_key + (k,), opts=opts)
         y = np.asarray(signal_oracle(block), dtype=float).ravel()
         state = state.append_block(block, y, model)
         leader, margin = _leading_class(state.class_log_likelihoods + log_priors, log_eta)
-        if k >= 2 and leader is not None:
-            decided = leader + 1
     outcome = ShtOutcome(
-        decided_class=decided,
+        final_class=map_classify(state, model) if leader is None else leader + 1,
+        decided=leader is not None,
         state=state,
-        fallback_class=map_classify(state, model) if decided is None else None,
     )
     if _LOG.isEnabledFor(logging.DEBUG):
         _LOG.debug(
             "sht_run b=%d blocks=%d measurements=%d stop=%s class=%d margin=%.6g",
-            b, k, state.n_measurements, "budget" if decided is None else "decided",
+            b, k, state.n_measurements, "decided" if outcome.decided else "budget",
             outcome.final_class, margin,
         )
     return outcome

@@ -423,6 +423,13 @@ def _finalize(
     )
 
 
+def _check_labels(batch: SignalBatch, model: GmmModel) -> None:
+    """Reject labels above the model's class count with ValueError."""
+    top = 0 if batch.labels is None else batch.labels.max()
+    if top > model.n_components:
+        raise ValueError(f"labels go up to {top}, but the model has {model.n_components} classes")
+
+
 def run_two_step(
     config: ProtocolConfig, batch: SignalBatch, model: GmmModel
 ) -> ExperimentReport:
@@ -450,11 +457,7 @@ def run_two_step(
         )
     if batch.dimension != model.dimension:
         raise ValueError("batch dimension does not match the model")
-    if batch.labels is not None and batch.labels.max() > model.n_components:
-        raise ValueError(
-            f"labels go up to {batch.labels.max()}, but the model has "
-            f"{model.n_components} classes"
-        )
+    _check_labels(batch, model)
     t0 = time.perf_counter()
     noise = _noise(config, batch.n_signals, batch.dimension)
     run = _run_sequential if config.step1 == "aida_sht" else _run_shared

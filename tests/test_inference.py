@@ -726,10 +726,24 @@ class TestShtRun:
         kept = design_classification_block(AcquisitionState.initial(model, 0.1, 2), model, 2)
         assert sensed[0] is kept and not kept.flags.writeable
 
+    def test_a_budget_of_one_block_can_decide(self):
+        # Wald's test checks after every observation: with b = 4 and a
+        # budget of 4 the first block alone decides at 20 dB.
+        model, _ = synth_model_pair(16, 10.0, 20.0, seed=0)
+        sigma2 = 0.01 * sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
+        batch = sample_signals(model, 5, seed=1)
+        for x, label in zip(batch.signals, batch.labels):
+            outcome = sht_run(lambda rows: rows @ x, model, 4, 4, 0.01, sigma2=sigma2)
+            assert outcome.decided and outcome.state.n_measurements == 4
+            assert outcome.final_class == outcome.decided_class == label
+
+    @pytest.mark.parametrize("b", [1, 4])
     @pytest.mark.parametrize("p_e", [0.05, 0.2])
-    def test_decided_error_rate_stays_within_the_target(self, p_e):
+    def test_decided_error_rate_stays_within_the_target(self, p_e, b):
         # Wald's threshold eta = (1 - P_e) / P_e bounds the error among
         # decided signals by P_e; allow a one-sided 3-sigma binomial margin.
+        # The test runs from the first block on, which at b = 4 decides
+        # after 4 of the 8 measurements.
         model, _ = synth_model_pair(16, 10.0, 20.0, seed=0)
         # 0 dB: sigma2 is the mean per-sample energy of the two equal classes.
         sigma2 = sum(float(np.sum(c.eigenvalues)) for c in model.components) / (2 * 16)
@@ -741,15 +755,15 @@ class TestShtRun:
             outcome = sht_run(
                 lambda rows: rows @ x + next(draws),
                 model,
-                1,
+                b,
                 8,
                 p_e,
                 sigma2=sigma2,
                 seed=i,
             )
-            if outcome.decided_class is not None:
+            if outcome.decided:
                 decided += 1
-                wrong += outcome.decided_class != label
+                wrong += outcome.final_class != label
         assert decided >= 90
         assert wrong / decided <= p_e + 3.0 * np.sqrt(p_e * (1.0 - p_e) / decided)
 
@@ -816,9 +830,8 @@ class TestShtRun:
             "class": str(logged.final_class),
             "margin": f"{inference._leading_class(scores, np.log(99.0))[1]:.6g}",
         }
-        assert (logged.decided_class is None) == (stop == "budget")
-        assert (quiet.decided_class, quiet.fallback_class) == (
-            logged.decided_class, logged.fallback_class
-        )
+        assert logged.decided == (stop == "decided")
+        assert logged.decided_class == (logged.final_class if logged.decided else None)
+        assert (quiet.final_class, quiet.decided) == (logged.final_class, logged.decided)
         for name in ("rows", "measurements", "class_log_likelihoods"):
             assert np.array_equal(getattr(quiet.state, name), getattr(logged.state, name))

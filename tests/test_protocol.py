@@ -252,7 +252,7 @@ def test_zero_prior_class_contract(pair, b, sigma2, model, monkeypatch):
     assert np.all((report.classes >= 1) & (report.classes <= dead.n_components))
     assert np.all(np.isfinite(report.squared_errors))
     if pair[0] == "aida_sht":
-        decided = [o.decided_class for o in outcomes if o.decided_class is not None]
+        decided = [o.final_class for o in outcomes if o.decided]
         assert decided  # the sequential test does decide on this model
         assert 1 not in decided
 
@@ -805,7 +805,9 @@ def test_cli_rejects_labels_above_the_class_count(data, tmp_path, capsys):
         tmp_path / "c.json", {"step1": "rip_ab", "step2": "eigen_mse", "M": M, "K": K}
     )
     assert run_protocol(data, config, tmp_path / "r.json", "--labels", str(labels)) == 1
-    assert capsys.readouterr().err == "error: labels go up to 7, but the model has 2 classes\n"
+    assert capsys.readouterr().err == (
+        f"error: {labels}: labels go up to 7, but the model has 2 classes\n"
+    )
     assert not (tmp_path / "r.json").exists()
     # a label that is no integer, or fewer labels than signals: the error
     # names the labels file
