@@ -75,7 +75,17 @@ def wiener_coefficients(
     non-finite measurement (naming the first bad signal) and for a sigma2
     that is not finite or is negative.
     """
-    rows = as_rows(sensing)
+    return _wiener_coefficients(y, as_rows(sensing), component, sigma2)
+
+
+def _wiener_coefficients(
+    y, rows: np.ndarray, component: GaussianComponent, sigma2: float, solver=None
+) -> np.ndarray:
+    """wiener_coefficients on rows, its checks run on every call.
+
+    solver is _wiener_solver's (U, C) for these rows, component and sigma2,
+    where the caller keeps one; None makes it here.
+    """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != rows.shape[0]:
         raise ValueError("measurement length does not match the sensing rows")
@@ -83,7 +93,9 @@ def wiener_coefficients(
         raise ValueError("sensing width does not match the component dimension")
     _check_sigma2(sigma2)
     _require_finite(np.atleast_2d(y), "measurements")
-    vecs, coef_map, _ = _wiener_solver(rows, component, sigma2)
+    if solver is None:
+        solver = _wiener_solver(rows, component, sigma2)[:2]
+    vecs, coef_map = solver
     return (y @ vecs) @ coef_map
 
 

@@ -256,10 +256,12 @@ class GmmModel:
 
     @cached_property
     def _design_memo(self) -> dict:
-        """Seed-free designs of this model as read-only rows, filled by
+        """Seed-free designs of this model, read-only, filled by
         adaptive.design_classification_block (empty-history blocks, keyed
-        by b, sigma2 and opts) and protocol._step1_rows (rip_ab, keyed by
-        ("rip_ab", k)). It lives and dies with the model."""
+        by b, sigma2 and opts), protocol._step1_rows (rip_ab rows, keyed
+        by ("rip_ab", k)) and protocol._step2_design (the step-2 design
+        that extends such rows, keyed by "step2", step1, their key,
+        sigma2, step2, class and M). It lives and dies with the model."""
         return {}
 
 

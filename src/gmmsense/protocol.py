@@ -12,15 +12,21 @@ STEP2_METHODS.
 
 Sensing rows are chosen here only. _step1_rows builds the non-adaptive
 detection rows (random, rip_ab, ida) by name: the K rows every signal of
-a batch shares, and the rows of the CLI's design verb. A design that does
+a batch shares, and the rows of the CLI's design verb. _step2_design
+picks the step-2 rows by name and factorizes their Wiener solve, and
+_step2_estimates senses and solves for the signals. A design that does
 not depend on the seed (rip_ab, and every empty-history detection block
 unless it starts from a seeded block) is made once per model and kept on
 it, so repeated runs on one model, such as one aida_sht call per chunk of
-signals, reuse its rows. A batch runs as batched linear algebra: one
-likelihood pass over all signals, then _step2_estimates (step-2 rows by
-name, their sensing and the Wiener solve) once per decided class.
+signals, reuse its rows. So is each class's step-2 design after such
+kept rows: after rip_ab and ida rows, and for every aida_sht signal whose
+test stops on its first block, it depends on the model, sigma2, the
+class, step2 and M only. After random rows, seeded blocks and longer
+histories it is made afresh; reports are bitwise the same either way. A
+batch runs as batched linear algebra: one likelihood pass over all
+signals, then one step-2 design and one Wiener solve per decided class.
 aida_sht runs signal by signal: sht_run designs every block, the first
-included, and _step2_estimates runs for one signal at a time.
+included, and step 2 runs for one signal at a time.
 
 All randomness derives from the seed and a purpose tag, so reports are
 reproducible and independent of evaluation order. The measurement noise
@@ -40,6 +46,7 @@ import numbers
 import time
 from collections.abc import Mapping
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,8 +60,16 @@ from .adaptive import (
     measurement_log_likelihoods,
 )
 from .design import eigen_sensing, random_orthonormal, require_orthonormal_rows, rip_ab
-from .inference import map_classify, sht_run, wiener_coefficients
-from .model import GmmModel, SignalBatch, _check_sigma2, _freeze, _mean_energy, _readonly
+from .inference import _wiener_coefficients, _wiener_solver, map_classify, sht_run
+from .model import (
+    GaussianComponent,
+    GmmModel,
+    SignalBatch,
+    _check_sigma2,
+    _freeze,
+    _mean_energy,
+    _readonly,
+)
 
 __all__ = [
     "ProtocolConfig",
@@ -288,8 +303,11 @@ def _step1_rows(
     matter only to it. seed drives the random rows and ida's seeded start.
     Seed-free rows are made once per model: ida's are kept by
     design_classification_block, rip_ab's here, in the model's _design_memo.
-    The rows are checked orthonormal on every call.
+    A k outside 1..N is rejected with one ValueError for every method,
+    before anything is built. The rows are checked orthonormal on every call.
     """
+    if not 1 <= k <= model.dimension:
+        raise ValueError(f"need 1 <= m <= {model.dimension}, got m={k}")
     if method == "random":
         rows = random_orthonormal(k, model.dimension, seed=seed).rows
     elif method == "ida":
@@ -305,16 +323,61 @@ def _step1_rows(
     return rows
 
 
-def _step2_estimates(config, state, model, gamma: int, y1, x, noise) -> np.ndarray:
-    """Step 2 for signals x (S, N) decided as class gamma: (S, N) estimates.
+def _step2_key(config: ProtocolConfig, model: GmmModel, rows: np.ndarray, gamma: int):
+    """The model._design_memo key of the step-2 design for class gamma after
+    detection rows the model keeps, or None.
 
-    All S share the detection rows of state, which measured y1 (S, k);
-    noise (S, M) holds their noise rows. One step-2 design for gamma fills
-    the budget M (it reads the history only through its rows and sigma2),
-    is sensed, and each signal gets the Wiener estimate under gamma.
+    rip_ab rows are kept under ("rip_ab", k); ida rows, and the history of
+    an aida_sht signal whose test stopped after its first block, under
+    (k, sigma2, ascent), unless they came from a seeded start (see
+    design_classification_block). The rows must equal the kept ones entry
+    for entry. Random rows, seeded blocks and longer histories have no key.
+    step1 is part of the key because ida's kept rows of b > 1 and an
+    aida_sht history hold the same values in different memory orders,
+    which BLAS rounds differently.
     """
+    k = rows.shape[0]
+    if config.step1 == "rip_ab":
+        detection = ("rip_ab", k)
+    elif config.step1 == "ida" or (config.step1 == "aida_sht" and k == config.b):
+        detection = (k, config.sigma2, config.ascent)
+    else:
+        return None
+    kept = model._design_memo.get(detection)
+    if kept is None or not np.array_equal(kept, rows):
+        return None
+    return ("step2", config.step1, detection, config.sigma2, config.step2, gamma, config.M)
+
+
+class _Step2Design(NamedTuple):
+    """The step-2 work of one class that no signal enters: the class, its
+    step-2 rows (None when the detection rows fill the budget), all rows
+    stacked, their projection of the class mean, and _wiener_solver's
+    (U, C) for the stacked rows."""
+
+    component: GaussianComponent
+    rows2: np.ndarray | None
+    rows: np.ndarray
+    projected_mean: np.ndarray
+    solver: tuple[np.ndarray, np.ndarray]
+
+
+def _step2_design(config, state, model, gamma: int) -> _Step2Design:
+    """Step-2 design for class gamma after the detection rows of state.
+
+    One design fills the budget M: step-2 rows by name (they read the
+    history only through its rows and sigma2), stacked under the
+    detection rows, and one factorization for the Wiener solve. It depends
+    on the detection rows, sigma2, gamma, step2 and M, and on no signal.
+    After detection rows the model keeps, the design is kept read-only in
+    the same model._design_memo (see _step2_key) and returned by every
+    later call; otherwise it is made afresh.
+    """
+    key = _step2_key(config, model, state.rows, gamma)
+    if key is not None and key in model._design_memo:
+        return model._design_memo[key]
     comp = model.component(gamma)
-    rows, y = state.rows, y1
+    rows, rows2 = state.rows, None
     k = rows.shape[0]
     if config.M > k:
         if config.step2 == "eigen_mse":
@@ -322,8 +385,29 @@ def _step2_estimates(config, state, model, gamma: int, y1, x, noise) -> np.ndarr
         else:
             rows2 = design_reconstruction_block(state, model, gamma, config.M - k)
         rows = np.vstack([rows, rows2])
-        y = np.hstack([y, x @ rows2.T + noise[:, k:]])
-    alpha = wiener_coefficients(y - rows @ comp.mean, rows, comp, config.sigma2)
+    vecs, coef_map, _ = _wiener_solver(rows, comp, config.sigma2)
+    design = _Step2Design(comp, rows2, rows, rows @ comp.mean, (vecs, coef_map))
+    if key is not None:
+        _freeze(*(a for a in (rows2, rows, design.projected_mean, vecs, coef_map) if a is not None))
+        model._design_memo[key] = design
+    return design
+
+
+def _step2_estimates(design: _Step2Design, sigma2: float, y1, x, noise) -> np.ndarray:
+    """Step 2 for signals x (S, N) decided as design's class: (S, N) estimates.
+
+    y1 (S, k) holds their measurements with the detection rows and noise
+    (S, M) their noise rows. The design's step-2 rows are sensed, and each
+    signal gets the Wiener estimate from the design's one factorization;
+    wiener_coefficients' checks run on these measurements.
+    """
+    comp, y = design.component, y1
+    if design.rows2 is not None:
+        k = y1.shape[1]
+        y = np.hstack([y1, x @ design.rows2.T + noise[:, k:]])
+    alpha = _wiener_coefficients(
+        y - design.projected_mean, design.rows, comp, sigma2, design.solver
+    )
     return comp.mean + (comp.basis @ alpha.T).T
 
 
@@ -332,7 +416,8 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
 
     The rows are checked once, the class log-likelihoods of the whole batch
     come from one factorization of the G class measurement covariances,
-    and each decided class gets one step-2 design and one Wiener solve
+    and each decided class gets one step-2 design (_step2_design, kept on
+    the model after rip_ab and unseeded ida rows) and one Wiener solve
     for all of its signals. Each signal still gets its own acquisition
     state (rows, measurements and likelihoods) and its own map_classify;
     no class weights are computed, as nothing here reads them. The rows,
@@ -357,14 +442,19 @@ def _run_shared(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noi
     estimates = np.empty_like(x)
     for gamma in np.unique(classes).tolist():
         idx = np.flatnonzero(classes == gamma)
-        estimates[idx] = _step2_estimates(
-            config, states[idx[0]], model, gamma, y1[idx], x[idx], noise[idx]
-        )
+        design = _step2_design(config, states[idx[0]], model, gamma)
+        estimates[idx] = _step2_estimates(design, config.sigma2, y1[idx], x[idx], noise[idx])
     return classes, np.full(n, k), estimates
 
 
 def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel, noise):
-    """aida_sht detection: one sht_run per signal, which designs every block."""
+    """aida_sht detection: one sht_run per signal, which designs every block.
+
+    Step 2 then runs for the signal alone. A signal whose test stopped on
+    an unseeded first block, kept on the model, reads its class's step-2
+    design from the model after the first such signal of that class;
+    every other signal gets its own.
+    """
     n = batch.n_signals
     classes = np.empty(n, dtype=int)
     k_used = np.empty(n, dtype=int)
@@ -381,8 +471,9 @@ def _run_sequential(config: ProtocolConfig, batch: SignalBatch, model: GmmModel,
             opts=config.ascent,
         )
         gamma, state = outcome.final_class, outcome.state
+        design = _step2_design(config, state, model, gamma)
         estimates[i] = _step2_estimates(
-            config, state, model, gamma, state.measurements[None], x[None], noise[i : i + 1]
+            design, config.sigma2, state.measurements[None], x[None], noise[i : i + 1]
         )[0]
         classes[i] = gamma
         k_used[i] = state.n_measurements

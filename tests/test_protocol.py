@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import gc
 import itertools
@@ -344,6 +345,35 @@ def designed(caplog, state, model, b, **kw):
     return rows, (starts[0] if starts else None)
 
 
+def memo_kinds(model):
+    """How many designs the model keeps of each kind: "rip_ab" rows,
+    empty-history classification "block"s (ida rows and aida_sht first
+    blocks) and "step2" designs."""
+    return collections.Counter(
+        key[0] if isinstance(key[0], str) else "block" for key in model._design_memo
+    )
+
+
+def kept_step2_keys(config, report, model):
+    """The step-2 design keys a run keeps: one per kept detection key,
+    step2, decided class and M. The detection rows are rip_ab's, ida's or
+    the first block of an aida_sht signal that stopped there, where the
+    model keeps them."""
+    if config.step1 == "rip_ab":
+        detection = ("rip_ab", config.K)
+    elif config.step1 == "ida":
+        detection = (config.K, config.sigma2, config.ascent)
+    else:
+        detection = (config.b, config.sigma2, config.ascent)
+    if config.step1 == "random" or detection not in model._design_memo:
+        return set()
+    first = report.k_used == (config.b if config.step1 == "aida_sht" else config.K)
+    return {
+        ("step2", config.step1, detection, config.sigma2, config.step2, int(gamma), config.M)
+        for gamma in report.classes[first]
+    }
+
+
 class TestDesignMemo:
     @pytest.mark.parametrize("k", [1, K])
     @pytest.mark.parametrize("start", ["closed_form", "spectral"])
@@ -392,6 +422,14 @@ class TestDesignMemo:
         fresh = design_classification_block(empty, model, 2, seed=(7, 8, 1), opts=FAST)
         assert np.array_equal(outcome.state.rows, fresh)
         assert model._design_memo == {}
+        # nor are the step-2 designs that extend random rows or seeded
+        # blocks, although every aida_sht signal here stops on its first block
+        batch = sample_signals(model, 8, seed=3)
+        for step1, step2 in itertools.product(("random", "ida", "aida_sht"), STEP2_METHODS):
+            config = ProtocolConfig(step1, step2, M=5, K=2, b=2, ascent=FAST, seed=7)
+            report = run_two_step(config, batch, model)
+            assert (report.k_used == 2).all()
+        assert model._design_memo == {}
 
     def test_other_priors_design_afresh(self, caplog):
         # a model with other priors has its own memo and its own design
@@ -410,9 +448,13 @@ class TestDesignMemo:
 
     def test_the_memo_dies_with_the_model(self, batch):
         model = synth_model_pair(N, 3.0, 30.0, seed=1)[0]
+        step2 = set()
         for pair in (("rip_ab", "eigen_mse"), ("ida", "eigen_mse"), ("aida_sht", "mi_adaptive")):
-            run_two_step(config_for(*pair), batch, model)
-        assert len(model._design_memo) == 3  # rip_ab, ida (b = K) and aida's block 1
+            config = config_for(*pair)
+            step2 |= kept_step2_keys(config, run_two_step(config, batch, model), model)
+        # rip_ab, ida (b = K) and aida's block 1, and their step-2 designs
+        assert memo_kinds(model) == {"rip_ab": 1, "block": 2, "step2": len(step2)}
+        assert step2 <= set(model._design_memo)
         ref = weakref.ref(model)
         del model
         gc.collect()
@@ -466,22 +508,60 @@ PAPER_CASES = [
 
 
 def test_reports_do_not_depend_on_the_memo():
-    # A cold model, the same model with a warm memo and an equal but
-    # distinct model give bitwise the same reports.
+    # A cold model, the same model with a warm memo, an equal but distinct
+    # model and a fresh model per config give bitwise the same reports,
+    # with step-2 designs kept for the signals that stop on aida_sht's
+    # first block and for single-step (K = M) runs.
     model = synth_model_pair(64, 30, 46, seed=0)[0]
     twin = GmmModel(components=model.components)
     batch = sample_signals(model, 3, seed=4)
+    cases = [(pair, b, snr_db, 4) for pair, b, snr_db in PAPER_CASES] + [
+        (pair, 1, snr_db, 8)
+        for pair in (("rip_ab", "eigen_mse"), ("ida", "mi_adaptive")) for snr_db in (20.0, 5.0)
+    ]
     configs = [
         ProtocolConfig(
-            *pair, M=8, K=4, b=b, sigma2=sigma2_for_snr_db(batch, snr_db), ascent=FAST, seed=7
+            *pair, M=8, K=k, b=b, sigma2=sigma2_for_snr_db(batch, snr_db), ascent=FAST, seed=7
         )
-        for pair, b, snr_db in PAPER_CASES
+        for pair, b, snr_db, k in cases
     ]
     cold = [run_two_step(config, batch, model) for config in configs]
-    assert len(model._design_memo) == 5  # rip_ab; ida at b = 1 and 4 (= K), per SNR
+    for config, report in zip(configs, cold):
+        if config.step1 == "aida_sht":
+            assert (report.k_used == config.b).any()
+    step2 = set().union(*(
+        kept_step2_keys(config, report, model) for config, report in zip(configs, cold)
+    ))
+    # rip_ab at K = 4 and 8; per SNR, ida at K = 4 (aida's b = 4 block 1
+    # too), 8 and aida's b = 1 block 1; one step-2 design per kept
+    # detection key, step2, decided class and M
+    assert memo_kinds(model) == {"rip_ab": 2, "block": 6, "step2": len(step2)}
+    assert step2 <= set(model._design_memo)
+    assert {key[1] for key in step2} == {"rip_ab", "ida", "aida_sht"}
+    kept = dict(model._design_memo)
     for config, report in zip(configs, cold):
         assert report.same_results(run_two_step(config, batch, model))
         assert report.same_results(run_two_step(config, batch, twin))
+        alone = GmmModel(components=model.components)
+        assert report.same_results(run_two_step(config, batch, alone))
+    assert model._design_memo.keys() == twin._design_memo.keys() == kept.keys()
+    assert all(model._design_memo[key] is design for key, design in kept.items())
+
+
+def test_the_memo_does_not_grow_with_the_signals():
+    # 3 and 40 signals that decide the same classes on the same kept
+    # detection rows leave the same kept designs, one per class
+    model = synth_model_pair(64, 30, 46, seed=0)[0]
+    twin = GmmModel(components=model.components)
+    few, many = sample_signals(model, 3, seed=4), sample_signals(model, 40, seed=5)
+    sigma2 = sigma2_for_snr_db(few, 20.0)
+    for step1, b in (("rip_ab", 1), ("ida", 1), ("aida_sht", 1), ("aida_sht", 4)):
+        config = ProtocolConfig(step1, "mi_adaptive", M=8, K=4, b=b, sigma2=sigma2, ascent=FAST)
+        for target, batch in ((model, few), (twin, many)):
+            report = run_two_step(config, batch, target)
+            assert set(report.classes.tolist()) == {1, 2}
+    assert memo_kinds(model) == memo_kinds(twin) == {"rip_ab": 1, "block": 2, "step2": 8}
+    assert model._design_memo.keys() == twin._design_memo.keys()
 
 
 class TestConfigFromDict:
@@ -906,6 +986,21 @@ def test_cli_design_writes_the_library_rows(method, data, tmp_path, capsys):
     ]) == 0
     assert np.array_equal(read_matrix(out), expected)
     assert capsys.readouterr().out == f"wrote {method} design (5x{N}) to {out}\n"
+
+
+@pytest.mark.parametrize("measurements", [0, N + 1])
+@pytest.mark.parametrize("method", ["random", "rip_ab", "ida"])
+def test_cli_design_rejects_a_row_count_outside_the_dimension(
+    method, measurements, data, tmp_path, capsys
+):
+    # ida once named block_size, a field of its empty history the user never set
+    out = tmp_path / "d.scsm"
+    assert cli.main([
+        "design", "--model", str(data / "model"), "--method", method,
+        "--measurements", str(measurements), "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: need 1 <= m <= {N}, got m={measurements}\n"
+    assert not out.exists()
 
 
 def test_cli_train_gmm_csv_remaps_labels_to_consecutive_classes(tmp_path, capsys):
