@@ -12,11 +12,12 @@ empty history these are the generalized eigenvectors of the two class
 covariances (plus noise), scored by their share of the measure, so the
 spectral start is the closed-form optimum and is returned as it is.
 Otherwise a single row, which has a cheap closed-form Hessian, is
-polished by Riemannian Newton on the unit sphere: each iterate and trial
-row x is evaluated from one product of the posterior stack with x, whose
-rows P_k x give the projections, the score and both gradients, and the
-Newton matrix takes one more product with the stack. A block of several
-rows takes steepest ascent with re-orthonormalization, whose line searches
+polished by Riemannian Newton on the unit sphere. One kernel, _project,
+projects the posterior stack onto every block, Newton's rows included: for
+one row x it takes one product of the stack with x and no eigh, and its
+rows P_k x give the projections, the score and both gradients; the Newton
+matrix takes one more product with the stack. A block of several rows
+takes steepest ascent with re-orthonormalization, whose line searches
 start from Barzilai-Borwein step lengths. For reconstruction with a known
 class, the optimal block is closed form: the top eigenvectors of that
 class's posterior covariance given the history.
@@ -372,10 +373,22 @@ def _project(
     contributes a large finite log-determinant instead of an infinity.
     Values more negative than rounding noise allows raise
     ProjectedCovarianceError naming the offending class.
+
+    A single row x (b = 1) takes no eigh: its 1 x 1 projections x^T P_k x
+    are the eigenvalues and its eigenvectors are all 1. Both products,
+    P_k x and x^T (P_k x), run matrix by matrix, so bitwise equal matrices
+    (identical classes, or a decided class and the mixture) give bitwise
+    equal projections; one product over the stack reshaped to (G+1) N rows
+    does not, since BLAS groups its rows differently from block to block.
     """
-    bp = block @ posteriors.stack                 # (G+1, b, N)
-    vals, vecs = np.linalg.eigh(symmetrize(bp @ block.T))
     scales = posteriors.scales
+    if block.shape[0] == 1:
+        bp = (posteriors.stack @ block[0])[:, None, :]  # (G+1, 1, N)
+        vals = bp @ block[0]                             # (G+1, 1)
+        vecs = np.ones_like(vals)[..., None]
+    else:
+        bp = block @ posteriors.stack                    # (G+1, b, N)
+        vals, vecs = np.linalg.eigh(symmetrize(bp @ block.T))
     _reject_first(vals[:, 0] < -_PROJ_NEG_TOL * scales)
     floors = EIG_FLOOR_REL * scales[:, None]
     live = vals > floors
@@ -384,8 +397,8 @@ def _project(
 
 def _score(projection, weights: np.ndarray) -> float:
     """Separability measure of a block from its _project result."""
-    logdets = np.sum(np.log(projection[1]), axis=-1)
-    return 0.5 * float(np.sum(weights * (logdets[-1] - logdets[:-1])))
+    logdets = np.log(projection[1]).sum(axis=-1)
+    return 0.5 * float((weights * (logdets[-1] - logdets[:-1])).sum())
 
 
 def _gradient(projection, weights: np.ndarray) -> np.ndarray:
@@ -484,16 +497,17 @@ def design_classification_block(
     its floor. Otherwise a single-row block (b = 1) is polished by
     Riemannian Newton on the unit sphere until the gain its next step
     predicts is within the score's rounding (_PLATEAU), where the score can
-    no longer rank that step. Each Newton iterate and trial row x is
-    evaluated from the one product P_k x of the posterior stack with x
-    (_evaluate_row), not from the general block projection. A block of b >
-    1 rows takes steepest ascent with re-orthonormalization (row-space
-    preserving), whose line searches after the first start from
-    Barzilai-Borwein lengths (Barzilai & Borwein 1988; Wen & Yin 2013),
-    alternating the long and the short one. Every accepted step strictly
-    raises the score, so the returned block scores at least as high as its
-    start. With empty history this is the non-adaptive design; a full K-row
-    non-adaptive layout is produced by a single call with b = K.
+    no longer rank that step. Each Newton iterate and trial row goes
+    through _project and _score like every other block, in _project's
+    single-row case: one product P_k x of the posterior stack with x, and
+    no eigh. A block of b > 1 rows takes steepest ascent with
+    re-orthonormalization (row-space preserving), whose line searches
+    after the first start from Barzilai-Borwein lengths (Barzilai & Borwein
+    1988; Wen & Yin 2013), alternating the long and the short one. Every
+    accepted step strictly raises the score, so the returned block scores
+    at least as high as its start. With empty history this is the
+    non-adaptive design; a full K-row non-adaptive layout is produced by a
+    single call with b = K.
 
     A design on an empty history that does not depend on the seed is kept,
     read-only, in the model's _design_memo under (b, sigma2, opts), after
@@ -719,59 +733,26 @@ def _orthonormalize_block(candidate: np.ndarray) -> np.ndarray:
     return orthonormalize_rows(candidate)
 
 
-class _Row(NamedTuple):
-    """A single row x evaluated from the one product of the posterior stack
-    with x: px holds P_k x for every matrix of the stack, c the projections
-    x^T P_k x floored at EIG_FLOOR_REL times their scales, live marks the
-    projections above their floor, and score is the measure at x."""
-
-    x: np.ndarray
-    px: np.ndarray
-    c: np.ndarray
-    live: np.ndarray
-    score: float
-
-
-def _evaluate_row(x: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray) -> _Row:
-    """The single-row kernel: everything Newton needs at a row x (shape (N,)).
-
-    One product of the (G+1, N, N) stack with x gives P_k x; their dot
-    products with x are the 1 x 1 projections that _project would return,
-    floored and checked the same way (ProjectedCovarianceError for a value
-    more negative than rounding allows), and scored by _score's formula.
-    Both products run matrix by matrix, so bitwise equal matrices (identical
-    classes, or a decided class and the mixture) give bitwise equal
-    projections; one product over the stack reshaped to (G+1) N rows does
-    not, since BLAS groups its rows differently from block to block.
-    """
-    scales = posteriors.scales
-    px = posteriors.stack @ x                    # (G+1, N)
-    vals = (px[:, None, :] @ x)[:, 0]
-    _reject_first(vals < -_PROJ_NEG_TOL * scales)
-    floors = EIG_FLOOR_REL * scales
-    c = np.maximum(vals, floors)
-    logs = np.log(c)
-    score = 0.5 * float(np.sum(weights * (logs[-1] - logs[:-1])))
-    return _Row(x, px, c, vals > floors, score)
-
-
-def _row_gradients(row: _Row, weights: np.ndarray):
+def _row_gradients(point: _Trial, weights: np.ndarray):
     """(u, egrad, tangent gradient, slope) of the measure at a unit row.
 
-    u_k = P_k x / c_k on live projections and 0 on floored ones, so the
-    Euclidean gradient egrad = u_avg - sum_g w_g u_g is _gradient's; the
-    tangent gradient on the sphere is egrad - slope x with slope = x^T
+    point is the _Trial of a row x, which holds P_k x and the floored c_k =
+    x^T P_k x. u_k = P_k x / c_k on live projections and 0 on floored ones,
+    so the Euclidean gradient egrad = u_avg - sum_g w_g u_g is _gradient's;
+    the tangent gradient on the sphere is egrad - slope x with slope = x^T
     egrad, which is zero unless a projection is floored. The weighted sum
     is formed from the u_k, not from one combined coefficient vector, so
     identical classes cancel exactly.
     """
-    u = (row.live / row.c)[:, None] * row.px
+    x = point.block[0]
+    bp, c, _, live = point.projection
+    u = live / c * bp[:, 0]
     egrad = u[-1] - weights @ u[:-1]
-    slope = float(row.x @ egrad)
-    return u, egrad, egrad - slope * row.x, slope
+    slope = float(x @ egrad)
+    return u, egrad, egrad - slope * x, slope
 
 
-def _row_newton_matrix(row: _Row, u, egrad, slope: float, stack, signs) -> np.ndarray:
+def _row_newton_matrix(point: _Trial, u, egrad, slope: float, stack, signs) -> np.ndarray:
     """x x^T minus the Riemannian Hessian of the measure at a unit row x.
 
     signs holds (-w_1, ..., -w_G, 1). The Euclidean Hessian is H = M - 2
@@ -781,32 +762,25 @@ def _row_newton_matrix(row: _Row, u, egrad, slope: float, stack, signs) -> np.nd
     = I - x x^T, so the result is slope I - M + 2 sum_k s_k u_k u_k^T +
     x (x - egrad)^T - egrad x^T: one (G+1) x N^2 product for M and one
     rank-(G+3) product. It maps x to x and tangent vectors to tangent
-    vectors.
+    vectors. x and the c_k come from x's _Trial, point.
     """
-    n = row.x.shape[0]
-    coef = signs * row.live / row.c
+    x = point.block[0]
+    _, c, _, live = point.projection
+    n = x.shape[0]
+    coef = signs * live[:, 0] / c[:, 0]
     a = (coef @ stack.reshape(coef.shape[0], n * n)).reshape(n, n)
-    left = np.concatenate([u, row.x[None], egrad[None]])
-    right = np.concatenate([2.0 * signs[:, None] * u, (row.x - egrad)[None], -row.x[None]])
+    left = np.concatenate([u, x[None], egrad[None]])
+    right = np.concatenate([2.0 * signs[:, None] * u, (x - egrad)[None], -x[None]])
     a = left.T @ right - a
     a.flat[:: n + 1] += slope
     return a
 
 
-def _row_trial(candidate: np.ndarray, posteriors: PosteriorMatrices, weights: np.ndarray):
-    """_evaluate_row at the candidate normalized by _orthonormalize_block;
-    None where its norm is 0 or a projection is negative."""
-    try:
-        return _evaluate_row(_orthonormalize_block(candidate[None])[0], posteriors, weights)
-    except (SingularMatrixError, ProjectedCovarianceError):
-        return None
-
-
 def _newton_on_sphere(v, posteriors, weights, max_steps):
     """Riemannian Newton ascent of the measure over unit rows v (1 x N).
 
-    Every iterate and trial row is evaluated by _evaluate_row, from one
-    product of the posterior stack with the row. With A from
+    The start, every iterate and every trial (_trial) is a _Trial, as in
+    the ascent, projected by _project's single-row case. With A from
     _row_newton_matrix and a Levenberg shift mu that makes A + mu I
     positive definite (checked by Cholesky), the step solving (A + mu I)
     xi = grad stays tangent and ascends. mu starts at 0, is divided by 10
@@ -820,20 +794,20 @@ def _newton_on_sphere(v, posteriors, weights, max_steps):
     Returns (v, score, final tangent gradient norm, accepted steps,
     rejected trial steps, Levenberg raises, stop reason).
     """
-    stack = posteriors.stack
     signs = np.append(-weights, 1.0)
-    row = _evaluate_row(v[0], posteriors, weights)
+    projection = _project(v, posteriors)
+    point = _Trial(v, projection, _score(projection, weights))
     eye = np.eye(v.shape[1])
     mu = 0.0
     steps = backtracks = shifts = 0
     while True:
-        u, egrad, grad, slope = _row_gradients(row, weights)
+        u, egrad, grad, slope = _row_gradients(point, weights)
         norm = float(np.linalg.norm(grad))
         if norm == 0.0:
-            return row.x[None], row.score, norm, steps, backtracks, shifts, "flat"
+            return point.block, point.score, norm, steps, backtracks, shifts, "flat"
         if steps == max_steps:
-            return row.x[None], row.score, norm, steps, backtracks, shifts, "max_iters"
-        a = _row_newton_matrix(row, u, egrad, slope, stack, signs)
+            return point.block, point.score, norm, steps, backtracks, shifts, "max_iters"
+        a = _row_newton_matrix(point, u, egrad, slope, posteriors.stack, signs)
         for _ in range(_MAX_BACKTRACKS):
             shifted = a + mu * eye if mu else a
             try:
@@ -843,17 +817,17 @@ def _newton_on_sphere(v, posteriors, weights, max_steps):
                 mu = max(10.0 * mu, 1e-3 * float(np.abs(a).max()))
                 shifts += 1
         else:
-            return row.x[None], row.score, norm, steps, backtracks, shifts, "no_ascent"
+            return point.block, point.score, norm, steps, backtracks, shifts, "no_ascent"
         xi = np.linalg.solve(shifted, grad)
-        if float(grad @ xi) <= _PLATEAU * max(1.0, abs(row.score)):
-            return row.x[None], row.score, norm, steps, backtracks, shifts, "gain"
+        if float(grad @ xi) <= _PLATEAU * max(1.0, abs(point.score)):
+            return point.block, point.score, norm, steps, backtracks, shifts, "gain"
         accepted, _, rejected = _line_search(
-            lambda t: _row_trial(row.x + t * xi, posteriors, weights), row.score, 1.0
+            lambda t: _trial(point.block + t * xi, posteriors, weights), point.score, 1.0
         )
         backtracks += rejected
         if accepted is None:
-            return row.x[None], row.score, norm, steps, backtracks, shifts, "no_ascent"
-        row = accepted
+            return point.block, point.score, norm, steps, backtracks, shifts, "no_ascent"
+        point = accepted
         mu /= 10.0
         steps += 1
 

@@ -16,7 +16,6 @@ from gmmsense.adaptive import (
     _batch_states,
     _bayes_posteriors,
     _class_weights,
-    _evaluate_row,
     _gradient,
     _newton_on_sphere,
     _project,
@@ -24,6 +23,7 @@ from gmmsense.adaptive import (
     _row_newton_matrix,
     _score,
     _spectral_start,
+    _Trial,
     design_classification_block,
     design_reconstruction_block,
     measurement_log_likelihoods,
@@ -39,6 +39,13 @@ def gradient_at(block, state, model):
     """The ascent's separability gradient at an orthonormal block."""
     post = posterior_matrices(state, model)
     return _gradient(_project(block, post), post.weights)
+
+
+def row_point(row, post):
+    """The _Trial Newton holds at a unit row of shape (N,) or (1, N)."""
+    block = np.reshape(row, (1, -1))
+    proj = _project(block, post)
+    return _Trial(block, proj, _score(proj, post.weights))
 
 
 def state_with_rows(model, rows, sigma2=0.0, measurements=None):
@@ -730,14 +737,19 @@ class TestSingleRowKernel:
         x = np.random.default_rng(98).standard_normal(n)
         x -= vecs[:, -3:] @ (vecs[:, -3:].T @ x)  # orthogonal to class 1's range
         row = x / np.linalg.norm(x)
-        point = _evaluate_row(row, post, w)
-        proj = _project(row[None], post)
-        assert np.array_equal(point.live, proj[3][:, 0])
-        assert point.live[0] == (sigma2 > 0.0) and point.live[1:].all()
-        assert np.all(np.abs(point.c - proj[1][:, 0]) <= 1e-12 * proj[1][:, 0])
-        score = _score(proj, w)
+        point = row_point(row, post)
+        # reference: the eigh of each 1 x 1 projection, as for b > 1 rows
+        bp = row[None] @ post.stack
+        vals, vecs = np.linalg.eigh(symmetrize(bp @ row[:, None]))
+        floors = EIG_FLOOR_REL * post.scales[:, None]
+        ref = (bp, np.maximum(vals, floors), vecs, vals > floors)
+        _, c, ones, live = point.projection
+        assert np.array_equal(live, ref[3]) and np.all(ones == 1.0)
+        assert live[0, 0] == (sigma2 > 0.0) and live[1:].all()
+        assert np.all(np.abs(c - ref[1]) <= 1e-12 * ref[1])
+        score = _score(ref, w)
         assert abs(point.score - score) <= 1e-12 * abs(score)
-        egrad = _gradient(proj, w)[0]
+        egrad = _gradient(ref, w)[0]
         expected = egrad - (row @ egrad) * row
         grad = _row_gradients(point, w)[2]
         assert np.abs(grad - expected).max() <= 1e-12 * np.abs(expected).max()
@@ -753,7 +765,7 @@ class TestSingleRowKernel:
         w = post.weights
         for s in range(5):
             row = random_orthonormal(1, n, seed=[100, s]).rows
-            _, egrad, grad, slope = _row_gradients(_evaluate_row(row[0], post, w), w)
+            _, egrad, grad, slope = _row_gradients(row_point(row, post), w)
             assert not egrad.any() and not grad.any() and slope == 0.0
             assert _newton_on_sphere(row, post, w, 200)[-1] == "flat"
 
@@ -782,12 +794,12 @@ class TestSingleRowNewton:
         post = posterior_matrices(state, model)
         w = post.weights
         row = random_orthonormal(1, 8, seed=52).rows[0]
-        point = _evaluate_row(row, post, w)
+        point = row_point(row, post)
         u, egrad, _, slope = _row_gradients(point, w)
         a = _row_newton_matrix(point, u, egrad, slope, post.stack, np.append(-w, 1.0))
 
         def egrad_at(x):
-            return _row_gradients(_evaluate_row(x, post, w), w)[1]
+            return _row_gradients(row_point(x, post), w)[1]
 
         rng = np.random.default_rng(53)
         h = 1e-5
@@ -809,8 +821,8 @@ class TestSingleRowNewton:
         w = post.weights
         pick = (3, 4) if floored else (0, 4)
         row = orthonormalize_rows((q[:, pick[0]] + 0.5 * q[:, pick[1]])[None, :])[0]
-        point = _evaluate_row(row, post, w)
-        assert point.live[0] == (not floored)
+        point = row_point(row, post)
+        assert point.projection[3][0, 0] == (not floored)
         u, egrad, _, slope = _row_gradients(point, w)
         assert abs(slope - (0.5 if floored else 0.0)) <= 1e-12
         a = _row_newton_matrix(point, u, egrad, slope, post.stack, np.append(-w, 1.0))
@@ -818,7 +830,7 @@ class TestSingleRowNewton:
 
         def sphere_gradient(v):
             v = v / np.linalg.norm(v)
-            return _row_gradients(_evaluate_row(v, post, w), w)[2]
+            return _row_gradients(row_point(v, post), w)[2]
 
         rng = np.random.default_rng(67)
         h = 1e-6
@@ -828,6 +840,20 @@ class TestSingleRowNewton:
             fd = (sphere_gradient(row + h * d) - sphere_gradient(row - h * d)) / (2.0 * h)
             fd -= (fd @ row) * row
             assert np.abs(-a @ d - fd).max() <= 1e-6 * np.abs(fd).max()
+
+    @pytest.mark.parametrize("g", [2, 4])
+    def test_the_returned_score_is_the_measure_of_the_returned_row(self, g):
+        # Newton scores its iterates through _project and _score, so the
+        # score it returns is separability_measure's of its row, bitwise
+        model = random_model(16, g, seed=130 + 10 * g)
+        hist = random_orthonormal(2, 16, seed=131).rows
+        state = state_with_rows(model, hist, sigma2=0.05, measurements=[0.7, -0.4])
+        post = posterior_matrices(state, model)
+        for s in range(10):
+            start = random_orthonormal(1, 16, seed=[132, s]).rows
+            row, score, _, steps, *_ = _newton_on_sphere(start, post, post.weights, 200)
+            assert steps > 0
+            assert score == separability_measure(row, state, model)
 
     def test_ten_classes_reach_a_stationary_row_at_least_as_good_as_the_ascent(self, caplog):
         # the design stops where its next Newton step predicts no gain the
@@ -1237,8 +1263,7 @@ class TestDesignLogging:
         model, _ = floored_class_model()
         state = AcquisitionState.initial(model, 0.0, b)
         calls = {"trials": 0, "failed": 0}
-        name = "_row_trial" if b == 1 else "_trial"
-        trial, cholesky = getattr(adaptive, name), np.linalg.cholesky
+        trial, cholesky = adaptive._trial, np.linalg.cholesky
 
         def counting_trial(*args):
             calls["trials"] += 1
@@ -1251,7 +1276,7 @@ class TestDesignLogging:
                 calls["failed"] += 1
                 raise
 
-        monkeypatch.setattr(adaptive, name, counting_trial)
+        monkeypatch.setattr(adaptive, "_trial", counting_trial)
         monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
         with caplog.at_level(logging.DEBUG, logger="gmmsense"):
             design_classification_block(state, model, b, seed=0)
@@ -1261,6 +1286,37 @@ class TestDesignLogging:
         backtracks, shifts = int(fields["backtracks"]), int(fields["shifts"])
         assert backtracks > 0 and calls["trials"] == steps + backtracks
         assert calls["failed"] == shifts and (shifts > 0) == (b == 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda model, state: state.append_block(np.eye(5)[:1], [0.0], model),
+         "block dimension does not match the state"),
+        (lambda model, state: state.append_block(np.eye(4)[:2], [0.0], model),
+         "measurement count does not match the block rows"),
+        (lambda model, state: AcquisitionState(np.eye(4)[:1], np.zeros(2), 0.1, 1, np.zeros(2)),
+         "measurements length must match the row count"),
+        (lambda model, state: posterior_matrices(
+            AcquisitionState.initial(random_model(3, 2, seed=1), 0.1), model),
+         "state dimension does not match the model"),
+        (lambda model, state: design_classification_block(state, model, 0),
+         "need 1 <= b <= 4, got b=0"),
+        (lambda model, state: design_classification_block(state, model, 5),
+         "need 1 <= b <= 4, got b=5"),
+        (lambda model, state: design_reconstruction_block(state, model, 1, 0),
+         "need 1 <= m <= 4, got m=0"),
+        (lambda model, state: design_reconstruction_block(state, model, 1, 5),
+         "need 1 <= m <= 4, got m=5"),
+    ],
+    ids=["block-width", "measurement-count", "state-measurements", "posterior-dimension",
+         "b-0", "b-above-n", "m-0", "m-above-n"],
+)
+def test_rejects_shapes_and_sizes_that_do_not_match(call, message):
+    model = random_model(4, 2, seed=133)
+    with pytest.raises(ValueError) as err:
+        call(model, AcquisitionState.initial(model, 0.1))
+    assert str(err.value) == message
 
 
 class TestDesignReconstructionBlock:

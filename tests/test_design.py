@@ -5,6 +5,7 @@ from helpers import principal_angles, random_model, random_spd
 from gmmsense._linalg import orthonormalize_rows
 from gmmsense.design import (
     SensingMatrix,
+    as_rows,
     eigen_sensing,
     random_orthonormal,
     require_orthonormal_rows,
@@ -23,8 +24,8 @@ class TestSensingMatrix:
             SensingMatrix(rows=np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_rejects_wide(self):
-        with pytest.raises(ValueError):
-            SensingMatrix(rows=np.eye(3)[:, :2].T @ np.eye(2))  # 3x2 rows
+        with pytest.raises(ValueError, match=r"^more rows than columns \(3 > 2\)$"):
+            SensingMatrix(rows=np.eye(3)[:, :2])
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize(
@@ -46,6 +47,25 @@ class TestSensingMatrix:
             require_orthonormal_rows(rows, "step-1")
         with pytest.raises(ValueError, match=f"^sensing rows {message}"):
             SensingMatrix(rows=rows)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda comp: SensingMatrix(rows=np.ones(3)), "rows must be a 2-D array"),
+        (lambda comp: as_rows(np.ones(3)), "sensing rows must be a 2-D array"),
+        (lambda comp: random_orthonormal(0, 4), "need 1 <= m <= n, got m=0, n=4"),
+        (lambda comp: random_orthonormal(5, 4), "need 1 <= m <= n, got m=5, n=4"),
+        (lambda comp: eigen_sensing(comp, 0), "need 1 <= m <= 4, got m=0"),
+        (lambda comp: eigen_sensing(comp, 5), "need 1 <= m <= 4, got m=5"),
+    ],
+    ids=["sensing-1d", "as-rows-1d", "random-0", "random-above-n", "eigen-0", "eigen-above-n"],
+)
+def test_rejects_shapes_and_sizes_that_do_not_match(call, message):
+    comp = GaussianComponent.from_moments(np.zeros(4), random_spd(4, seed=20))
+    with pytest.raises(ValueError) as err:
+        call(comp)
+    assert str(err.value) == message
 
 
 class TestRandomOrthonormal:

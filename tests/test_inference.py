@@ -105,6 +105,34 @@ class TestWienerCoefficients:
             wiener_coefficients(np.zeros(2), np.eye(3), comp, 0.0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda model: wiener_coefficients(np.zeros(1), np.eye(5)[:1], model.component(1), 0.1),
+         "sensing width does not match the component dimension"),
+        (lambda model: map_em(np.zeros((2, 1)), np.eye(4)[:1], model, 0.1, -1),
+         "kappa must be >= 0"),
+        (lambda model: map_em(np.zeros((2, 2)), np.eye(4)[:1], model, 0.1, 1),
+         "measurements must be (S, M) matching the sensing rows"),
+        (lambda model: map_em(np.zeros(1), np.eye(4)[:1], model, 0.1, 1),
+         "measurements must be (S, M) matching the sensing rows"),
+        (lambda model: sht_run(lambda rows: np.zeros(len(rows)), model, 1, 4, 0.5),
+         "p_e must lie in (0, 0.5), got 0.5"),
+        (lambda model: sht_run(lambda rows: np.zeros(len(rows)), model, 0, 4, 0.01),
+         "need 1 <= b <= budget, got b=0, budget=4"),
+        (lambda model: sht_run(lambda rows: np.zeros(len(rows)), model, 5, 4, 0.01),
+         "need 1 <= b <= budget, got b=5, budget=4"),
+    ],
+    ids=["wiener-width", "kappa", "em-measurement-count", "em-1d", "p_e", "b-0",
+         "b-above-budget"],
+)
+def test_rejects_shapes_and_sizes_that_do_not_match(call, message):
+    model = random_model(4, 2, seed=21)
+    with pytest.raises(ValueError) as err:
+        call(model)
+    assert str(err.value) == message
+
+
 class TestMapReconstruct:
     def test_single_class_always_selected(self):
         model = random_model(5, 1, seed=10)

@@ -165,6 +165,14 @@ def test_a_budget_above_the_signal_dimension_is_rejected(model, batch):
         run_two_step(config, batch, model)
 
 
+@pytest.mark.parametrize("width", [N - 1, N + 1])
+def test_a_batch_of_another_dimension_is_rejected(width, model):
+    batch = SignalBatch(signals=np.ones((2, width)))
+    with pytest.raises(ValueError) as err:
+        run_two_step(config_for("rip_ab", "eigen_mse"), batch, model)
+    assert str(err.value) == "batch dimension does not match the model"
+
+
 def test_psnr_is_reported_against_the_batch_peak(model, batch):
     config = config_for("rip_ab", "eigen_mse")
     assert run_two_step(config, batch, model).psnr is None
@@ -805,6 +813,26 @@ def test_cli_train_gmm_checks_iters_and_classes(flags, code, message, tmp_path, 
         assert out.err.startswith("error: ") and message in out.err
     else:
         assert message in out.out
+
+
+def test_cli_train_gmm_coadapts_on_images(tmp_path, capsys):
+    # Co-adaptation learns from measured patches; at sigma2 = 0 every patch
+    # lands in class 1, so the run uses noise and pins only the model's shape.
+    image = tmp_path / "img.pgm"
+    write_pgm(image, make_image(3, size=48))
+    out = tmp_path / "co"
+    argv = ["train-gmm", "--images", str(image), "--coadapt", "rip_ab", "--measurements", "8",
+            "--sigma2", "1", "--classes", "5", "--out", str(out)]
+    assert cli.main(argv) == 0
+    model = load_model(out)
+    assert (model.n_components, model.dimension) == (5, 64)
+    assert capsys.readouterr().out == f"trained model: G=5, N=64, saved to {out}\n"
+    # --measurements is required with --coadapt, and nothing is written
+    unmeasured = tmp_path / "unmeasured"
+    argv = ["train-gmm", "--images", str(image), "--coadapt", "random", "--out", str(unmeasured)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: --coadapt requires --measurements\n"
+    assert not any(tmp_path.glob("unmeasured*"))
 
 
 @pytest.mark.parametrize(
